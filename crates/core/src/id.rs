@@ -8,7 +8,7 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 use crate::error::CoreError;
 
@@ -29,11 +29,21 @@ fn validate(kind: &'static str, value: &str) -> Result<(), CoreError> {
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident, $kind:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
-        #[serde(try_from = "String", into = "String")]
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Deserialize)]
+        #[serde(try_from = "String")]
         pub struct $name(String);
+
+        // Serializes as the bare string, written without a clone (ids
+        // are the most frequent strings in reports and snapshots).
+        impl Serialize for $name {
+            fn to_value(&self) -> Value {
+                Value::String(self.0.clone())
+            }
+
+            fn serialize_into(&self, out: &mut JsonWriter) {
+                out.str(&self.0);
+            }
+        }
 
         impl $name {
             /// Creates a validated identifier.

@@ -8,7 +8,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 use crate::error::CoreError;
 use crate::id::{ExamId, ProblemId, StudentId};
@@ -27,9 +27,20 @@ use crate::id::{ExamId, ProblemId, StudentId};
 /// assert_eq!(OptionKey::E.index(), 4);
 /// assert_eq!("D".parse::<OptionKey>().unwrap(), OptionKey::D);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(try_from = "String", into = "String")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Deserialize)]
+#[serde(try_from = "String")]
 pub struct OptionKey(u8);
+
+// Serializes as its letter (`"B"`), written without allocating.
+impl Serialize for OptionKey {
+    fn to_value(&self) -> Value {
+        Value::String(self.letter().to_string())
+    }
+
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        self.letter().serialize_into(out);
+    }
+}
 
 impl OptionKey {
     /// Option `A` (index 0).

@@ -4,8 +4,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mine_pool::{current_num_threads, install, map_slice, stats};
+
+/// The tests share one process-wide pool and its counters, and the test
+/// harness runs them on parallel threads. Each holds this lock so that
+/// a counter delta measured in one test is not another test's work.
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    static POOL: Mutex<()> = Mutex::new(());
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Burn a little CPU so chunks are long enough to be stolen.
 fn spin_work(x: u64) -> u64 {
@@ -18,6 +27,7 @@ fn spin_work(x: u64) -> u64 {
 
 #[test]
 fn stolen_work_produces_sequential_output() {
+    let _pool = exclusive_pool();
     let items: Vec<u64> = (0..4_096).collect();
     let expected: Vec<u64> = items.iter().map(|&x| spin_work(x)).collect();
     // Skewed costs: early items are much heavier, so the creator's
@@ -45,6 +55,7 @@ fn stolen_work_produces_sequential_output() {
 
 #[test]
 fn every_index_is_executed_exactly_once() {
+    let _pool = exclusive_pool();
     let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
     let items: Vec<usize> = (0..hits.len()).collect();
     let out = install(8, || {
@@ -61,6 +72,7 @@ fn every_index_is_executed_exactly_once() {
 
 #[test]
 fn panicking_task_poisons_the_op_not_the_pool() {
+    let _pool = exclusive_pool();
     let items: Vec<u32> = (0..1_000).collect();
     let result = catch_unwind(AssertUnwindSafe(|| {
         install(4, || {
@@ -93,6 +105,7 @@ fn panicking_task_poisons_the_op_not_the_pool() {
 
 #[test]
 fn nested_installs_and_maps_compose() {
+    let _pool = exclusive_pool();
     let outer: Vec<u64> = (0..16).collect();
     let inner: Vec<u64> = (0..64).collect();
     let out = install(4, || {
@@ -124,6 +137,7 @@ fn nested_installs_and_maps_compose() {
 
 #[test]
 fn install_one_stays_inline_and_spawns_nothing_extra() {
+    let _pool = exclusive_pool();
     let before = stats().ops;
     let items: Vec<u32> = (0..100).collect();
     let out = install(1, || map_slice(&items, |&x| x + 1));

@@ -330,7 +330,12 @@ pub fn audit_dirs(
     if dirs.is_empty() {
         return Err("audit needs at least one directory".to_string());
     }
-    let scratch_base = std::env::temp_dir().join(format!("mine-audit-{}", std::process::id()));
+    // Unique per call, not just per process: audits may run
+    // concurrently (the server's own tests do).
+    static AUDITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = AUDITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let scratch_base =
+        std::env::temp_dir().join(format!("mine-audit-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch_base);
     let result = audit_dirs_in(dirs, repository, &scratch_base);
     let _ = std::fs::remove_dir_all(&scratch_base);

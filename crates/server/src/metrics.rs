@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize, Value};
 
 /// The routes the service distinguishes in its counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -627,195 +627,133 @@ pub struct MetricsSnapshot {
 }
 
 impl Serialize for MetricsSnapshot {
+    /// The tree is parsed back from [`Serialize::serialize_into`]'s
+    /// bytes, so the two forms cannot disagree; `/metrics` never asks
+    /// for it.
     fn to_value(&self) -> Value {
-        let requests = Value::Object(
-            self.requests
-                .iter()
-                .map(|(label, count)| ((*label).to_string(), count.to_value()))
-                .collect(),
-        );
-        let histogram = |bucket_counts: &[u64], sum_us: u64, count: u64| {
-            let buckets = Value::Array(
-                bucket_counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, count)| {
-                        let le = LATENCY_BUCKETS_US
-                            .get(i)
-                            .map_or_else(|| "+inf".to_string(), u64::to_string);
-                        Value::Object(vec![
-                            ("le_us".to_string(), Value::String(le)),
-                            ("count".to_string(), count.to_value()),
-                        ])
-                    })
-                    .collect(),
-            );
-            Value::Object(vec![
-                ("buckets".to_string(), buckets),
-                ("sum".to_string(), sum_us.to_value()),
-                ("count".to_string(), count.to_value()),
-            ])
-        };
-        Value::Object(vec![
-            ("requests".to_string(), requests),
-            ("status_2xx".to_string(), self.status_2xx.to_value()),
-            ("status_4xx".to_string(), self.status_4xx.to_value()),
-            ("status_5xx".to_string(), self.status_5xx.to_value()),
-            (
-                "latency_us".to_string(),
-                histogram(
-                    &self.latency_buckets,
-                    self.latency_sum_us,
-                    self.latency_count,
-                ),
-            ),
-            (
-                "analysis_duration_us".to_string(),
-                Value::Object(vec![
-                    (
-                        "cold".to_string(),
-                        histogram(
-                            &self.analysis_cold_buckets,
-                            self.analysis_cold_sum_us,
-                            self.analysis_cold_count,
-                        ),
-                    ),
-                    (
-                        "hit".to_string(),
-                        histogram(
-                            &self.analysis_hit_buckets,
-                            self.analysis_hit_sum_us,
-                            self.analysis_hit_count,
-                        ),
-                    ),
-                    (
-                        "streaming".to_string(),
-                        histogram(
-                            &self.analysis_streaming_buckets,
-                            self.analysis_streaming_sum_us,
-                            self.analysis_streaming_count,
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "streaming_update_us".to_string(),
-                histogram(
-                    &self.streaming_update_buckets,
-                    self.streaming_update_sum_us,
-                    self.streaming_updates_total,
-                ),
-            ),
-            (
-                "streaming_updates_total".to_string(),
-                self.streaming_updates_total.to_value(),
-            ),
-            ("pool_workers".to_string(), self.pool_workers.to_value()),
-            (
-                "pool_steals_total".to_string(),
-                self.pool_steals_total.to_value(),
-            ),
-            (
-                "adaptive_step_us".to_string(),
-                histogram(
-                    &self.adaptive_step_buckets,
-                    self.adaptive_step_sum_us,
-                    self.adaptive_steps_total,
-                ),
-            ),
-            (
-                "adaptive_steps_total".to_string(),
-                self.adaptive_steps_total.to_value(),
-            ),
-            (
-                "adaptive_sessions_started".to_string(),
-                self.adaptive_sessions_started.to_value(),
-            ),
-            (
-                "adaptive_sessions_finished".to_string(),
-                self.adaptive_sessions_finished.to_value(),
-            ),
-            (
-                "adaptive_sessions_active".to_string(),
-                (self.adaptive_sessions_active as u64).to_value(),
-            ),
-            (
-                "sessions_started".to_string(),
-                self.sessions_started.to_value(),
-            ),
-            (
-                "sessions_finished".to_string(),
-                self.sessions_finished.to_value(),
-            ),
-            (
-                "active_sessions".to_string(),
-                (self.active_sessions as u64).to_value(),
-            ),
-            ("shed_total".to_string(), self.shed_total.to_value()),
-            (
-                "rate_limited_total".to_string(),
-                self.rate_limited_total.to_value(),
-            ),
-            ("queue_depth".to_string(), self.queue_depth.to_value()),
-            (
-                "inflight_requests".to_string(),
-                self.inflight_requests.to_value(),
-            ),
-            ("drain_state".to_string(), self.drain_state.to_value()),
-            (
-                "retry_after_secs".to_string(),
-                self.retry_after_secs.to_value(),
-            ),
-            ("repl_role".to_string(), self.repl_role.to_value()),
-            ("repl_epoch".to_string(), self.repl_epoch.to_value()),
-            (
-                "repl_last_applied_seq".to_string(),
-                self.repl_last_applied_seq.to_value(),
-            ),
-            ("repl_lag".to_string(), self.repl_lag.to_value()),
-            ("repl_followers".to_string(), self.repl_followers.to_value()),
-            (
-                "repl_quorum_timeouts_total".to_string(),
-                self.repl_quorum_timeouts_total.to_value(),
-            ),
-            (
-                "redirected_total".to_string(),
-                self.redirected_total.to_value(),
-            ),
-            (
-                "repl_failovers_total".to_string(),
-                self.repl_failovers_total.to_value(),
-            ),
-            (
-                "repl_suspicions_total".to_string(),
-                self.repl_suspicions_total.to_value(),
-            ),
-            (
-                "repl_reconnects_total".to_string(),
-                self.repl_reconnects_total.to_value(),
-            ),
-            (
-                "repl_heartbeat_age_us".to_string(),
-                self.repl_heartbeat_age_us.to_value(),
-            ),
-            (
-                "scrub_passes_total".to_string(),
-                self.scrub_passes_total.to_value(),
-            ),
-            (
-                "scrub_corrupt_segments_total".to_string(),
-                self.scrub_corrupt_segments_total.to_value(),
-            ),
-            (
-                "repair_segments_total".to_string(),
-                self.repair_segments_total.to_value(),
-            ),
-            (
-                "storage_degraded".to_string(),
-                self.storage_degraded.to_value(),
-            ),
-        ])
+        serde_json::from_str(&serde_json::to_string(self).expect("metrics serialize"))
+            .expect("metrics JSON parses")
     }
+
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let mut body = out.object();
+        let mut requests = body.key("requests").object();
+        for (label, count) in &self.requests {
+            requests.field(label, count);
+        }
+        requests.end();
+        body.field("status_2xx", &self.status_2xx);
+        body.field("status_4xx", &self.status_4xx);
+        body.field("status_5xx", &self.status_5xx);
+        write_histogram(
+            body.key("latency_us"),
+            &self.latency_buckets,
+            self.latency_sum_us,
+            self.latency_count,
+        );
+        let mut analysis = body.key("analysis_duration_us").object();
+        write_histogram(
+            analysis.key("cold"),
+            &self.analysis_cold_buckets,
+            self.analysis_cold_sum_us,
+            self.analysis_cold_count,
+        );
+        write_histogram(
+            analysis.key("hit"),
+            &self.analysis_hit_buckets,
+            self.analysis_hit_sum_us,
+            self.analysis_hit_count,
+        );
+        write_histogram(
+            analysis.key("streaming"),
+            &self.analysis_streaming_buckets,
+            self.analysis_streaming_sum_us,
+            self.analysis_streaming_count,
+        );
+        analysis.end();
+        write_histogram(
+            body.key("streaming_update_us"),
+            &self.streaming_update_buckets,
+            self.streaming_update_sum_us,
+            self.streaming_updates_total,
+        );
+        body.field("streaming_updates_total", &self.streaming_updates_total);
+        body.field("pool_workers", &self.pool_workers);
+        body.field("pool_steals_total", &self.pool_steals_total);
+        write_histogram(
+            body.key("adaptive_step_us"),
+            &self.adaptive_step_buckets,
+            self.adaptive_step_sum_us,
+            self.adaptive_steps_total,
+        );
+        body.field("adaptive_steps_total", &self.adaptive_steps_total);
+        body.field("adaptive_sessions_started", &self.adaptive_sessions_started);
+        body.field(
+            "adaptive_sessions_finished",
+            &self.adaptive_sessions_finished,
+        );
+        body.field("adaptive_sessions_active", &self.adaptive_sessions_active);
+        body.field("sessions_started", &self.sessions_started);
+        body.field("sessions_finished", &self.sessions_finished);
+        body.field("active_sessions", &self.active_sessions);
+        body.field("shed_total", &self.shed_total);
+        body.field("rate_limited_total", &self.rate_limited_total);
+        body.field("queue_depth", &self.queue_depth);
+        body.field("inflight_requests", &self.inflight_requests);
+        body.field("drain_state", &self.drain_state);
+        body.field("retry_after_secs", &self.retry_after_secs);
+        body.field("repl_role", &self.repl_role);
+        body.field("repl_epoch", &self.repl_epoch);
+        body.field("repl_last_applied_seq", &self.repl_last_applied_seq);
+        body.field("repl_lag", &self.repl_lag);
+        body.field("repl_followers", &self.repl_followers);
+        body.field(
+            "repl_quorum_timeouts_total",
+            &self.repl_quorum_timeouts_total,
+        );
+        body.field("redirected_total", &self.redirected_total);
+        body.field("repl_failovers_total", &self.repl_failovers_total);
+        body.field("repl_suspicions_total", &self.repl_suspicions_total);
+        body.field("repl_reconnects_total", &self.repl_reconnects_total);
+        body.field("repl_heartbeat_age_us", &self.repl_heartbeat_age_us);
+        body.field("scrub_passes_total", &self.scrub_passes_total);
+        body.field(
+            "scrub_corrupt_segments_total",
+            &self.scrub_corrupt_segments_total,
+        );
+        body.field("repair_segments_total", &self.repair_segments_total);
+        body.field("storage_degraded", &self.storage_degraded);
+        body.end();
+    }
+}
+
+/// `{"buckets":[{"le_us":"100","count":n},…,{"le_us":"+inf",…}],
+/// "sum":…,"count":…}` — one histogram of the JSON snapshot.
+fn write_histogram(out: &mut JsonWriter, bucket_counts: &[u64], sum_us: u64, count: u64) {
+    let mut histogram = out.object();
+    let buckets = histogram.key("buckets");
+    buckets.raw("[");
+    for (i, bucket_count) in bucket_counts.iter().enumerate() {
+        if i > 0 {
+            buckets.raw(",");
+        }
+        let mut bucket = buckets.object();
+        let le = bucket.key("le_us");
+        match LATENCY_BUCKETS_US.get(i) {
+            Some(bound) => {
+                le.raw("\"");
+                le.u64(*bound);
+                le.raw("\"");
+            }
+            None => le.str("+inf"),
+        }
+        bucket.field("count", bucket_count);
+        bucket.end();
+    }
+    buckets.raw("]");
+    histogram.field("sum", &sum_us);
+    histogram.field("count", &count);
+    histogram.end();
 }
 
 impl MetricsSnapshot {
@@ -1469,5 +1407,73 @@ mod tests {
         assert!(value.get("requests").is_some());
         assert!(value.get("latency_us").is_some());
         assert!(value.get("active_sessions").is_some());
+    }
+
+    /// The JSON layout scrapers depend on: top-level keys in this exact
+    /// order, each histogram as `buckets`/`sum`/`count` with string
+    /// `le_us` bounds ending in `+inf`.
+    #[test]
+    fn snapshot_json_keeps_its_layout() {
+        let metrics = Metrics::new();
+        metrics.record(Route::Answer, 200, Duration::from_micros(300));
+        let snapshot = metrics.snapshot(0, 0);
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let value: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(snapshot.to_value(), value);
+        let keys: Vec<&str> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "requests",
+                "status_2xx",
+                "status_4xx",
+                "status_5xx",
+                "latency_us",
+                "analysis_duration_us",
+                "streaming_update_us",
+                "streaming_updates_total",
+                "pool_workers",
+                "pool_steals_total",
+                "adaptive_step_us",
+                "adaptive_steps_total",
+                "adaptive_sessions_started",
+                "adaptive_sessions_finished",
+                "adaptive_sessions_active",
+                "sessions_started",
+                "sessions_finished",
+                "active_sessions",
+                "shed_total",
+                "rate_limited_total",
+                "queue_depth",
+                "inflight_requests",
+                "drain_state",
+                "retry_after_secs",
+                "repl_role",
+                "repl_epoch",
+                "repl_last_applied_seq",
+                "repl_lag",
+                "repl_followers",
+                "repl_quorum_timeouts_total",
+                "redirected_total",
+                "repl_failovers_total",
+                "repl_suspicions_total",
+                "repl_reconnects_total",
+                "repl_heartbeat_age_us",
+                "scrub_passes_total",
+                "scrub_corrupt_segments_total",
+                "repair_segments_total",
+                "storage_degraded",
+            ]
+        );
+        assert!(json.contains(
+            r#""latency_us":{"buckets":[{"le_us":"100","count":0},{"le_us":"250","count":0},{"le_us":"500","count":1},"#
+        ));
+        assert!(json.contains(r#"{"le_us":"+inf","count":0}],"sum":300,"count":1}"#));
+        assert!(json.contains(r#""analysis_duration_us":{"cold":{"buckets":["#));
     }
 }

@@ -283,14 +283,7 @@ impl Router {
             // write shed at dispatch.
             let retry_after = (err.status == 503 && self.state.storage.is_degraded())
                 .then_some(DEGRADED_RETRY_SECS);
-            let mut response = Response::json(
-                err.status,
-                serde_json::to_string(&Value::Object(vec![(
-                    "error".to_string(),
-                    Value::String(err.message),
-                )]))
-                .expect("error body serializes"),
-            );
+            let mut response = ok_json(err.status, &ErrorBody { error: err.message });
             if let Some(secs) = retry_after {
                 response = response.with_retry_after(secs);
             }
@@ -299,7 +292,11 @@ impl Router {
         self.state
             .metrics
             .record(route, response.status, started.elapsed());
-        self.maybe_compact();
+        // Only writes move the log toward a snapshot; a read (or a
+        // `/healthz` probe) must never wait behind one.
+        if request.method != "GET" {
+            self.maybe_compact();
+        }
         response
     }
 
@@ -508,7 +505,7 @@ impl Router {
         };
         Ok(ok_json(
             status,
-            Value::Object(vec![
+            &Value::Object(vec![
                 (
                     "status".to_string(),
                     Value::String(state.label().to_string()),
@@ -538,7 +535,7 @@ impl Router {
             .as_deref()
             .is_some_and(|query| query.split('&').any(|pair| pair == "format=json"));
         if wants_json {
-            return Ok(ok_json(200, snapshot.to_value()));
+            return Ok(ok_json(200, &snapshot));
         }
         Ok(Response::prometheus(200, snapshot.to_prometheus()))
     }
@@ -636,7 +633,7 @@ impl Router {
         let journal = self.state.journal.as_ref().expect("checked above");
         Ok(ok_json(
             200,
-            Value::Object(vec![
+            &Value::Object(vec![
                 ("role".to_string(), Value::String("primary".to_string())),
                 ("epoch".to_string(), epoch.to_value()),
                 (
@@ -692,7 +689,7 @@ impl Router {
         repl.note_leader_contact();
         Ok(ok_json(
             200,
-            Value::Object(vec![
+            &Value::Object(vec![
                 ("role".to_string(), Value::String("follower".to_string())),
                 ("epoch".to_string(), epoch.to_value()),
             ]),
@@ -724,7 +721,7 @@ impl Router {
             .repl
             .as_ref()
             .map_or(Role::Primary, |repl| repl.role());
-        Ok(ok_json(200, ranges_body(&report, store, role)))
+        Ok(ok_json(200, &ranges_body(&report, store, role)))
     }
 
     /// The 421 answer a follower gives every write: the client should
@@ -738,7 +735,7 @@ impl Router {
             .unwrap_or_default();
         Ok(ok_json(
             421,
-            Value::Object(vec![
+            &Value::Object(vec![
                 (
                     "error".to_string(),
                     Value::String(
@@ -814,7 +811,7 @@ impl Router {
             }
         }
         self.state.metrics.session_started();
-        Ok(ok_json(201, body))
+        Ok(ok_json(201, &body))
     }
 
     /// `POST /sessions` with `"mode": "adaptive"`: starts a CAT sitting
@@ -869,19 +866,19 @@ impl Router {
             }
         }
         self.state.metrics.adaptive_session_started();
-        Ok(ok_json(201, started_body))
+        Ok(ok_json(201, &started_body))
     }
 
     fn session_status(&self, id: &str) -> ApiResult {
         if self.state.adaptive.routes(id) {
             let status = self.state.adaptive.with(id, adaptive_status_body)?;
-            return Ok(ok_json(200, status));
+            return Ok(ok_json(200, &status));
         }
         let status = self
             .state
             .registry
             .with(id, |slot| session_status_body(&slot.session))?;
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     /// `POST /sessions/{id}/answers` on an adaptive sitting: journal
@@ -928,7 +925,7 @@ impl Router {
         self.state
             .metrics
             .record_adaptive_step(step_started.elapsed());
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     /// `POST /sessions/{id}/finish` on an adaptive sitting: grades the
@@ -959,7 +956,7 @@ impl Router {
         });
         self.state.adaptive.remove(id);
         self.state.metrics.adaptive_session_closed();
-        Ok(ok_json(200, record.to_value()))
+        Ok(ok_json(200, &record))
     }
 
     fn answer(&self, id: &str, request: &Request) -> ApiResult {
@@ -1000,7 +997,7 @@ impl Router {
                 .map(|()| session_status_body(&slot.session))
                 .map_err(ApiError::from)
         })?;
-        Ok(ok_json(200, outcome?))
+        Ok(ok_json(200, &outcome?))
     }
 
     fn pause(&self, id: &str) -> ApiResult {
@@ -1024,7 +1021,7 @@ impl Router {
             slot.checkpoint = Some(checkpoint.clone());
             Ok::<_, ApiError>(checkpoint)
         })??;
-        Ok(ok_json(200, checkpoint.to_value()))
+        Ok(ok_json(200, &checkpoint))
     }
 
     fn resume(&self, id: &str) -> ApiResult {
@@ -1047,7 +1044,7 @@ impl Router {
             slot.session.reactivate().map_err(ApiError::from)?;
             Ok::<_, ApiError>(session_status_body(&slot.session))
         })??;
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     fn finish(&self, id: &str) -> ApiResult {
@@ -1083,7 +1080,7 @@ impl Router {
         });
         let _ = self.state.registry.remove(id);
         self.state.metrics.session_finished();
-        Ok(ok_json(200, record.to_value()))
+        Ok(ok_json(200, &record))
     }
 
     /// `GET /exams/{id}/analysis`: the full §4 report. Served from the
@@ -1190,11 +1187,18 @@ fn ranges_body(
     ])
 }
 
-/// Serializes a value tree as a JSON response.
-fn ok_json(status: u16, value: Value) -> Response {
+/// The body of every error response: `{"error":"…"}`.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+}
+
+/// Serializes a typed value (or a hand-built [`Value`] tree) straight
+/// into a JSON response body.
+fn ok_json<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
     Response::json(
         status,
-        serde_json::to_string(&value).expect("value tree serializes"),
+        serde_json::to_string(value).expect("bodies serialize"),
     )
 }
 
@@ -1368,7 +1372,7 @@ fn adaptive_rejection(err: &AdaptiveStartError) -> Response {
     };
     ok_json(
         422,
-        Value::Object(vec![
+        &Value::Object(vec![
             ("error".to_string(), Value::String(err.to_string())),
             ("field".to_string(), Value::String(field.to_string())),
         ]),
@@ -1931,6 +1935,54 @@ mod tests {
             r#"{"exam":"quiz","student":"s1"}"#,
         ));
         assert_eq!(started.status, 201, "{}", started.body);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_never_write_snapshots_writes_do() {
+        let dir = std::env::temp_dir().join(format!("mine-router-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (state, _) = crate::journal::open_journaled_state(
+            repository(),
+            &dir,
+            mine_store::StoreOptions::default(),
+            3,
+        )
+        .unwrap();
+        let router = Router::with_state(state);
+        let journal = router.state().journal.as_ref().unwrap();
+        let session = start(&router);
+        assert_eq!(journal.store().events_since_snapshot(), 1);
+        // Cross the threshold outside `handle`, as a concurrent writer
+        // does between its append and its own compaction check.
+        for _ in 0..2 {
+            journal
+                .append(&SessionEvent::Paused {
+                    session: "elsewhere".to_string(),
+                })
+                .unwrap();
+        }
+        assert!(journal.due_for_snapshot());
+
+        for path in ["/healthz".to_string(), format!("/sessions/{session}")] {
+            let response = router.handle(&Request::new("GET", &path, ""));
+            assert_eq!(response.status, 200, "{}", response.body);
+            assert_eq!(
+                journal.store().events_since_snapshot(),
+                3,
+                "GET {path} wrote a snapshot"
+            );
+        }
+
+        let response = router.handle(&Request::new(
+            "POST",
+            &format!("/sessions/{session}/pause"),
+            "",
+        ));
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(journal.store().events_since_snapshot(), 0);
+        assert!(!journal.due_for_snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,17 +12,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo clippy mine-store -D warnings"
 cargo clippy --offline -p mine-store --all-targets -- -D warnings
 
+# Also runs the server loopback, registry-concurrency and crash-recovery
+# suites and the store fault-injection suite; they are not repeated below.
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> server integration tests"
-cargo test --offline -q -p mine-server --test loopback --test registry_concurrency
-
-echo "==> store fault-injection tests (torn tails, bit flips, kill -9)"
-cargo test --offline -q -p mine-store --test fault_injection
-
-echo "==> server crash-recovery test (kill -9 + byte-identical analysis)"
-cargo test --offline -q -p mine-server --test crash_recovery
+echo "==> served-path benchmark smoke (every workload + the traced run, tiny scale)"
+timeout 300 cargo test --offline -q --manifest-path servebench/Cargo.toml
 
 echo "==> server chaos tests (overload shed, deadlines, drain mid-storm)"
 timeout 60 cargo test --offline -q -p mine-server --test chaos
