@@ -1,12 +1,18 @@
-//! Lock-free service metrics: request counters, a latency histogram,
-//! and session gauges, all plain atomics so the hot path never blocks.
+//! Lock-free service metrics: plain atomics so the hot path never
+//! blocks.
 //!
-//! `GET /metrics` renders a [`MetricsSnapshot`] as JSON — request
-//! counts per route, response counts per status class, a fixed-bucket
-//! latency histogram in microseconds, and active/started/finished
-//! session gauges.
+//! Every metric is one entry in the list at the bottom of this module:
+//! its field name (which is also its JSON key), its kind — a
+//! [`Counter`], [`Gauge`] or [`Histogram`] — and its Prometheus name and
+//! help text. `GET /metrics` renders a [`MetricsSnapshot`] of that list
+//! in the Prometheus text exposition format, `GET /metrics?format=json`
+//! as JSON; both renderers walk the same list. The few series whose
+//! Prometheus form differs from their JSON form (status classes, the
+//! one-hot role, the heartbeat age in seconds) are written by hand in
+//! [`MetricsSnapshot::to_prometheus`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 use serde::{JsonWriter, Serialize, Value};
@@ -47,7 +53,8 @@ pub enum Route {
 }
 
 impl Route {
-    /// All distinguishable routes, in render order.
+    /// All distinguishable routes, in render order, which is also
+    /// declaration order: a route's discriminant indexes its counter.
     pub const ALL: [Route; 15] = [
         Route::Healthz,
         Route::Metrics,
@@ -89,7 +96,7 @@ impl Route {
     }
 
     fn index(self) -> usize {
-        Route::ALL.iter().position(|r| *r == self).expect("listed")
+        self as usize
     }
 }
 
@@ -97,109 +104,439 @@ impl Route {
 /// final bucket is unbounded.
 pub const LATENCY_BUCKETS_US: [u64; 8] = [100, 250, 500, 1_000, 5_000, 25_000, 100_000, 1_000_000];
 
-/// Index of the histogram bucket a `us`-microsecond observation lands
-/// in (the last index is the overflow bucket).
-fn bucket_index(us: u64) -> usize {
-    LATENCY_BUCKETS_US
-        .iter()
-        .position(|&bound| us <= bound)
-        .unwrap_or(LATENCY_BUCKETS_US.len())
+/// Histogram buckets: one per bound plus the overflow bucket.
+const BUCKETS: usize = LATENCY_BUCKETS_US.len() + 1;
+
+/// A count that only goes up.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Mirrors a total counted elsewhere (the pool's steal count).
+    pub fn set(&self, total: u64) {
+        self.0.store(total, Relaxed);
+    }
+
+    /// The current count.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
 }
 
-/// Shared metric counters. Cheap to update from any worker thread.
+/// A value that goes up and down.
 #[derive(Debug, Default)]
-pub struct Metrics {
-    requests: [AtomicU64; Route::ALL.len()],
-    /// Responses by status class: 2xx, 4xx, 5xx.
-    status_2xx: AtomicU64,
-    status_4xx: AtomicU64,
-    status_5xx: AtomicU64,
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    latency_sum_us: AtomicU64,
-    latency_count: AtomicU64,
-    sessions_started: AtomicU64,
-    sessions_finished: AtomicU64,
-    /// Connections/requests shed because the accept queue was full or
-    /// the server was draining.
-    shed_total: AtomicU64,
-    /// Connections shed by the per-peer token bucket.
-    rate_limited_total: AtomicU64,
-    /// Connections accepted and waiting for a worker, right now.
-    queue_depth: AtomicU64,
-    /// Requests currently being handled (parsed → response written).
-    inflight_requests: AtomicU64,
-    /// Drain state gauge: 0 running, 1 draining, 2 stopped.
-    drain_state: AtomicU64,
-    /// The `Retry-After` seconds most recently advertised on a shed
-    /// response (0 = nothing shed yet).
-    retry_after_secs: AtomicU64,
-    /// Replication role gauge: 0 primary, 1 follower, 2 candidate.
-    repl_role: AtomicU64,
-    /// Durable replication epoch.
-    repl_epoch: AtomicU64,
-    /// Highest journal sequence applied locally.
-    repl_last_applied_seq: AtomicU64,
-    /// Replication lag in records: a primary reports its head minus its
-    /// slowest follower's ack, a follower its leader's advertised head
-    /// minus its own applied seq.
-    repl_lag: AtomicU64,
-    /// Followers currently streaming from this node.
-    repl_followers: AtomicU64,
-    /// Quorum-ack waits that timed out (the write proceeded leader-only).
-    repl_quorum_timeouts_total: AtomicU64,
-    /// Writes refused with `421` and redirected to the leader.
-    redirected_total: AtomicU64,
-    /// Unsupervised promotions performed by the failure detector.
-    repl_failovers_total: AtomicU64,
-    /// Times the failure detector suspected the leader (missed
-    /// heartbeats past the timeout); a suspicion may or may not end in
-    /// a promotion.
-    repl_suspicions_total: AtomicU64,
-    /// Follower reconnection attempts after a broken stream.
-    repl_reconnects_total: AtomicU64,
-    /// Microseconds since the follower last heard from its leader
-    /// (refreshed by the metrics handler; 0 on a primary).
-    repl_heartbeat_age_us: AtomicU64,
-    /// Batch-mode analysis wall time, cold (cache miss → full
-    /// pipeline) vs hit.
-    analysis_cold_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_cold_sum_us: AtomicU64,
-    analysis_cold_count: AtomicU64,
-    analysis_hit_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_hit_sum_us: AtomicU64,
-    analysis_hit_count: AtomicU64,
-    /// Streaming-mode analysis wall time (report assembled from the
-    /// engine's running counters, no record replay).
-    analysis_streaming_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_streaming_sum_us: AtomicU64,
-    analysis_streaming_count: AtomicU64,
-    /// Per-finish streaming engine updates (counter doubles as the
-    /// histogram count).
-    streaming_update_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    streaming_update_sum_us: AtomicU64,
-    streaming_update_count: AtomicU64,
-    /// Work-stealing pool gauges, refreshed from [`mine_pool::stats`]
-    /// by the metrics handler like the replication gauges.
-    pool_workers: AtomicU64,
-    pool_steals_total: AtomicU64,
-    /// Adaptive (CAT) sitting lifecycle counters.
-    adaptive_sessions_started: AtomicU64,
-    adaptive_sessions_finished: AtomicU64,
-    /// Adaptive steps (answer → re-estimate → next-item selection); the
-    /// counter doubles as the histogram count.
-    adaptive_steps_total: AtomicU64,
-    adaptive_step_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    adaptive_step_sum_us: AtomicU64,
-    /// Completed anti-entropy scrub passes.
-    scrub_passes_total: AtomicU64,
-    /// Sealed segments a scrub pass found corrupt (CRC/framing/sequence
-    /// damage or range-hash divergence from the leader).
-    scrub_corrupt_segments_total: AtomicU64,
-    /// Segments quarantined and re-fetched from a healthy peer.
-    repair_segments_total: AtomicU64,
-    /// Storage health gauge: 1 while the local WAL refuses writes
-    /// (degraded read-only serving), 0 while healthy.
-    storage_degraded: AtomicU64,
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// Publishes `value`.
+    pub fn set(&self, value: u64) {
+        self.0.store(value, Relaxed);
+    }
+
+    /// Adds one.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Relaxed);
+    }
+
+    /// Subtracts one.
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Relaxed);
+    }
+
+    /// The current value.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+}
+
+/// A fixed-bucket duration histogram in microseconds (bounds in
+/// [`LATENCY_BUCKETS_US`]).
+#[derive(Debug, Default)]
+pub struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
+    sum_us: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    /// Records one observation.
+    pub fn observe(&self, elapsed: Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        let bucket = LATENCY_BUCKETS_US
+            .iter()
+            .position(|&bound| us <= bound)
+            .unwrap_or(LATENCY_BUCKETS_US.len());
+        self.buckets[bucket].fetch_add(1, Relaxed);
+        self.sum_us.fetch_add(us, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+    }
+
+    /// The current buckets, sum and count.
+    #[must_use]
+    pub fn get(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self.buckets.each_ref().map(|bucket| bucket.load(Relaxed)),
+            sum_us: self.sum_us.load(Relaxed),
+            count: self.count.load(Relaxed),
+        }
+    }
+}
+
+/// A point-in-time copy of a [`Histogram`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Per-bucket (not cumulative) counts; index i ≤
+    /// `LATENCY_BUCKETS_US[i]` µs, the last entry is the overflow bucket.
+    pub buckets: [u64; BUCKETS],
+    /// Sum of the observations in microseconds.
+    pub sum_us: u64,
+    /// Number of observations.
+    pub count: u64,
+}
+
+impl HistogramSnapshot {
+    /// The `_bucket` (cumulative, `le` in seconds), `_sum` and `_count`
+    /// samples of one series; `labels` is empty or `k="v",…`.
+    fn write_samples(&self, name: &str, labels: &str, out: &mut String) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0;
+        for (i, count) in self.buckets.iter().enumerate() {
+            cumulative += count;
+            let _ = match LATENCY_BUCKETS_US.get(i) {
+                Some(&us) => writeln!(
+                    out,
+                    "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
+                    seconds(us)
+                ),
+                None => writeln!(
+                    out,
+                    "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+                ),
+            };
+        }
+        let braced = format!("{{{labels}}}");
+        let braced = if labels.is_empty() { "" } else { &braced };
+        let _ = writeln!(out, "{name}_sum{braced} {}", seconds(self.sum_us));
+        let _ = writeln!(out, "{name}_count{braced} {}", self.count);
+    }
+}
+
+/// Microseconds as (fractional) seconds, the Prometheus base unit.
+fn seconds(us: u64) -> f64 {
+    us as f64 / 1_000_000.0
+}
+
+/// What the metric list needs from each kind: a point-in-time read and
+/// the read value's JSON and Prometheus sample lines.
+pub trait Metric {
+    /// The Prometheus `# TYPE` of the family.
+    const TYPE: &'static str;
+    /// What a snapshot holds.
+    type Value;
+    /// Reads the current value.
+    fn read(&self) -> Self::Value;
+    /// Writes `value` as the JSON value under the metric's key.
+    fn write_json(value: &Self::Value, out: &mut JsonWriter);
+    /// Appends the family's sample lines.
+    fn write_samples(value: &Self::Value, name: &str, out: &mut String);
+}
+
+/// Counters and gauges read as one number and render as one sample.
+macro_rules! scalar_metric {
+    ($($kind:ty => $type:literal),*) => {$(
+        impl Metric for $kind {
+            const TYPE: &'static str = $type;
+            type Value = u64;
+
+            fn read(&self) -> u64 {
+                self.get()
+            }
+
+            fn write_json(value: &u64, out: &mut JsonWriter) {
+                out.u64(*value);
+            }
+
+            fn write_samples(value: &u64, name: &str, out: &mut String) {
+                let _ = writeln!(out, "{name} {value}");
+            }
+        }
+    )*};
+}
+
+scalar_metric!(Counter => "counter", Gauge => "gauge");
+
+impl Metric for Histogram {
+    const TYPE: &'static str = "histogram";
+    type Value = HistogramSnapshot;
+
+    fn read(&self) -> HistogramSnapshot {
+        self.get()
+    }
+
+    /// `{"buckets":[{"le_us":"100","count":n},…,{"le_us":"+inf",…}],
+    /// "sum":…,"count":…}`.
+    fn write_json(value: &HistogramSnapshot, out: &mut JsonWriter) {
+        let mut histogram = out.object();
+        let buckets = histogram.key("buckets");
+        buckets.raw("[");
+        for (i, count) in value.buckets.iter().enumerate() {
+            if i > 0 {
+                buckets.raw(",");
+            }
+            let mut bucket = buckets.object();
+            let le = bucket.key("le_us");
+            match LATENCY_BUCKETS_US.get(i) {
+                Some(bound) => {
+                    le.raw("\"");
+                    le.u64(*bound);
+                    le.raw("\"");
+                }
+                None => le.str("+inf"),
+            }
+            bucket.field("count", count);
+            bucket.end();
+        }
+        buckets.raw("]");
+        histogram.field("sum", &value.sum_us);
+        histogram.field("count", &value.count);
+        histogram.end();
+    }
+
+    fn write_samples(value: &HistogramSnapshot, name: &str, out: &mut String) {
+        value.write_samples(name, "", out);
+    }
+}
+
+/// One counter per [`Route`], labelled `route` in Prometheus and keyed
+/// by route label in JSON.
+#[derive(Debug, Default)]
+pub struct PerRoute([Counter; Route::ALL.len()]);
+
+impl PerRoute {
+    /// Counts one request on `route`.
+    pub fn inc(&self, route: Route) {
+        self.0[route.index()].inc();
+    }
+}
+
+impl Metric for PerRoute {
+    const TYPE: &'static str = "counter";
+    type Value = Vec<(&'static str, u64)>;
+
+    fn read(&self) -> Self::Value {
+        Route::ALL
+            .iter()
+            .map(|route| (route.label(), self.0[route.index()].get()))
+            .collect()
+    }
+
+    fn write_json(value: &Self::Value, out: &mut JsonWriter) {
+        let mut requests = out.object();
+        for (label, count) in value {
+            requests.field(label, count);
+        }
+        requests.end();
+    }
+
+    fn write_samples(value: &Self::Value, name: &str, out: &mut String) {
+        for (label, count) in value {
+            let _ = writeln!(out, "{name}{{route=\"{label}\"}} {count}");
+        }
+    }
+}
+
+/// Analysis wall time: batch mode split by cache outcome (a cold run of
+/// the full pipeline vs a cached report), and streaming mode (a report
+/// assembled from the engine's running counters).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct AnalysisModes<T> {
+    /// Batch mode, cache miss.
+    pub cold: T,
+    /// Batch mode, cache hit.
+    pub hit: T,
+    /// Streaming mode.
+    pub streaming: T,
+}
+
+impl Metric for AnalysisModes<Histogram> {
+    const TYPE: &'static str = "histogram";
+    type Value = AnalysisModes<HistogramSnapshot>;
+
+    fn read(&self) -> Self::Value {
+        AnalysisModes {
+            cold: self.cold.get(),
+            hit: self.hit.get(),
+            streaming: self.streaming.get(),
+        }
+    }
+
+    fn write_json(value: &Self::Value, out: &mut JsonWriter) {
+        let mut modes = out.object();
+        Histogram::write_json(&value.cold, modes.key("cold"));
+        Histogram::write_json(&value.hit, modes.key("hit"));
+        Histogram::write_json(&value.streaming, modes.key("streaming"));
+        modes.end();
+    }
+
+    fn write_samples(value: &Self::Value, name: &str, out: &mut String) {
+        value
+            .cold
+            .write_samples(name, "mode=\"batch\",cache=\"cold\"", out);
+        value
+            .hit
+            .write_samples(name, "mode=\"batch\",cache=\"hit\"", out);
+        value
+            .streaming
+            .write_samples(name, "mode=\"streaming\"", out);
+    }
+}
+
+/// Appends a family's `# HELP` and `# TYPE` lines.
+fn write_family(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Generates [`Metrics`], [`MetricsSnapshot`], the snapshot read and
+/// both renderings from one list. Each entry is
+/// `field: Kind => "prometheus_name", "help";` and the field name is the
+/// JSON key. An entry without a Prometheus part is rendered by hand in
+/// [`MetricsSnapshot::to_prometheus`]. A histogram entry may end in
+/// `, total_key => "name", "help"`: a counter of its observations that
+/// both formats show next to it.
+macro_rules! metrics {
+    ($(
+        $(#[$attr:meta])*
+        $field:ident: $kind:ty $(=> $name:literal, $help:literal
+            $(, $total:ident => $total_name:literal, $total_help:literal)?)?;
+    )*) => {
+        /// Shared metric state, cheap to update from any worker thread.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$attr])* $(#[doc = $help])? pub $field: $kind,)*
+        }
+
+        /// A point-in-time copy of every metric, renderable as JSON and
+        /// as Prometheus text.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct MetricsSnapshot {
+            $($(#[$attr])* $(#[doc = $help])? pub $field: <$kind as Metric>::Value,)*
+        }
+
+        impl Metrics {
+            fn read(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($field: self.$field.read(),)* }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// The JSON object, keys in list order.
+            fn write_json(&self, out: &mut JsonWriter) {
+                let mut body = out.object();
+                $(
+                    <$kind as Metric>::write_json(&self.$field, body.key(stringify!($field)));
+                    $($(body.field(stringify!($total), &self.$field.count);)?)?
+                )*
+                body.end();
+            }
+
+            /// Every family the list names, in list order.
+            fn write_listed_families(&self, out: &mut String) {
+                $($(
+                    write_family(out, $name, $help, <$kind as Metric>::TYPE);
+                    <$kind as Metric>::write_samples(&self.$field, $name, out);
+                    $(
+                        write_family(out, $total_name, $total_help, "counter");
+                        Counter::write_samples(&self.$field.count, $total_name, out);
+                    )?
+                )?)*
+            }
+        }
+    };
+}
+
+metrics! {
+    requests: PerRoute => "mine_requests_total", "Requests served, by route.";
+    /// 2xx responses.
+    status_2xx: Counter;
+    /// 4xx responses.
+    status_4xx: Counter;
+    /// 5xx responses.
+    status_5xx: Counter;
+    latency_us: Histogram => "mine_request_duration_seconds", "Request latency.";
+    analysis_duration_us: AnalysisModes<Histogram> => "mine_analysis_duration_seconds",
+        "Analysis wall time by mode (batch runs carry the cache outcome).";
+    streaming_update_us: Histogram => "mine_streaming_update_seconds",
+        "Finish-time streaming statistics update.",
+        streaming_updates_total => "mine_streaming_updates_total",
+        "Finish-time streaming engine updates applied.";
+    pool_workers: Gauge => "mine_pool_workers",
+        "Worker threads spawned by the work-stealing analysis pool.";
+    pool_steals_total: Counter => "mine_pool_steals_total",
+        "Pool tasks executed by a worker other than the one that queued them.";
+    adaptive_step_us: Histogram => "mine_adaptive_step_seconds",
+        "Adaptive step: grade, re-estimate, next item.",
+        adaptive_steps_total => "mine_adaptive_steps_total", "Adaptive steps ever served.";
+    adaptive_sessions_started: Counter => "mine_adaptive_sessions_started_total",
+        "Adaptive (CAT) sittings ever started.";
+    adaptive_sessions_finished: Counter => "mine_adaptive_sessions_finished_total",
+        "Adaptive (CAT) sittings ever finished.";
+    adaptive_sessions_active: Gauge => "mine_adaptive_sessions_active",
+        "Adaptive (CAT) sittings currently resident in the registry.";
+    sessions_started: Counter => "mine_sessions_started_total", "Sessions ever started.";
+    sessions_finished: Counter => "mine_sessions_finished_total", "Sessions ever finished.";
+    active_sessions: Gauge => "mine_active_sessions",
+        "Sessions currently resident in the registry.";
+    shed_total: Counter => "mine_shed_total",
+        "Connections and requests shed with 503 (full queue or draining).";
+    rate_limited_total: Counter => "mine_rate_limited_total",
+        "Connections shed by per-peer token-bucket rate limiting.";
+    queue_depth: Gauge => "mine_queue_depth", "Accepted connections waiting for a worker.";
+    inflight_requests: Gauge => "mine_inflight_requests", "Requests currently being handled.";
+    drain_state: Gauge => "mine_drain_state", "Lifecycle: 0 running, 1 draining, 2 stopped.";
+    retry_after_secs: Gauge => "mine_retry_after_seconds",
+        "Retry-After seconds most recently advertised on a shed response.";
+    /// Replication role: 0 primary, 1 follower, 2 candidate.
+    repl_role: Gauge;
+    repl_epoch: Gauge => "mine_repl_epoch", "Durable replication epoch (bumped by promotion).";
+    repl_last_applied_seq: Gauge => "mine_repl_last_applied_seq",
+        "Highest journal sequence applied locally.";
+    repl_lag: Gauge => "mine_repl_lag",
+        "Replication lag in records (primary: head minus slowest ack; follower: leader head minus applied).";
+    repl_followers: Gauge => "mine_repl_followers",
+        "Followers currently streaming from this node.";
+    repl_quorum_timeouts_total: Counter => "mine_repl_quorum_timeouts_total",
+        "Quorum-ack waits that timed out (write proceeded leader-only).";
+    redirected_total: Counter => "mine_redirected_total",
+        "Writes refused with 421 and pointed at the leader.";
+    repl_failovers_total: Counter => "mine_repl_failovers_total",
+        "Unsupervised promotions performed by the failure detector.";
+    repl_suspicions_total: Counter => "mine_repl_suspicions_total",
+        "Leader suspicions raised by the failure detector.";
+    repl_reconnects_total: Counter => "mine_repl_reconnects_total",
+        "Follower reconnection attempts after a broken stream.";
+    /// Microseconds since the follower last heard from its leader (0
+    /// on a primary).
+    repl_heartbeat_age_us: Gauge;
+    scrub_passes_total: Counter => "mine_scrub_passes_total",
+        "Completed anti-entropy scrub passes.";
+    scrub_corrupt_segments_total: Counter => "mine_scrub_corrupt_segments_total",
+        "Sealed segments a scrub pass found corrupt.";
+    repair_segments_total: Counter => "mine_repair_segments_total",
+        "Segments quarantined and repaired from a healthy peer.";
+    storage_degraded: Gauge => "mine_storage_degraded",
+        "Storage health: 1 while the WAL refuses writes (degraded read-only), 0 healthy.";
 }
 
 impl Metrics {
@@ -211,419 +548,38 @@ impl Metrics {
 
     /// Records one served request.
     pub fn record(&self, route: Route, status: u16, latency: Duration) {
-        self.requests[route.index()].fetch_add(1, Ordering::Relaxed);
+        self.requests.inc(route);
         match status {
-            200..=299 => self.status_2xx.fetch_add(1, Ordering::Relaxed),
-            500..=599 => self.status_5xx.fetch_add(1, Ordering::Relaxed),
-            _ => self.status_4xx.fetch_add(1, Ordering::Relaxed),
-        };
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.latency_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+            200..=299 => &self.status_2xx,
+            500..=599 => &self.status_5xx,
+            _ => &self.status_4xx,
+        }
+        .inc();
+        self.latency_us.observe(latency);
     }
 
-    /// Counts a session start.
-    pub fn session_started(&self) {
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a session finish.
-    pub fn session_finished(&self) {
-        self.sessions_finished.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one shed connection/request, recording the `Retry-After`
-    /// it was sent away with.
+    /// Counts one connection or request shed with `503`, recording the
+    /// `Retry-After` it was sent away with.
     pub fn shed(&self, retry_after_secs: u64) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-        self.retry_after_secs
-            .store(retry_after_secs, Ordering::Relaxed);
+        self.shed_total.inc();
+        self.retry_after_secs.set(retry_after_secs);
     }
 
     /// Counts one rate-limited connection, recording its `Retry-After`.
     pub fn rate_limited(&self, retry_after_secs: u64) {
-        self.rate_limited_total.fetch_add(1, Ordering::Relaxed);
-        self.retry_after_secs
-            .store(retry_after_secs, Ordering::Relaxed);
+        self.rate_limited_total.inc();
+        self.retry_after_secs.set(retry_after_secs);
     }
 
-    /// A connection entered the accept queue.
-    pub fn queue_enter(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker took a connection off the accept queue.
-    pub fn queue_exit(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current accept-queue depth.
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// A request started being handled.
-    pub fn inflight_enter(&self) {
-        self.inflight_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request finished (response written or connection gone).
-    pub fn inflight_exit(&self) {
-        self.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently being handled.
-    #[must_use]
-    pub fn inflight(&self) -> u64 {
-        self.inflight_requests.load(Ordering::Relaxed)
-    }
-
-    /// Publishes the drain-state gauge (see
-    /// [`crate::drain::DrainState::as_gauge`]).
-    pub fn set_drain_state(&self, gauge: u64) {
-        self.drain_state.store(gauge, Ordering::Relaxed);
-    }
-
-    /// Publishes the replication gauges in one call (refreshed by the
-    /// metrics handler from the live replication state).
-    pub fn set_repl(&self, role: u64, epoch: u64, last_applied: u64, lag: u64, followers: u64) {
-        self.repl_role.store(role, Ordering::Relaxed);
-        self.repl_epoch.store(epoch, Ordering::Relaxed);
-        self.repl_last_applied_seq
-            .store(last_applied, Ordering::Relaxed);
-        self.repl_lag.store(lag, Ordering::Relaxed);
-        self.repl_followers.store(followers, Ordering::Relaxed);
-    }
-
-    /// Counts one quorum-ack wait that timed out.
-    pub fn quorum_timeout(&self) {
-        self.repl_quorum_timeouts_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write redirected to the leader with `421`.
-    pub fn redirected(&self) {
-        self.redirected_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one unsupervised promotion by the failure detector.
-    pub fn failover(&self) {
-        self.repl_failovers_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one leader suspicion (heartbeat silence past the
-    /// detection timeout).
-    pub fn suspicion(&self) {
-        self.repl_suspicions_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one follower reconnection attempt.
-    pub fn repl_reconnect(&self) {
-        self.repl_reconnects_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes how long ago the follower last heard from its leader
-    /// (microseconds; 0 on a primary).
-    pub fn set_repl_heartbeat_age(&self, age_us: u64) {
-        self.repl_heartbeat_age_us.store(age_us, Ordering::Relaxed);
-    }
-
-    /// Records one batch-mode analysis: `cache_hit` distinguishes a
-    /// cached report from a cold run of the full pipeline.
-    pub fn record_analysis(&self, cache_hit: bool, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = bucket_index(us);
-        let (buckets, sum, count) = if cache_hit {
-            (
-                &self.analysis_hit_buckets,
-                &self.analysis_hit_sum_us,
-                &self.analysis_hit_count,
-            )
-        } else {
-            (
-                &self.analysis_cold_buckets,
-                &self.analysis_cold_sum_us,
-                &self.analysis_cold_count,
-            )
-        };
-        buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        sum.fetch_add(us, Ordering::Relaxed);
-        count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one streaming-mode analysis read (report assembled from
-    /// the engine's counters).
-    pub fn record_streaming_analysis(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.analysis_streaming_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.analysis_streaming_sum_us
-            .fetch_add(us, Ordering::Relaxed);
-        self.analysis_streaming_count
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one finish-time streaming engine update.
-    pub fn record_streaming_update(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.streaming_update_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.streaming_update_sum_us
-            .fetch_add(us, Ordering::Relaxed);
-        self.streaming_update_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an adaptive sitting start.
-    pub fn adaptive_session_started(&self) {
-        self.adaptive_sessions_started
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an adaptive sitting finish.
-    pub fn adaptive_session_closed(&self) {
-        self.adaptive_sessions_finished
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one adaptive step: grade, ability re-estimate, and
-    /// next-item selection for a single answer.
-    pub fn record_adaptive_step(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.adaptive_step_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.adaptive_step_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.adaptive_steps_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one completed scrub pass.
-    pub fn scrub_pass(&self) {
-        self.scrub_passes_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `segments` sealed segments found corrupt by a scrub pass.
-    pub fn scrub_corruption(&self, segments: u64) {
-        self.scrub_corrupt_segments_total
-            .fetch_add(segments, Ordering::Relaxed);
-    }
-
-    /// Counts one segment quarantined and repaired from a peer.
-    pub fn repair_segment(&self) {
-        self.repair_segments_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the storage health gauge: `true` while the WAL is
-    /// refusing writes and the node serves degraded (read-only).
-    pub fn set_storage_degraded(&self, degraded: bool) {
-        self.storage_degraded
-            .store(u64::from(degraded), Ordering::Relaxed);
-    }
-
-    /// Publishes the work-stealing pool gauges (refreshed by the
-    /// metrics handler from [`mine_pool::stats`]).
-    pub fn set_pool(&self, workers: u64, steals: u64) {
-        self.pool_workers.store(workers, Ordering::Relaxed);
-        self.pool_steals_total.store(steals, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for rendering.
+    /// Publishes the registry sizes the caller passes as the
+    /// `active_sessions` and `adaptive_sessions_active` gauges, then
+    /// copies every metric.
     #[must_use]
     pub fn snapshot(&self, active_sessions: usize, adaptive_active: usize) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: Route::ALL
-                .iter()
-                .map(|route| {
-                    (
-                        route.label(),
-                        self.requests[route.index()].load(Ordering::Relaxed),
-                    )
-                })
-                .collect(),
-            status_2xx: self.status_2xx.load(Ordering::Relaxed),
-            status_4xx: self.status_4xx.load(Ordering::Relaxed),
-            status_5xx: self.status_5xx.load(Ordering::Relaxed),
-            latency_buckets: self
-                .latency_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_count: self.latency_count.load(Ordering::Relaxed),
-            sessions_started: self.sessions_started.load(Ordering::Relaxed),
-            sessions_finished: self.sessions_finished.load(Ordering::Relaxed),
-            active_sessions,
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            rate_limited_total: self.rate_limited_total.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            inflight_requests: self.inflight_requests.load(Ordering::Relaxed),
-            drain_state: self.drain_state.load(Ordering::Relaxed),
-            retry_after_secs: self.retry_after_secs.load(Ordering::Relaxed),
-            repl_role: self.repl_role.load(Ordering::Relaxed),
-            repl_epoch: self.repl_epoch.load(Ordering::Relaxed),
-            repl_last_applied_seq: self.repl_last_applied_seq.load(Ordering::Relaxed),
-            repl_lag: self.repl_lag.load(Ordering::Relaxed),
-            repl_followers: self.repl_followers.load(Ordering::Relaxed),
-            repl_quorum_timeouts_total: self.repl_quorum_timeouts_total.load(Ordering::Relaxed),
-            redirected_total: self.redirected_total.load(Ordering::Relaxed),
-            repl_failovers_total: self.repl_failovers_total.load(Ordering::Relaxed),
-            repl_suspicions_total: self.repl_suspicions_total.load(Ordering::Relaxed),
-            repl_reconnects_total: self.repl_reconnects_total.load(Ordering::Relaxed),
-            repl_heartbeat_age_us: self.repl_heartbeat_age_us.load(Ordering::Relaxed),
-            analysis_cold_buckets: self
-                .analysis_cold_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_cold_sum_us: self.analysis_cold_sum_us.load(Ordering::Relaxed),
-            analysis_cold_count: self.analysis_cold_count.load(Ordering::Relaxed),
-            analysis_hit_buckets: self
-                .analysis_hit_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_hit_sum_us: self.analysis_hit_sum_us.load(Ordering::Relaxed),
-            analysis_hit_count: self.analysis_hit_count.load(Ordering::Relaxed),
-            analysis_streaming_buckets: self
-                .analysis_streaming_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_streaming_sum_us: self.analysis_streaming_sum_us.load(Ordering::Relaxed),
-            analysis_streaming_count: self.analysis_streaming_count.load(Ordering::Relaxed),
-            streaming_update_buckets: self
-                .streaming_update_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            streaming_update_sum_us: self.streaming_update_sum_us.load(Ordering::Relaxed),
-            streaming_updates_total: self.streaming_update_count.load(Ordering::Relaxed),
-            pool_workers: self.pool_workers.load(Ordering::Relaxed),
-            pool_steals_total: self.pool_steals_total.load(Ordering::Relaxed),
-            adaptive_sessions_started: self.adaptive_sessions_started.load(Ordering::Relaxed),
-            adaptive_sessions_finished: self.adaptive_sessions_finished.load(Ordering::Relaxed),
-            adaptive_sessions_active: adaptive_active,
-            adaptive_steps_total: self.adaptive_steps_total.load(Ordering::Relaxed),
-            adaptive_step_buckets: self
-                .adaptive_step_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            adaptive_step_sum_us: self.adaptive_step_sum_us.load(Ordering::Relaxed),
-            scrub_passes_total: self.scrub_passes_total.load(Ordering::Relaxed),
-            scrub_corrupt_segments_total: self.scrub_corrupt_segments_total.load(Ordering::Relaxed),
-            repair_segments_total: self.repair_segments_total.load(Ordering::Relaxed),
-            storage_degraded: self.storage_degraded.load(Ordering::Relaxed),
-        }
+        self.active_sessions.set(active_sessions as u64);
+        self.adaptive_sessions_active.set(adaptive_active as u64);
+        self.read()
     }
-}
-
-/// A point-in-time copy of every counter, renderable as JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Requests served per route label.
-    pub requests: Vec<(&'static str, u64)>,
-    /// 2xx responses.
-    pub status_2xx: u64,
-    /// 4xx responses.
-    pub status_4xx: u64,
-    /// 5xx responses.
-    pub status_5xx: u64,
-    /// Latency histogram counts; index i ≤ `LATENCY_BUCKETS_US[i]` µs,
-    /// last entry is the overflow bucket.
-    pub latency_buckets: Vec<u64>,
-    /// Sum of request latencies in microseconds.
-    pub latency_sum_us: u64,
-    /// Number of latency observations.
-    pub latency_count: u64,
-    /// Sessions ever started.
-    pub sessions_started: u64,
-    /// Sessions ever finished.
-    pub sessions_finished: u64,
-    /// Sessions currently resident in the registry.
-    pub active_sessions: usize,
-    /// Connections/requests shed (full queue or draining).
-    pub shed_total: u64,
-    /// Connections shed by per-peer rate limiting.
-    pub rate_limited_total: u64,
-    /// Accept-queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Requests being handled at snapshot time.
-    pub inflight_requests: u64,
-    /// Drain state: 0 running, 1 draining, 2 stopped.
-    pub drain_state: u64,
-    /// Last advertised `Retry-After` seconds (0 = never shed).
-    pub retry_after_secs: u64,
-    /// Replication role: 0 primary, 1 follower, 2 candidate.
-    pub repl_role: u64,
-    /// Durable replication epoch.
-    pub repl_epoch: u64,
-    /// Highest journal sequence applied locally.
-    pub repl_last_applied_seq: u64,
-    /// Replication lag in records (see [`Metrics::set_repl`]).
-    pub repl_lag: u64,
-    /// Followers currently streaming from this node.
-    pub repl_followers: u64,
-    /// Quorum-ack waits that timed out.
-    pub repl_quorum_timeouts_total: u64,
-    /// Writes refused with `421` and pointed at the leader.
-    pub redirected_total: u64,
-    /// Unsupervised promotions performed by the failure detector.
-    pub repl_failovers_total: u64,
-    /// Leader suspicions raised by the failure detector.
-    pub repl_suspicions_total: u64,
-    /// Follower reconnection attempts after a broken stream.
-    pub repl_reconnects_total: u64,
-    /// Microseconds since the follower last heard from its leader
-    /// (0 on a primary).
-    pub repl_heartbeat_age_us: u64,
-    /// Cold-analysis duration histogram (same bucket bounds as
-    /// [`LATENCY_BUCKETS_US`], last entry is the overflow bucket).
-    pub analysis_cold_buckets: Vec<u64>,
-    /// Sum of cold-analysis durations in microseconds.
-    pub analysis_cold_sum_us: u64,
-    /// Number of cold analyses.
-    pub analysis_cold_count: u64,
-    /// Cache-hit analysis duration histogram.
-    pub analysis_hit_buckets: Vec<u64>,
-    /// Sum of cache-hit analysis durations in microseconds.
-    pub analysis_hit_sum_us: u64,
-    /// Number of cache-hit analyses.
-    pub analysis_hit_count: u64,
-    /// Streaming-mode analysis duration histogram.
-    pub analysis_streaming_buckets: Vec<u64>,
-    /// Sum of streaming-mode analysis durations in microseconds.
-    pub analysis_streaming_sum_us: u64,
-    /// Number of streaming-mode analyses.
-    pub analysis_streaming_count: u64,
-    /// Finish-time streaming update duration histogram.
-    pub streaming_update_buckets: Vec<u64>,
-    /// Sum of streaming update durations in microseconds.
-    pub streaming_update_sum_us: u64,
-    /// Finish-time streaming engine updates ever applied.
-    pub streaming_updates_total: u64,
-    /// Worker threads spawned by the work-stealing pool.
-    pub pool_workers: u64,
-    /// Tasks executed by a worker other than the one that queued them.
-    pub pool_steals_total: u64,
-    /// Adaptive (CAT) sittings ever started.
-    pub adaptive_sessions_started: u64,
-    /// Adaptive sittings ever finished.
-    pub adaptive_sessions_finished: u64,
-    /// Adaptive sittings currently resident in the registry.
-    pub adaptive_sessions_active: usize,
-    /// Adaptive steps ever served (doubles as the histogram count).
-    pub adaptive_steps_total: u64,
-    /// Adaptive step duration histogram (same bucket bounds as
-    /// [`LATENCY_BUCKETS_US`], last entry is the overflow bucket).
-    pub adaptive_step_buckets: Vec<u64>,
-    /// Sum of adaptive step durations in microseconds.
-    pub adaptive_step_sum_us: u64,
-    /// Completed anti-entropy scrub passes.
-    pub scrub_passes_total: u64,
-    /// Sealed segments found corrupt by scrub passes.
-    pub scrub_corrupt_segments_total: u64,
-    /// Segments quarantined and repaired from a healthy peer.
-    pub repair_segments_total: u64,
-    /// Storage health: 1 degraded (read-only), 0 healthy.
-    pub storage_degraded: u64,
 }
 
 impl Serialize for MetricsSnapshot {
@@ -636,454 +592,46 @@ impl Serialize for MetricsSnapshot {
     }
 
     fn serialize_into(&self, out: &mut JsonWriter) {
-        let mut body = out.object();
-        let mut requests = body.key("requests").object();
-        for (label, count) in &self.requests {
-            requests.field(label, count);
-        }
-        requests.end();
-        body.field("status_2xx", &self.status_2xx);
-        body.field("status_4xx", &self.status_4xx);
-        body.field("status_5xx", &self.status_5xx);
-        write_histogram(
-            body.key("latency_us"),
-            &self.latency_buckets,
-            self.latency_sum_us,
-            self.latency_count,
-        );
-        let mut analysis = body.key("analysis_duration_us").object();
-        write_histogram(
-            analysis.key("cold"),
-            &self.analysis_cold_buckets,
-            self.analysis_cold_sum_us,
-            self.analysis_cold_count,
-        );
-        write_histogram(
-            analysis.key("hit"),
-            &self.analysis_hit_buckets,
-            self.analysis_hit_sum_us,
-            self.analysis_hit_count,
-        );
-        write_histogram(
-            analysis.key("streaming"),
-            &self.analysis_streaming_buckets,
-            self.analysis_streaming_sum_us,
-            self.analysis_streaming_count,
-        );
-        analysis.end();
-        write_histogram(
-            body.key("streaming_update_us"),
-            &self.streaming_update_buckets,
-            self.streaming_update_sum_us,
-            self.streaming_updates_total,
-        );
-        body.field("streaming_updates_total", &self.streaming_updates_total);
-        body.field("pool_workers", &self.pool_workers);
-        body.field("pool_steals_total", &self.pool_steals_total);
-        write_histogram(
-            body.key("adaptive_step_us"),
-            &self.adaptive_step_buckets,
-            self.adaptive_step_sum_us,
-            self.adaptive_steps_total,
-        );
-        body.field("adaptive_steps_total", &self.adaptive_steps_total);
-        body.field("adaptive_sessions_started", &self.adaptive_sessions_started);
-        body.field(
-            "adaptive_sessions_finished",
-            &self.adaptive_sessions_finished,
-        );
-        body.field("adaptive_sessions_active", &self.adaptive_sessions_active);
-        body.field("sessions_started", &self.sessions_started);
-        body.field("sessions_finished", &self.sessions_finished);
-        body.field("active_sessions", &self.active_sessions);
-        body.field("shed_total", &self.shed_total);
-        body.field("rate_limited_total", &self.rate_limited_total);
-        body.field("queue_depth", &self.queue_depth);
-        body.field("inflight_requests", &self.inflight_requests);
-        body.field("drain_state", &self.drain_state);
-        body.field("retry_after_secs", &self.retry_after_secs);
-        body.field("repl_role", &self.repl_role);
-        body.field("repl_epoch", &self.repl_epoch);
-        body.field("repl_last_applied_seq", &self.repl_last_applied_seq);
-        body.field("repl_lag", &self.repl_lag);
-        body.field("repl_followers", &self.repl_followers);
-        body.field(
-            "repl_quorum_timeouts_total",
-            &self.repl_quorum_timeouts_total,
-        );
-        body.field("redirected_total", &self.redirected_total);
-        body.field("repl_failovers_total", &self.repl_failovers_total);
-        body.field("repl_suspicions_total", &self.repl_suspicions_total);
-        body.field("repl_reconnects_total", &self.repl_reconnects_total);
-        body.field("repl_heartbeat_age_us", &self.repl_heartbeat_age_us);
-        body.field("scrub_passes_total", &self.scrub_passes_total);
-        body.field(
-            "scrub_corrupt_segments_total",
-            &self.scrub_corrupt_segments_total,
-        );
-        body.field("repair_segments_total", &self.repair_segments_total);
-        body.field("storage_degraded", &self.storage_degraded);
-        body.end();
+        self.write_json(out);
     }
-}
-
-/// `{"buckets":[{"le_us":"100","count":n},…,{"le_us":"+inf",…}],
-/// "sum":…,"count":…}` — one histogram of the JSON snapshot.
-fn write_histogram(out: &mut JsonWriter, bucket_counts: &[u64], sum_us: u64, count: u64) {
-    let mut histogram = out.object();
-    let buckets = histogram.key("buckets");
-    buckets.raw("[");
-    for (i, bucket_count) in bucket_counts.iter().enumerate() {
-        if i > 0 {
-            buckets.raw(",");
-        }
-        let mut bucket = buckets.object();
-        let le = bucket.key("le_us");
-        match LATENCY_BUCKETS_US.get(i) {
-            Some(bound) => {
-                le.raw("\"");
-                le.u64(*bound);
-                le.raw("\"");
-            }
-            None => le.str("+inf"),
-        }
-        bucket.field("count", bucket_count);
-        bucket.end();
-    }
-    buckets.raw("]");
-    histogram.field("sum", &sum_us);
-    histogram.field("count", &count);
-    histogram.end();
 }
 
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): `# TYPE` lines, one sample per line, histogram
-    /// buckets with *cumulative* counts and `le` bounds in seconds.
+    /// (version 0.0.4): `# HELP`/`# TYPE` lines, one sample per line,
+    /// histogram buckets with *cumulative* counts and `le` bounds in
+    /// seconds.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
+        let mut out = String::with_capacity(8192);
+        self.write_listed_families(&mut out);
 
-        out.push_str("# HELP mine_requests_total Requests served, by route.\n");
-        out.push_str("# TYPE mine_requests_total counter\n");
-        for (label, count) in &self.requests {
-            out.push_str(&format!(
-                "mine_requests_total{{route=\"{label}\"}} {count}\n"
-            ));
-        }
-
-        out.push_str("# HELP mine_responses_total Responses sent, by status class.\n");
-        out.push_str("# TYPE mine_responses_total counter\n");
+        let name = "mine_responses_total";
+        write_family(
+            &mut out,
+            name,
+            "Responses sent, by status class.",
+            "counter",
+        );
         for (class, count) in [
             ("2xx", self.status_2xx),
             ("4xx", self.status_4xx),
             ("5xx", self.status_5xx),
         ] {
-            out.push_str(&format!(
-                "mine_responses_total{{class=\"{class}\"}} {count}\n"
-            ));
+            let _ = writeln!(out, "{name}{{class=\"{class}\"}} {count}");
         }
 
-        out.push_str("# HELP mine_request_duration_seconds Request latency.\n");
-        out.push_str("# TYPE mine_request_duration_seconds histogram\n");
-        // The internal buckets hold per-bucket counts; Prometheus
-        // histogram buckets are cumulative.
-        let mut cumulative = 0_u64;
-        for (i, count) in self.latency_buckets.iter().enumerate() {
-            cumulative += count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_request_duration_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_request_duration_seconds_sum {}\n",
-            self.latency_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_request_duration_seconds_count {}\n",
-            self.latency_count
-        ));
-
-        out.push_str(
-            "# HELP mine_analysis_duration_seconds Analysis wall time by mode (batch runs carry the cache outcome).\n",
-        );
-        out.push_str("# TYPE mine_analysis_duration_seconds histogram\n");
-        for (labels, buckets, sum_us, count) in [
-            (
-                "mode=\"batch\",cache=\"cold\"",
-                &self.analysis_cold_buckets,
-                self.analysis_cold_sum_us,
-                self.analysis_cold_count,
-            ),
-            (
-                "mode=\"batch\",cache=\"hit\"",
-                &self.analysis_hit_buckets,
-                self.analysis_hit_sum_us,
-                self.analysis_hit_count,
-            ),
-            (
-                "mode=\"streaming\"",
-                &self.analysis_streaming_buckets,
-                self.analysis_streaming_sum_us,
-                self.analysis_streaming_count,
-            ),
-        ] {
-            let mut cumulative = 0_u64;
-            for (i, bucket_count) in buckets.iter().enumerate() {
-                cumulative += bucket_count;
-                let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                    || "+Inf".to_string(),
-                    |&us| format!("{}", us as f64 / 1_000_000.0),
-                );
-                out.push_str(&format!(
-                    "mine_analysis_duration_seconds_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "mine_analysis_duration_seconds_sum{{{labels}}} {}\n",
-                sum_us as f64 / 1_000_000.0
-            ));
-            out.push_str(&format!(
-                "mine_analysis_duration_seconds_count{{{labels}}} {count}\n"
-            ));
-        }
-
-        out.push_str(
-            "# HELP mine_streaming_update_seconds Finish-time streaming statistics update.\n",
-        );
-        out.push_str("# TYPE mine_streaming_update_seconds histogram\n");
-        let mut cumulative = 0_u64;
-        for (i, bucket_count) in self.streaming_update_buckets.iter().enumerate() {
-            cumulative += bucket_count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_streaming_update_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_streaming_update_seconds_sum {}\n",
-            self.streaming_update_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_streaming_update_seconds_count {}\n",
-            self.streaming_updates_total
-        ));
-        out.push_str(
-            "# HELP mine_streaming_updates_total Finish-time streaming engine updates applied.\n",
-        );
-        out.push_str("# TYPE mine_streaming_updates_total counter\n");
-        out.push_str(&format!(
-            "mine_streaming_updates_total {}\n",
-            self.streaming_updates_total
-        ));
-
-        out.push_str(
-            "# HELP mine_adaptive_step_seconds Adaptive step: grade, re-estimate, next item.\n",
-        );
-        out.push_str("# TYPE mine_adaptive_step_seconds histogram\n");
-        let mut cumulative = 0_u64;
-        for (i, bucket_count) in self.adaptive_step_buckets.iter().enumerate() {
-            cumulative += bucket_count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_adaptive_step_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_adaptive_step_seconds_sum {}\n",
-            self.adaptive_step_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_adaptive_step_seconds_count {}\n",
-            self.adaptive_steps_total
-        ));
-        out.push_str("# HELP mine_adaptive_steps_total Adaptive steps ever served.\n");
-        out.push_str("# TYPE mine_adaptive_steps_total counter\n");
-        out.push_str(&format!(
-            "mine_adaptive_steps_total {}\n",
-            self.adaptive_steps_total
-        ));
-
-        for (name, help, value) in [
-            (
-                "mine_sessions_started_total",
-                "Sessions ever started.",
-                self.sessions_started,
-            ),
-            (
-                "mine_sessions_finished_total",
-                "Sessions ever finished.",
-                self.sessions_finished,
-            ),
-            (
-                "mine_adaptive_sessions_started_total",
-                "Adaptive (CAT) sittings ever started.",
-                self.adaptive_sessions_started,
-            ),
-            (
-                "mine_adaptive_sessions_finished_total",
-                "Adaptive (CAT) sittings ever finished.",
-                self.adaptive_sessions_finished,
-            ),
-            (
-                "mine_shed_total",
-                "Connections and requests shed with 503 (full queue or draining).",
-                self.shed_total,
-            ),
-            (
-                "mine_rate_limited_total",
-                "Connections shed by per-peer token-bucket rate limiting.",
-                self.rate_limited_total,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, help, value) in [
-            (
-                "mine_active_sessions",
-                "Sessions currently resident in the registry.",
-                self.active_sessions as u64,
-            ),
-            (
-                "mine_adaptive_sessions_active",
-                "Adaptive (CAT) sittings currently resident in the registry.",
-                self.adaptive_sessions_active as u64,
-            ),
-            (
-                "mine_queue_depth",
-                "Accepted connections waiting for a worker.",
-                self.queue_depth,
-            ),
-            (
-                "mine_inflight_requests",
-                "Requests currently being handled.",
-                self.inflight_requests,
-            ),
-            (
-                "mine_drain_state",
-                "Lifecycle: 0 running, 1 draining, 2 stopped.",
-                self.drain_state,
-            ),
-            (
-                "mine_retry_after_seconds",
-                "Retry-After seconds most recently advertised on a shed response.",
-                self.retry_after_secs,
-            ),
-            (
-                "mine_pool_workers",
-                "Worker threads spawned by the work-stealing analysis pool.",
-                self.pool_workers,
-            ),
-            (
-                "mine_storage_degraded",
-                "Storage health: 1 while the WAL refuses writes (degraded read-only), 0 healthy.",
-                self.storage_degraded,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-
-        out.push_str("# HELP mine_repl_role Replication role (one-hot).\n");
-        out.push_str("# TYPE mine_repl_role gauge\n");
+        let name = "mine_repl_role";
+        write_family(&mut out, name, "Replication role (one-hot).", "gauge");
         for (index, role) in ["primary", "follower", "candidate"].iter().enumerate() {
             let hot = u64::from(self.repl_role == index as u64);
-            out.push_str(&format!("mine_repl_role{{role=\"{role}\"}} {hot}\n"));
+            let _ = writeln!(out, "{name}{{role=\"{role}\"}} {hot}");
         }
-        for (name, help, value) in [
-            (
-                "mine_repl_epoch",
-                "Durable replication epoch (bumped by promotion).",
-                self.repl_epoch,
-            ),
-            (
-                "mine_repl_last_applied_seq",
-                "Highest journal sequence applied locally.",
-                self.repl_last_applied_seq,
-            ),
-            (
-                "mine_repl_lag",
-                "Replication lag in records (primary: head minus slowest ack; follower: leader head minus applied).",
-                self.repl_lag,
-            ),
-            (
-                "mine_repl_followers",
-                "Followers currently streaming from this node.",
-                self.repl_followers,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        out.push_str(
-            "# HELP mine_repl_heartbeat_age_seconds Time since the follower last heard from its leader (0 on a primary).\n",
-        );
-        out.push_str("# TYPE mine_repl_heartbeat_age_seconds gauge\n");
-        out.push_str(&format!(
-            "mine_repl_heartbeat_age_seconds {}\n",
-            self.repl_heartbeat_age_us as f64 / 1_000_000.0
-        ));
-        for (name, help, value) in [
-            (
-                "mine_repl_quorum_timeouts_total",
-                "Quorum-ack waits that timed out (write proceeded leader-only).",
-                self.repl_quorum_timeouts_total,
-            ),
-            (
-                "mine_redirected_total",
-                "Writes refused with 421 and pointed at the leader.",
-                self.redirected_total,
-            ),
-            (
-                "mine_pool_steals_total",
-                "Pool tasks executed by a worker other than the one that queued them.",
-                self.pool_steals_total,
-            ),
-            (
-                "mine_repl_failovers_total",
-                "Unsupervised promotions performed by the failure detector.",
-                self.repl_failovers_total,
-            ),
-            (
-                "mine_repl_suspicions_total",
-                "Leader suspicions raised by the failure detector.",
-                self.repl_suspicions_total,
-            ),
-            (
-                "mine_repl_reconnects_total",
-                "Follower reconnection attempts after a broken stream.",
-                self.repl_reconnects_total,
-            ),
-            (
-                "mine_scrub_passes_total",
-                "Completed anti-entropy scrub passes.",
-                self.scrub_passes_total,
-            ),
-            (
-                "mine_scrub_corrupt_segments_total",
-                "Sealed segments a scrub pass found corrupt.",
-                self.scrub_corrupt_segments_total,
-            ),
-            (
-                "mine_repair_segments_total",
-                "Segments quarantined and repaired from a healthy peer.",
-                self.repair_segments_total,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
+
+        let name = "mine_repl_heartbeat_age_seconds";
+        let help = "Time since the follower last heard from its leader (0 on a primary).";
+        write_family(&mut out, name, help, "gauge");
+        let _ = writeln!(out, "{name} {}", seconds(self.repl_heartbeat_age_us));
         out
     }
 }
@@ -1093,13 +641,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn route_index_is_its_position_in_all() {
+        for (i, route) in Route::ALL.iter().enumerate() {
+            assert_eq!(route.index(), i, "{route:?}");
+        }
+    }
+
+    #[test]
     fn record_fills_counters_and_buckets() {
         let metrics = Metrics::new();
         metrics.record(Route::Healthz, 200, Duration::from_micros(50));
         metrics.record(Route::Answer, 422, Duration::from_micros(300));
         metrics.record(Route::Analysis, 500, Duration::from_secs(2));
-        metrics.session_started();
-        metrics.session_finished();
+        metrics.sessions_started.inc();
+        metrics.sessions_finished.inc();
 
         let snapshot = metrics.snapshot(3, 0);
         let by_label: std::collections::HashMap<_, _> = snapshot.requests.iter().copied().collect();
@@ -1110,12 +665,12 @@ mod tests {
         assert_eq!(snapshot.status_2xx, 1);
         assert_eq!(snapshot.status_4xx, 1);
         assert_eq!(snapshot.status_5xx, 1);
-        assert_eq!(snapshot.latency_count, 3);
+        assert_eq!(snapshot.latency_us.count, 3);
         // 50 µs lands in the first bucket, 300 µs in the ≤500 bucket,
         // 2 s in the overflow bucket.
-        assert_eq!(snapshot.latency_buckets[0], 1);
-        assert_eq!(snapshot.latency_buckets[2], 1);
-        assert_eq!(*snapshot.latency_buckets.last().unwrap(), 1);
+        assert_eq!(snapshot.latency_us.buckets[0], 1);
+        assert_eq!(snapshot.latency_us.buckets[2], 1);
+        assert_eq!(*snapshot.latency_us.buckets.last().unwrap(), 1);
         assert_eq!(snapshot.sessions_started, 1);
         assert_eq!(snapshot.sessions_finished, 1);
         assert_eq!(snapshot.active_sessions, 3);
@@ -1152,11 +707,11 @@ mod tests {
         metrics.shed(2);
         metrics.shed(3);
         metrics.rate_limited(1);
-        metrics.queue_enter();
-        metrics.queue_enter();
-        metrics.queue_exit();
-        metrics.inflight_enter();
-        metrics.set_drain_state(1);
+        metrics.queue_depth.inc();
+        metrics.queue_depth.inc();
+        metrics.queue_depth.dec();
+        metrics.inflight_requests.inc();
+        metrics.drain_state.set(1);
 
         let snapshot = metrics.snapshot(0, 0);
         assert_eq!(snapshot.shed_total, 2);
@@ -1187,17 +742,21 @@ mod tests {
     #[test]
     fn repl_gauges_render_one_hot_role_and_counters() {
         let metrics = Metrics::new();
-        metrics.set_repl(1, 3, 41, 2, 0);
-        metrics.quorum_timeout();
-        metrics.redirected();
-        metrics.redirected();
-        metrics.suspicion();
-        metrics.suspicion();
-        metrics.failover();
-        metrics.repl_reconnect();
-        metrics.repl_reconnect();
-        metrics.repl_reconnect();
-        metrics.set_repl_heartbeat_age(2_500_000);
+        metrics.repl_role.set(1);
+        metrics.repl_epoch.set(3);
+        metrics.repl_last_applied_seq.set(41);
+        metrics.repl_lag.set(2);
+        metrics.repl_followers.set(0);
+        metrics.repl_quorum_timeouts_total.inc();
+        metrics.redirected_total.inc();
+        metrics.redirected_total.inc();
+        metrics.repl_suspicions_total.inc();
+        metrics.repl_suspicions_total.inc();
+        metrics.repl_failovers_total.inc();
+        metrics.repl_reconnects_total.inc();
+        metrics.repl_reconnects_total.inc();
+        metrics.repl_reconnects_total.inc();
+        metrics.repl_heartbeat_age_us.set(2_500_000);
 
         let snapshot = metrics.snapshot(0, 0);
         assert_eq!(snapshot.repl_role, 1);
@@ -1238,11 +797,11 @@ mod tests {
     #[test]
     fn scrub_and_degraded_metrics_render_everywhere() {
         let metrics = Metrics::new();
-        metrics.scrub_pass();
-        metrics.scrub_pass();
-        metrics.scrub_corruption(3);
-        metrics.repair_segment();
-        metrics.set_storage_degraded(true);
+        metrics.scrub_passes_total.inc();
+        metrics.scrub_passes_total.inc();
+        metrics.scrub_corrupt_segments_total.add(3);
+        metrics.repair_segments_total.inc();
+        metrics.storage_degraded.set(1);
 
         let snapshot = metrics.snapshot(0, 0);
         assert_eq!(snapshot.scrub_passes_total, 2);
@@ -1259,7 +818,7 @@ mod tests {
         assert!(text.contains("# TYPE mine_storage_degraded gauge"));
         assert!(text.contains("mine_storage_degraded 1"));
 
-        metrics.set_storage_degraded(false);
+        metrics.storage_degraded.set(0);
         let text = metrics.snapshot(0, 0).to_prometheus();
         assert!(text.contains("mine_storage_degraded 0"));
 
@@ -1277,20 +836,22 @@ mod tests {
     #[test]
     fn analysis_histogram_is_labeled_by_mode_and_cache_outcome() {
         let metrics = Metrics::new();
-        metrics.record_analysis(false, Duration::from_millis(20));
-        metrics.record_analysis(false, Duration::from_millis(90));
-        metrics.record_analysis(true, Duration::from_micros(40));
-        metrics.record_streaming_analysis(Duration::from_micros(60));
-        metrics.set_pool(4, 17);
+        let analysis = &metrics.analysis_duration_us;
+        analysis.cold.observe(Duration::from_millis(20));
+        analysis.cold.observe(Duration::from_millis(90));
+        analysis.hit.observe(Duration::from_micros(40));
+        analysis.streaming.observe(Duration::from_micros(60));
+        metrics.pool_workers.set(4);
+        metrics.pool_steals_total.set(17);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.analysis_cold_count, 2);
-        assert_eq!(snapshot.analysis_hit_count, 1);
-        assert_eq!(snapshot.analysis_streaming_count, 1);
+        assert_eq!(snapshot.analysis_duration_us.cold.count, 2);
+        assert_eq!(snapshot.analysis_duration_us.hit.count, 1);
+        assert_eq!(snapshot.analysis_duration_us.streaming.count, 1);
         // 40 µs lands in the first hit bucket; cold times stay separate.
-        assert_eq!(snapshot.analysis_hit_buckets[0], 1);
-        assert_eq!(snapshot.analysis_cold_buckets[0], 0);
-        assert_eq!(snapshot.analysis_streaming_buckets[0], 1);
+        assert_eq!(snapshot.analysis_duration_us.hit.buckets[0], 1);
+        assert_eq!(snapshot.analysis_duration_us.cold.buckets[0], 0);
+        assert_eq!(snapshot.analysis_duration_us.streaming.buckets[0], 1);
         assert_eq!(snapshot.pool_workers, 4);
         assert_eq!(snapshot.pool_steals_total, 17);
 
@@ -1330,15 +891,16 @@ mod tests {
     #[test]
     fn streaming_updates_fill_counter_and_histogram() {
         let metrics = Metrics::new();
-        metrics.record_streaming_update(Duration::from_micros(80));
-        metrics.record_streaming_update(Duration::from_micros(400));
-        metrics.record_streaming_update(Duration::from_millis(30));
+        let updates = &metrics.streaming_update_us;
+        updates.observe(Duration::from_micros(80));
+        updates.observe(Duration::from_micros(400));
+        updates.observe(Duration::from_millis(30));
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.streaming_updates_total, 3);
-        assert_eq!(snapshot.streaming_update_buckets[0], 1);
-        assert_eq!(snapshot.streaming_update_buckets[2], 1);
-        assert_eq!(snapshot.streaming_update_sum_us, 80 + 400 + 30_000);
+        assert_eq!(snapshot.streaming_update_us.count, 3);
+        assert_eq!(snapshot.streaming_update_us.buckets[0], 1);
+        assert_eq!(snapshot.streaming_update_us.buckets[2], 1);
+        assert_eq!(snapshot.streaming_update_us.sum_us, 80 + 400 + 30_000);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_streaming_update_seconds histogram"));
@@ -1364,19 +926,19 @@ mod tests {
     #[test]
     fn adaptive_counters_and_histogram_render_everywhere() {
         let metrics = Metrics::new();
-        metrics.adaptive_session_started();
-        metrics.adaptive_session_started();
-        metrics.adaptive_session_closed();
-        metrics.record_adaptive_step(Duration::from_micros(90));
-        metrics.record_adaptive_step(Duration::from_millis(40));
+        metrics.adaptive_sessions_started.inc();
+        metrics.adaptive_sessions_started.inc();
+        metrics.adaptive_sessions_finished.inc();
+        metrics.adaptive_step_us.observe(Duration::from_micros(90));
+        metrics.adaptive_step_us.observe(Duration::from_millis(40));
 
         let snapshot = metrics.snapshot(0, 1);
         assert_eq!(snapshot.adaptive_sessions_started, 2);
         assert_eq!(snapshot.adaptive_sessions_finished, 1);
         assert_eq!(snapshot.adaptive_sessions_active, 1);
-        assert_eq!(snapshot.adaptive_steps_total, 2);
-        assert_eq!(snapshot.adaptive_step_buckets[0], 1);
-        assert_eq!(snapshot.adaptive_step_sum_us, 90 + 40_000);
+        assert_eq!(snapshot.adaptive_step_us.count, 2);
+        assert_eq!(snapshot.adaptive_step_us.buckets[0], 1);
+        assert_eq!(snapshot.adaptive_step_us.sum_us, 90 + 40_000);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_adaptive_step_seconds histogram"));

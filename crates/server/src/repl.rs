@@ -529,7 +529,7 @@ impl ReplState {
             && self.hub.count() > 0
             && !self.hub.wait_for_ack(seq, self.quorum_timeout)
         {
-            metrics.quorum_timeout();
+            metrics.repl_quorum_timeouts_total.inc();
         }
         Ok(seq)
     }
@@ -909,7 +909,7 @@ pub fn start_follower(primary_addr: String, router: Router) -> FollowerPuller {
                     if repl.stopped() || repl.role() != Role::Follower {
                         return;
                     }
-                    state.metrics.repl_reconnect();
+                    state.metrics.repl_reconnects_total.inc();
                     eprintln!("[mine-repl] follower: {err}; reconnecting");
                     if session_start.elapsed() > SOCKET_TIMEOUT {
                         // The session lived long enough to have streamed:
@@ -1054,9 +1054,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     // authoritative image: any quarantined segments are now repaired.
     let repaired = repl.resync_complete();
     if repaired > 0 {
-        for _ in 0..repaired {
-            state.metrics.repair_segment();
-        }
+        state.metrics.repair_segments_total.add(repaired);
         eprintln!("[mine-repl] repaired {repaired} quarantined segment(s) via re-bootstrap");
     }
 
@@ -1200,7 +1198,7 @@ fn maybe_auto_promote(router: &Router) {
         // itself: it could not journal a single write as leader.
         return;
     }
-    state.metrics.suspicion();
+    state.metrics.repl_suspicions_total.inc();
     let our_seq = journal.store().next_seq() - 1;
     let our_id = repl.advertise();
     for peer in &config.peers {
@@ -1231,7 +1229,7 @@ fn maybe_auto_promote(router: &Router) {
     }
     match router.promote_follower() {
         Ok(epoch) => {
-            state.metrics.failover();
+            state.metrics.repl_failovers_total.inc();
             eprintln!(
                 "[mine-repl] leader silent for {}ms: promoted to primary at epoch {epoch}",
                 age.as_millis()

@@ -340,7 +340,7 @@ impl Router {
     fn journal_failed(&self, err: &mine_store::StoreError) -> ApiError {
         let reason = format!("journal append failed: {err}");
         if self.state.storage.degrade(reason.clone()) {
-            self.state.metrics.set_storage_degraded(true);
+            self.state.metrics.storage_degraded.set(1);
             eprintln!("[mine-serve] storage degraded (read-only): {reason}");
             self.spawn_healer();
         }
@@ -370,7 +370,7 @@ impl Router {
                 }
             }
             router.state.storage.clear();
-            router.state.metrics.set_storage_degraded(false);
+            router.state.metrics.storage_degraded.set(0);
             eprintln!("[mine-serve] storage healed: resuming writes");
             router.state.storage.release_healer();
             // A failure between the clear and the release could have
@@ -450,7 +450,7 @@ impl Router {
             // A follower is a read replica: every write is answered
             // with 421 naming the leader. Reads fall through.
             ("POST", ["sessions", ..]) if self.not_leader() => {
-                self.state.metrics.redirected();
+                self.state.metrics.redirected_total.inc();
                 (Route::Redirected, self.redirect_to_leader())
             }
             ("POST", ["sessions"]) => (Route::SessionStart, self.start_session(request)),
@@ -523,13 +523,10 @@ impl Router {
     fn metrics(&self, request: &Request) -> ApiResult {
         self.refresh_repl_gauges();
         let pool = mine_pool::stats();
-        self.state
-            .metrics
-            .set_pool(pool.workers as u64, pool.steals);
-        let snapshot = self
-            .state
-            .metrics
-            .snapshot(self.state.registry.len(), self.state.adaptive.len());
+        let metrics = &self.state.metrics;
+        metrics.pool_workers.set(pool.workers as u64);
+        metrics.pool_steals_total.set(pool.steals);
+        let snapshot = metrics.snapshot(self.state.registry.len(), self.state.adaptive.len());
         let wants_json = request
             .query
             .as_deref()
@@ -559,9 +556,12 @@ impl Router {
         } else {
             (repl.leader_head().saturating_sub(head), 0)
         };
-        self.state
-            .metrics
-            .set_repl(role.gauge(), journal.store().epoch(), head, lag, followers);
+        let metrics = &self.state.metrics;
+        metrics.repl_role.set(role.gauge());
+        metrics.repl_epoch.set(journal.store().epoch());
+        metrics.repl_last_applied_seq.set(head);
+        metrics.repl_lag.set(lag);
+        metrics.repl_followers.set(followers);
         // Heartbeat age: 0 on the primary (it is its own leader), time
         // since the last leader frame on a follower.
         let age_us = if role == Role::Primary {
@@ -570,7 +570,7 @@ impl Router {
             repl.leader_contact_age()
                 .map_or(0, |age| u64::try_from(age.as_micros()).unwrap_or(u64::MAX))
         };
-        self.state.metrics.set_repl_heartbeat_age(age_us);
+        metrics.repl_heartbeat_age_us.set(age_us);
     }
 
     /// The epoch-fenced promotion sequence shared by `POST
@@ -810,7 +810,7 @@ impl Router {
                 self.state.registry.insert(session)?;
             }
         }
-        self.state.metrics.session_started();
+        self.state.metrics.sessions_started.inc();
         Ok(ok_json(201, &body))
     }
 
@@ -865,7 +865,7 @@ impl Router {
                 self.state.adaptive.insert(sitting)?;
             }
         }
-        self.state.metrics.adaptive_session_started();
+        self.state.metrics.adaptive_sessions_started.inc();
         Ok(ok_json(201, &started_body))
     }
 
@@ -924,7 +924,8 @@ impl Router {
         })??;
         self.state
             .metrics
-            .record_adaptive_step(step_started.elapsed());
+            .adaptive_step_us
+            .observe(step_started.elapsed());
         Ok(ok_json(200, &status))
     }
 
@@ -952,10 +953,11 @@ impl Router {
             stream.apply(&record);
             self.state
                 .metrics
-                .record_streaming_update(update_started.elapsed());
+                .streaming_update_us
+                .observe(update_started.elapsed());
         });
         self.state.adaptive.remove(id);
-        self.state.metrics.adaptive_session_closed();
+        self.state.metrics.adaptive_sessions_finished.inc();
         Ok(ok_json(200, &record))
     }
 
@@ -1076,10 +1078,11 @@ impl Router {
             stream.apply(&record);
             self.state
                 .metrics
-                .record_streaming_update(update_started.elapsed());
+                .streaming_update_us
+                .observe(update_started.elapsed());
         });
         let _ = self.state.registry.remove(id);
-        self.state.metrics.session_finished();
+        self.state.metrics.sessions_finished.inc();
         Ok(ok_json(200, &record))
     }
 
@@ -1111,7 +1114,9 @@ impl Router {
             if let Ok(report) = self.state.stream.report(exam_id, &problems) {
                 self.state
                     .metrics
-                    .record_streaming_analysis(started.elapsed());
+                    .analysis_duration_us
+                    .streaming
+                    .observe(started.elapsed());
                 return respond_with_report(&report, wants_alt);
             }
             // Unstreamable (mixed problem sets, duplicate in-row
@@ -1133,9 +1138,13 @@ impl Router {
             .analyze_records(std::slice::from_ref(&class), &problems)
             .map_err(|err| ApiError::new(500, format!("analysis failed: {err}")))?;
         let cache_hit = self.state.analyzer.cache_stats().hits > hits_before;
-        self.state
-            .metrics
-            .record_analysis(cache_hit, started.elapsed());
+        let by_cache = &self.state.metrics.analysis_duration_us;
+        let histogram = if cache_hit {
+            &by_cache.hit
+        } else {
+            &by_cache.cold
+        };
+        histogram.observe(started.elapsed());
         respond_with_report(&report, wants_alt)
     }
 }
@@ -1669,10 +1678,10 @@ mod tests {
         // outcome for batch), the finish-time updates were counted, and
         // the scrape refreshes the pool gauges.
         let snapshot = router.state().metrics.snapshot(0, 0);
-        assert_eq!(snapshot.analysis_streaming_count, 2);
-        assert_eq!(snapshot.analysis_cold_count, 1);
-        assert_eq!(snapshot.analysis_hit_count, 1);
-        assert_eq!(snapshot.streaming_updates_total, 8);
+        assert_eq!(snapshot.analysis_duration_us.streaming.count, 2);
+        assert_eq!(snapshot.analysis_duration_us.cold.count, 1);
+        assert_eq!(snapshot.analysis_duration_us.hit.count, 1);
+        assert_eq!(snapshot.streaming_update_us.count, 8);
         let scrape = router.handle(&Request::new("GET", "/metrics", ""));
         assert!(scrape
             .body

@@ -156,7 +156,7 @@ pub fn scrub_pass(router: &Router) {
             }
         }
     };
-    state.metrics.scrub_pass();
+    state.metrics.scrub_passes_total.inc();
 
     let corrupt: Vec<u64> = report
         .corrupt_segments()
@@ -214,7 +214,10 @@ pub fn scrub_pass(router: &Router) {
     let mut damaged: BTreeSet<u64> = corrupt.into_iter().collect();
     damaged.extend(divergent);
     if !damaged.is_empty() {
-        state.metrics.scrub_corruption(damaged.len() as u64);
+        state
+            .metrics
+            .scrub_corrupt_segments_total
+            .add(damaged.len() as u64);
         let mut quarantined: u64 = 0;
         {
             let _gate = journal.gate_read();
@@ -258,9 +261,7 @@ fn repair(router: &Router, journal: &Journal, quarantined: u64) {
     let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
     match journal.write_snapshot(&image) {
         Ok(()) => {
-            for _ in 0..quarantined {
-                state.metrics.repair_segment();
-            }
+            state.metrics.repair_segments_total.add(quarantined);
             eprintln!(
                 "[mine-scrub] re-sealed history from live state ({quarantined} segment(s) repaired)"
             );

@@ -118,7 +118,7 @@ impl Server {
                     while !shutdown.load(Ordering::Acquire) {
                         match receiver.recv_timeout(Duration::from_millis(50)) {
                             Ok(stream) => {
-                                router.state().metrics.queue_exit();
+                                router.state().metrics.queue_depth.dec();
                                 serve_connection(&router, stream, &conn_options);
                             }
                             Err(_) => continue,
@@ -158,16 +158,16 @@ impl Server {
                             }
                         }
                     }
-                    if metrics.queue_depth() >= queue_cap {
+                    if metrics.queue_depth.get() >= queue_cap {
                         metrics.shed(shed_secs);
                         shed_connection(stream, "over capacity", shed_secs, write_timeout);
                         continue;
                     }
-                    metrics.queue_enter();
+                    metrics.queue_depth.inc();
                     // A send only fails when every worker has gone,
                     // which only happens at shutdown.
                     if sender.send(stream).is_err() {
-                        metrics.queue_exit();
+                        metrics.queue_depth.dec();
                         break;
                     }
                 }
@@ -210,7 +210,8 @@ impl Server {
         state.lifecycle.begin_drain();
         state
             .metrics
-            .set_drain_state(DrainState::Draining.as_gauge());
+            .drain_state
+            .set(DrainState::Draining.as_gauge());
     }
 
     /// Drains and stops the server: begins drain, waits up to
@@ -227,7 +228,7 @@ impl Server {
         let state = self.router.state();
         let started = Instant::now();
         let drained_cleanly = loop {
-            if state.metrics.inflight() == 0 && state.metrics.queue_depth() == 0 {
+            if state.metrics.inflight_requests.get() == 0 && state.metrics.queue_depth.get() == 0 {
                 break true;
             }
             if started.elapsed() >= deadline {
@@ -240,7 +241,8 @@ impl Server {
         state.lifecycle.mark_stopped();
         state
             .metrics
-            .set_drain_state(DrainState::Stopped.as_gauge());
+            .drain_state
+            .set(DrainState::Stopped.as_gauge());
         self.shutdown();
         report
     }
@@ -362,10 +364,10 @@ fn serve_connection(router: &Router, stream: TcpStream, options: &ConnOptions) {
                 // the worker frees up; the in-flight request itself
                 // always completes.
                 let keep_alive = !request.wants_close() && !state.lifecycle.is_draining();
-                state.metrics.inflight_enter();
+                state.metrics.inflight_requests.inc();
                 let response = router.handle(&request);
                 let written = response.write_to(&mut writer, keep_alive);
-                state.metrics.inflight_exit();
+                state.metrics.inflight_requests.dec();
                 if written.is_err() || !keep_alive {
                     return;
                 }

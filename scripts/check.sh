@@ -9,9 +9,6 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo clippy mine-store -D warnings"
-cargo clippy --offline -p mine-store --all-targets -- -D warnings
-
 # Also runs the server loopback, registry-concurrency and crash-recovery
 # suites and the store fault-injection suite; they are not repeated below.
 echo "==> cargo test"
