@@ -5,7 +5,9 @@
 //! administrator controls it (§5). [`Repository`] is that database:
 //! cheaply cloneable (shared state behind an `Arc`), reader-writer
 //! locked, with an incrementally maintained [`SearchIndex`] and per-entity
-//! version counters so concurrent editors can detect lost updates.
+//! version counters so concurrent editors can detect lost updates. A
+//! store-wide [`Repository::revision`] lets readers that cache anything
+//! derived from the bank tell whether it changed since.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,6 +28,8 @@ struct Inner {
     exams: BTreeMap<ExamId, (Exam, u64)>,
     templates: BTreeMap<TemplateId, Template>,
     index: SearchIndex,
+    /// Bumped by every successful mutation (see [`Repository::revision`]).
+    revision: u64,
 }
 
 /// The shared in-memory problem & exam database.
@@ -72,6 +76,7 @@ impl Repository {
         }
         inner.index.insert(&problem);
         inner.problems.insert(problem.id().clone(), (problem, 1));
+        inner.revision += 1;
         Ok(())
     }
 
@@ -139,6 +144,7 @@ impl Repository {
         let new_version = version + 1;
         inner.index.insert(&edited);
         inner.problems.insert(id.clone(), (edited, new_version));
+        inner.revision += 1;
         Ok(new_version)
     }
 
@@ -152,6 +158,7 @@ impl Repository {
         match inner.problems.remove(id) {
             Some((problem, _)) => {
                 inner.index.remove(id);
+                inner.revision += 1;
                 Ok(problem)
             }
             None => Err(BankError::NotFound {
@@ -210,6 +217,7 @@ impl Repository {
             }
         }
         inner.exams.insert(exam.id().clone(), (exam, 1));
+        inner.revision += 1;
         Ok(())
     }
 
@@ -264,6 +272,7 @@ impl Repository {
         }
         let new_version = version + 1;
         inner.exams.insert(id.clone(), (edited, new_version));
+        inner.revision += 1;
         Ok(new_version)
     }
 
@@ -273,15 +282,13 @@ impl Repository {
     ///
     /// Returns [`BankError::NotFound`] when absent.
     pub fn remove_exam(&self, id: &ExamId) -> Result<Exam, BankError> {
-        self.inner
-            .write()
-            .exams
-            .remove(id)
-            .map(|(e, _)| e)
-            .ok_or_else(|| BankError::NotFound {
-                kind: "exam",
-                id: id.to_string(),
-            })
+        let mut inner = self.inner.write();
+        let (exam, _) = inner.exams.remove(id).ok_or_else(|| BankError::NotFound {
+            kind: "exam",
+            id: id.to_string(),
+        })?;
+        inner.revision += 1;
+        Ok(exam)
     }
 
     /// Number of stored exams.
@@ -322,6 +329,17 @@ impl Repository {
         Ok((exam.clone(), problems))
     }
 
+    /// How many successful mutations the repository has taken: every
+    /// insert, update and removal of a problem, exam or template bumps
+    /// it under the write lock. Anything derived from the bank at
+    /// revision `r` is still current while `revision()` returns `r`.
+    /// Read it *before* reading the bank, so a concurrent edit can only
+    /// make the derived value look older than it is, never newer.
+    #[must_use]
+    pub fn revision(&self) -> u64 {
+        self.inner.read().revision
+    }
+
     // ----- templates ------------------------------------------------
 
     /// Inserts a template.
@@ -338,6 +356,7 @@ impl Repository {
             });
         }
         inner.templates.insert(template.id().clone(), template);
+        inner.revision += 1;
         Ok(())
     }
 
@@ -364,14 +383,16 @@ impl Repository {
     ///
     /// Returns [`BankError::NotFound`] when absent.
     pub fn remove_template(&self, id: &TemplateId) -> Result<Template, BankError> {
-        self.inner
-            .write()
+        let mut inner = self.inner.write();
+        let template = inner
             .templates
             .remove(id)
             .ok_or_else(|| BankError::NotFound {
                 kind: "template",
                 id: id.to_string(),
-            })
+            })?;
+        inner.revision += 1;
+        Ok(template)
     }
 
     /// Number of stored templates.
@@ -545,6 +566,38 @@ mod tests {
         );
         repo.remove_template(&"t1".parse().unwrap()).unwrap();
         assert!(repo.template(&"t1".parse().unwrap()).is_err());
+    }
+
+    #[test]
+    fn every_successful_mutation_bumps_the_revision() {
+        let repo = repo_with_problems(2);
+        let mut last = repo.revision();
+        let mut bumped = |repo: &Repository| {
+            let now = repo.revision();
+            assert!(now > last, "{now} after {last}");
+            last = now;
+        };
+        let p0: ProblemId = "q0".parse().unwrap();
+        repo.update_problem(&p0, |_| Ok(())).unwrap();
+        bumped(&repo);
+        let exam = Exam::builder("e1")
+            .unwrap()
+            .entry(p0.clone())
+            .build()
+            .unwrap();
+        repo.insert_exam(exam).unwrap();
+        bumped(&repo);
+        let e1: ExamId = "e1".parse().unwrap();
+        repo.update_exam(&e1, |_| Ok(())).unwrap();
+        bumped(&repo);
+        repo.remove_exam(&e1).unwrap();
+        bumped(&repo);
+        repo.remove_problem(&p0).unwrap();
+        bumped(&repo);
+        // A failed edit leaves the bank, and so the revision, unchanged.
+        let before = repo.revision();
+        assert!(repo.remove_problem(&p0).is_err());
+        assert_eq!(repo.revision(), before);
     }
 
     #[test]

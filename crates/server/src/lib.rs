@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
+mod analysis_bodies;
 pub mod audit;
 pub mod client;
 pub mod drain;

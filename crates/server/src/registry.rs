@@ -257,9 +257,14 @@ impl SessionRegistry {
 /// The per-exam `BTreeMap` keys records by student, which makes the
 /// assembled class record — and therefore the live analysis report —
 /// deterministic no matter which order concurrent clients finished in.
+///
+/// Records are held behind `Arc`s so that readers ([`Self::records`],
+/// [`Self::capture`]) copy only pointers under the read lock and
+/// deep-clone after releasing it: a finish's [`Self::push`] then never
+/// waits behind a whole class being cloned.
 #[derive(Debug, Default)]
 pub struct FinishedStore {
-    by_exam: RwLock<HashMap<String, BTreeMap<String, StudentRecord>>>,
+    by_exam: RwLock<HashMap<String, BTreeMap<String, Arc<StudentRecord>>>>,
 }
 
 impl FinishedStore {
@@ -272,21 +277,25 @@ impl FinishedStore {
     /// Files a finished record under its exam. A student re-sitting the
     /// same exam replaces their earlier record.
     pub fn push(&self, exam: &str, record: StudentRecord) {
+        let key = record.student.as_str().to_string();
+        let record = Arc::new(record);
         self.by_exam
             .write()
             .entry(exam.to_string())
             .or_default()
-            .insert(record.student.as_str().to_string(), record);
+            .insert(key, record);
     }
 
     /// All records for an exam, in student-id order.
     #[must_use]
     pub fn records(&self, exam: &str) -> Vec<StudentRecord> {
-        self.by_exam
+        let shared: Vec<Arc<StudentRecord>> = self
+            .by_exam
             .read()
             .get(exam)
             .map(|records| records.values().cloned().collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        deep_clone(&shared)
     }
 
     /// Number of finished sittings filed for an exam.
@@ -300,20 +309,27 @@ impl FinishedStore {
     /// durability snapshot.
     #[must_use]
     pub fn capture(&self) -> Vec<(String, Vec<StudentRecord>)> {
-        let mut exams: Vec<(String, Vec<StudentRecord>)> = self
+        let mut shared: Vec<(String, Vec<Arc<StudentRecord>>)> = self
             .by_exam
             .read()
             .iter()
             .map(|(exam, records)| (exam.clone(), records.values().cloned().collect()))
             .collect();
-        exams.sort_by(|a, b| a.0.cmp(&b.0));
-        exams
+        shared.sort_by(|a, b| a.0.cmp(&b.0));
+        shared
+            .into_iter()
+            .map(|(exam, records)| (exam, deep_clone(&records)))
+            .collect()
     }
 
     /// Drops every filed record (see [`SessionRegistry::clear`]).
     pub fn clear(&self) {
         self.by_exam.write().clear();
     }
+}
+
+fn deep_clone(records: &[Arc<StudentRecord>]) -> Vec<StudentRecord> {
+    records.iter().map(|record| (**record).clone()).collect()
 }
 
 #[cfg(test)]

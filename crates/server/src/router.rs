@@ -21,6 +21,7 @@ use mine_streamstats::StreamEngine;
 use crate::adaptive::{
     AdaptiveAnswerError, AdaptiveLookup, AdaptiveRegistry, AdaptiveSitting, AdaptiveStartError,
 };
+use crate::analysis_bodies::AnalysisBodies;
 use crate::drain::Lifecycle;
 use crate::http::{Request, Response};
 use crate::journal::{Journal, ServerImage, SessionEvent};
@@ -107,13 +108,18 @@ pub struct ServerState {
     pub finished: FinishedStore,
     /// The §4 pipeline with its fingerprint-keyed cache (the
     /// `?mode=batch` escape hatch and the fallback for unstreamable
-    /// inputs).
+    /// inputs). It runs inline on the request's worker: the server
+    /// already runs one worker per CPU, so fanning one read out over the
+    /// pool would only take CPU from other connections.
     pub analyzer: BatchAnalyzer,
     /// Running sufficient statistics per exam: finish-time updates in
     /// O(1 + re-assignments), analysis reads assembled from counters.
     /// Must share the analyzer's [`AnalysisConfig`] so both modes
     /// compute the same report.
     pub stream: Arc<StreamEngine>,
+    /// Streaming analysis bodies keyed by the stream stamp and bank
+    /// revision they were built at (DESIGN.md §14).
+    analysis_bodies: AnalysisBodies,
     /// Service counters.
     pub metrics: Metrics,
     /// The write-ahead log, when `--data-dir` durability is on.
@@ -149,8 +155,9 @@ impl ServerState {
             registry: SessionRegistry::default(),
             adaptive: AdaptiveRegistry::new(),
             finished: FinishedStore::new(),
-            analyzer: BatchAnalyzer::new(config),
+            analyzer: BatchAnalyzer::new(config).with_threads(1),
             stream: Arc::new(StreamEngine::new(config)),
+            analysis_bodies: AnalysisBodies::default(),
             metrics: Metrics::new(),
             journal: None,
             repl: None,
@@ -1092,6 +1099,10 @@ impl Router {
     /// fall back to batch silently (both produce identical bytes when
     /// both succeed). `?indices=alt` answers with the option-wise
     /// alternative discrimination view instead of the full report.
+    ///
+    /// A streaming body is stored with the stream stamp and bank
+    /// revision it was built at and served again, unrebuilt, while both
+    /// still match (DESIGN.md §14).
     fn analysis(&self, exam_id: &str, request: &Request) -> ApiResult {
         let query = request.query.as_deref().unwrap_or("");
         let force_batch = query.split('&').any(|pair| pair == "mode=batch");
@@ -1104,20 +1115,38 @@ impl Router {
         let parsed = exam_id
             .parse()
             .map_err(|err| ApiError::bad_request(format!("bad exam id: {err}")))?;
+        let started = Instant::now();
+        // Read before the bank is resolved: an edit racing this read can
+        // only make the stored body look older than it is.
+        let revision = self.state.repository.revision();
+        if !force_batch {
+            let cached = self.state.stream.generation(exam_id).and_then(|stamp| {
+                self.state
+                    .analysis_bodies
+                    .get(exam_id, wants_alt, stamp, revision)
+            });
+            if let Some(body) = cached {
+                self.observe_streaming(started);
+                return Ok(Response::json(200, body));
+            }
+        }
         let (_, problems) = self
             .state
             .repository
             .resolve_exam(&parsed)
             .map_err(|err| ApiError::not_found(err.to_string()))?;
         if !force_batch {
-            let started = Instant::now();
-            if let Ok(report) = self.state.stream.report(exam_id, &problems) {
-                self.state
-                    .metrics
-                    .analysis_duration_us
-                    .streaming
-                    .observe(started.elapsed());
-                return respond_with_report(&report, wants_alt);
+            if let Ok((stamp, report)) = self.state.stream.stamped_report(exam_id, &problems) {
+                self.observe_streaming(started);
+                let response = respond_with_report(&report, wants_alt)?;
+                self.state.analysis_bodies.offer(
+                    exam_id,
+                    wants_alt,
+                    stamp,
+                    revision,
+                    &response.body,
+                );
+                return Ok(response);
             }
             // Unstreamable (mixed problem sets, duplicate in-row
             // problems, non-finite scores, class too small): the batch
@@ -1146,6 +1175,14 @@ impl Router {
         };
         histogram.observe(started.elapsed());
         respond_with_report(&report, wants_alt)
+    }
+
+    fn observe_streaming(&self, started: Instant) {
+        self.state
+            .metrics
+            .analysis_duration_us
+            .streaming
+            .observe(started.elapsed());
     }
 }
 

@@ -41,6 +41,7 @@
 //! its exact error) from the raw rows.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -675,10 +676,32 @@ fn multiset_remove(map: &mut BTreeMap<Duration, u64>, key: Duration) {
 /// The process-wide engine: one [`ExamStream`] per exam behind a
 /// per-exam mutex, so the server can fold a finish into the store and
 /// the stream under one critical section.
+///
+/// Every exam slot also carries a *generation stamp*: a value from one
+/// engine-wide counter, replaced after every mutation while the exam's
+/// mutex is still held. A stamp therefore names exactly one stream
+/// state, stamps only ever grow, and no stamp is ever issued twice —
+/// not even across [`StreamEngine::clear`]. Readers compare stamps
+/// ([`StreamEngine::generation`]) without taking the exam mutex to tell
+/// whether anything they derived from an earlier state is still
+/// current.
 #[derive(Debug)]
 pub struct StreamEngine {
     config: AnalysisConfig,
-    exams: RwLock<HashMap<String, Arc<Mutex<ExamStream>>>>,
+    exams: RwLock<HashMap<String, Arc<Slot>>>,
+    /// The last stamp issued to any slot.
+    clock: AtomicU64,
+}
+
+/// One exam's stream and the stamp of its current state.
+#[derive(Debug)]
+struct Slot {
+    stamp: AtomicU64,
+    stream: Mutex<ExamStream>,
+}
+
+fn next_stamp(clock: &AtomicU64) -> u64 {
+    clock.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 impl StreamEngine {
@@ -688,6 +711,7 @@ impl StreamEngine {
         Self {
             config,
             exams: RwLock::new(HashMap::new()),
+            clock: AtomicU64::new(0),
         }
     }
 
@@ -697,26 +721,38 @@ impl StreamEngine {
         &self.config
     }
 
+    /// The exam's slot, if it has ever streamed (the map guard is
+    /// released before the caller touches the slot's mutex).
+    fn slot(&self, exam: &str) -> Option<Arc<Slot>> {
+        self.exams.read().get(exam).map(Arc::clone)
+    }
+
     /// Runs `f` under the exam's stream lock, creating an empty stream
     /// on first use. The lock is the ingestion critical section: callers
     /// that must keep the stream aligned with another store update both
-    /// inside one `with_exam` call.
+    /// inside one `with_exam` call. `f` may mutate, so the exam gets a
+    /// fresh generation stamp before the lock is released.
     pub fn with_exam<R>(&self, exam: &str, f: impl FnOnce(&mut ExamStream) -> R) -> R {
-        // The fast-path read guard must be dropped before taking the
-        // write lock (a scrutinee temporary would live through the
-        // whole branch and self-deadlock), hence the two statements.
-        let known = self.exams.read().get(exam).map(Arc::clone);
-        let slot = match known {
-            Some(slot) => slot,
-            None => Arc::clone(
+        // `slot` drops the map's read guard before returning, so the
+        // write guard below cannot self-deadlock against it.
+        let slot = self.slot(exam).unwrap_or_else(|| {
+            Arc::clone(
                 self.exams
                     .write()
                     .entry(exam.to_string())
-                    .or_insert_with(|| Arc::new(Mutex::new(ExamStream::new(self.config)))),
-            ),
-        };
-        let mut stream = slot.lock();
-        f(&mut stream)
+                    .or_insert_with(|| {
+                        Arc::new(Slot {
+                            stamp: AtomicU64::new(next_stamp(&self.clock)),
+                            stream: Mutex::new(ExamStream::new(self.config)),
+                        })
+                    }),
+            )
+        });
+        let mut stream = slot.stream.lock();
+        let result = f(&mut stream);
+        // Published while `stream` still holds the lock.
+        slot.stamp.store(next_stamp(&self.clock), Ordering::Release);
+        result
     }
 
     /// Folds one finished sitting into `exam`'s stream.
@@ -728,10 +764,20 @@ impl StreamEngine {
     /// has never streamed).
     #[must_use]
     pub fn sittings(&self, exam: &str) -> usize {
+        self.slot(exam)
+            .map_or(0, |slot| slot.stream.lock().sittings())
+    }
+
+    /// The generation stamp of `exam`'s current stream state (`None`
+    /// when the exam has never streamed). Reads the stamp without
+    /// taking the exam's mutex: a mutation in progress still shows the
+    /// previous stamp until it completes.
+    #[must_use]
+    pub fn generation(&self, exam: &str) -> Option<u64> {
         self.exams
             .read()
             .get(exam)
-            .map_or(0, |slot| slot.lock().sittings())
+            .map(|slot| slot.stamp.load(Ordering::Acquire))
     }
 
     /// Assembles `exam`'s report from the running statistics.
@@ -741,15 +787,32 @@ impl StreamEngine {
     /// [`Unstreamable`] when the exam never streamed or its stream
     /// cannot reproduce the batch output exactly.
     pub fn report(&self, exam: &str, problems: &[Problem]) -> Result<BatchReport, Unstreamable> {
-        let slot = self.exams.read().get(exam).map(Arc::clone);
-        match slot {
-            Some(slot) => slot.lock().report(problems),
-            None => Err(Unstreamable::new("no finished sittings streamed")),
-        }
+        self.stamped_report(exam, problems)
+            .map(|(_, report)| report)
+    }
+
+    /// [`StreamEngine::report`] together with the generation stamp of
+    /// the state it was assembled from (read under the same lock).
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamEngine::report`].
+    pub fn stamped_report(
+        &self,
+        exam: &str,
+        problems: &[Problem],
+    ) -> Result<(u64, BatchReport), Unstreamable> {
+        let slot = self
+            .slot(exam)
+            .ok_or_else(|| Unstreamable::new("no finished sittings streamed"))?;
+        let stream = slot.stream.lock();
+        let stamp = slot.stamp.load(Ordering::Acquire);
+        stream.report(problems).map(|report| (stamp, report))
     }
 
     /// Drops every stream — used when a follower re-bootstraps from a
-    /// snapshot before replaying the leader's WAL.
+    /// snapshot before replaying the leader's WAL. The stamp clock keeps
+    /// running, so re-applied streams never repeat an earlier stamp.
     pub fn clear(&self) {
         self.exams.write().clear();
     }
@@ -851,5 +914,93 @@ mod tests {
         assert_eq!(engine.sittings("absent"), 0);
         engine.clear();
         assert_eq!(engine.sittings("quiz"), 0);
+    }
+
+    #[test]
+    fn stamps_strictly_increase_across_every_mutation() {
+        let engine = StreamEngine::new(AnalysisConfig::default());
+        assert_eq!(engine.generation("quiz"), None);
+        let mut seen = Vec::new();
+        engine.apply("quiz", &record("s1", &[1.0, 0.0]));
+        seen.push(engine.generation("quiz").unwrap());
+        engine.apply("other", &record("s1", &[1.0, 1.0]));
+        engine.apply("quiz", &record("s2", &[0.0, 0.0]));
+        seen.push(engine.generation("quiz").unwrap());
+        let s1: StudentId = "s1".parse().unwrap();
+        engine.with_exam("quiz", |stream| stream.remove(&s1));
+        seen.push(engine.generation("quiz").unwrap());
+        // A read-only closure still counts: `with_exam` cannot tell.
+        engine.with_exam("quiz", |stream| stream.sittings());
+        seen.push(engine.generation("quiz").unwrap());
+        assert!(seen.windows(2).all(|pair| pair[0] < pair[1]), "{seen:?}");
+        // Assembly reads the published stamp and does not move it.
+        engine.apply("quiz", &record("s3", &[1.0, 1.0]));
+        let before = engine.generation("quiz");
+        let _ = engine.stamped_report("quiz", &[]);
+        assert_eq!(engine.generation("quiz"), before);
+    }
+
+    #[test]
+    fn clear_and_reapply_never_reuse_a_stamp() {
+        let engine = StreamEngine::new(AnalysisConfig::default());
+        let rows = [record("s1", &[1.0, 0.0]), record("s2", &[0.0, 1.0])];
+        let mut issued = Vec::new();
+        for row in &rows {
+            engine.apply("quiz", row);
+            issued.push(engine.generation("quiz").unwrap());
+        }
+        engine.clear();
+        assert_eq!(engine.generation("quiz"), None);
+        for row in &rows {
+            engine.apply("quiz", row);
+        }
+        let after = engine.generation("quiz").unwrap();
+        assert!(
+            issued.iter().all(|&stamp| stamp < after),
+            "{issued:?} vs {after}"
+        );
+    }
+
+    // Regression: `sittings` used to wait on an exam's mutex while
+    // holding the map's read guard, so the first `with_exam` on any new
+    // exam (which needs the write guard) stalled behind a busy exam.
+    #[test]
+    fn sittings_does_not_block_new_exams_behind_a_busy_one() {
+        use std::sync::mpsc;
+        use std::sync::Barrier;
+
+        let engine = Arc::new(StreamEngine::new(AnalysisConfig::default()));
+        engine.apply("busy", &record("s1", &[1.0]));
+        let held = Arc::new(Barrier::new(2));
+        let (release, wait) = mpsc::channel::<()>();
+        let holder = {
+            let (engine, held) = (Arc::clone(&engine), Arc::clone(&held));
+            std::thread::spawn(move || {
+                engine.with_exam("busy", |_| {
+                    held.wait();
+                    let _ = wait.recv();
+                });
+            })
+        };
+        held.wait();
+        let counter = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.sittings("busy"))
+        };
+        // Give the counter time to park on the busy exam's mutex.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done, created) = mpsc::channel();
+        {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                engine.apply("fresh", &record("s1", &[1.0]));
+                let _ = done.send(());
+            });
+        }
+        let outcome = created.recv_timeout(Duration::from_secs(5));
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        assert_eq!(counter.join().unwrap(), 1);
+        assert!(outcome.is_ok(), "a new exam waited on another exam's mutex");
     }
 }
