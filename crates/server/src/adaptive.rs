@@ -458,10 +458,12 @@ impl AdaptiveRegistry {
             .collect()
     }
 
-    /// Drops all state (used when a follower re-bootstraps).
-    pub fn clear(&self) {
-        self.live.write().clear();
-        self.finished.write().clear();
+    /// Takes over `fresh`'s sittings (a follower re-bootstrapping
+    /// restores into a fresh registry, then swaps it in, so readers never
+    /// see an empty one).
+    pub fn replace_with(&self, fresh: AdaptiveRegistry) {
+        *self.live.write() = fresh.live.into_inner();
+        *self.finished.write() = fresh.finished.into_inner();
     }
 }
 

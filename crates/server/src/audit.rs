@@ -47,7 +47,8 @@ pub struct NodeAudit {
     pub dir: PathBuf,
     /// The node's durable epoch.
     pub epoch: u64,
-    /// Highest sequence the newest snapshot covers (0 without one).
+    /// Highest sequence the newest image (base or delta) covers (0
+    /// without one).
     pub snapshot_seq: u64,
     /// Highest sequence on the node (snapshot or tail record).
     pub head_seq: u64,
@@ -241,13 +242,16 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
             node.epoch
         ));
     }
-    node.snapshot_seq = recovered.snapshot.as_ref().map_or(0, |s| s.last_seq);
+    // The images cover the prefix through the newest delta (or the
+    // base when there is none); every one of them must decode.
+    let images: Vec<_> = recovered.snapshot.iter().chain(&recovered.deltas).collect();
+    node.snapshot_seq = images.last().map_or(0, |s| s.last_seq);
     node.head_seq = store.next_seq() - 1;
     node.events = recovered.events.len();
-    if let Some(snapshot) = &recovered.snapshot {
-        if let Err(err) = decode_image(&snapshot.payload) {
+    for image in images {
+        if let Err(err) = decode_image(&image.payload) {
             node.violations
-                .push(format!("snapshot through {}: {err}", snapshot.last_seq));
+                .push(format!("snapshot through {}: {err}", image.last_seq));
         }
     }
     let mut payloads = BTreeMap::new();

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use mine_delivery::SessionState;
 
-use crate::journal::{Journal, ServerImage, SessionEvent};
+use crate::journal::{Journal, SessionEvent};
 use crate::router::ServerState;
 
 /// Where the server is in its lifecycle.
@@ -208,9 +208,9 @@ pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
         // The exclusive gate waits out any mutating handler that is
         // mid-request, making the captured image consistent with the
         // log even when the drain deadline expired with work running.
+        // A full base, not a delta: a clean shutdown leaves one image.
         let _gate = journal.gate_write();
-        let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
-        match journal.write_snapshot(&image) {
+        match journal.write_base(state) {
             Ok(()) => {
                 report.snapshot_written = true;
                 if let Err(err) = journal.sync() {

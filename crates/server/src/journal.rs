@@ -15,19 +15,25 @@
 //!
 //! # Snapshot path
 //!
-//! Periodically the router captures a [`ServerImage`] — every live
-//! session as a [`SessionImage`] plus every finished record — under the
-//! journal's write gate (which excludes all mutating handlers) and
-//! hands it to [`EventStore::snapshot`], which compacts the log.
+//! Periodically the router compacts the log under the journal's write
+//! gate (which excludes all mutating handlers). A compaction writes a
+//! [`ServerImage`]: either a full *base* — every live session as a
+//! [`SessionImage`] plus every finished record — or, while the deltas'
+//! total stays below the base's size, a *delta* of the same shape that
+//! holds every live session but only the records filed since the last
+//! durable image (DESIGN.md §15).
 //!
 //! # Recovery
 //!
-//! [`open_journaled_state`] restores the image, replays the tail
-//! through the very same registry/session methods the live handlers
-//! use, and returns the ready [`ServerState`]. Determinism comes from
-//! the sessions' logical clock: no wall time is ever consulted.
+//! [`open_journaled_state`] restores the base, files each delta's
+//! records on top, takes the live sittings from the newest image,
+//! replays the tail through the very same registry/session methods the
+//! live handlers use, and returns the ready [`ServerState`].
+//! Determinism comes from the sessions' logical clock: no wall time is
+//! ever consulted.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -37,7 +43,7 @@ use mine_adaptive::AdaptiveOptions;
 use mine_core::{Answer, ExamId, StudentId, StudentRecord};
 use mine_delivery::{DeliveryOptions, ExamSession, SessionCheckpoint, SessionImage};
 use mine_itembank::Repository;
-use mine_store::{EventStore, Recovered, StoreError, StoreOptions};
+use mine_store::{EventStore, Recovered, Snapshot, StoreError, StoreOptions};
 use mine_streamstats::StreamEngine;
 
 use crate::adaptive::{AdaptiveImage, AdaptiveRegistry, AdaptiveSitting};
@@ -152,7 +158,9 @@ pub struct ExamRecords {
 }
 
 /// Everything the registry and finished store hold, in deterministic
-/// order — the payload of a store snapshot.
+/// order — the payload of a store snapshot. A delta image has the same
+/// shape but carries only the finished records filed since the previous
+/// image.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerImage {
     /// Live sessions, ordered by session id.
@@ -172,6 +180,18 @@ impl ServerImage {
         finished: &FinishedStore,
         adaptive: &AdaptiveRegistry,
     ) -> Self {
+        Self::capture_since(registry, finished, adaptive, 0)
+    }
+
+    /// Captures every live sitting but only the finished records filed
+    /// after `tick` (see [`FinishedStore::filed_since`]): a delta image.
+    #[must_use]
+    pub fn capture_since(
+        registry: &SessionRegistry,
+        finished: &FinishedStore,
+        adaptive: &AdaptiveRegistry,
+        tick: u64,
+    ) -> Self {
         Self {
             sessions: registry
                 .capture()
@@ -182,9 +202,12 @@ impl ServerImage {
                 })
                 .collect(),
             finished: finished
-                .capture()
+                .filed_since(tick)
                 .into_iter()
-                .map(|(exam, records)| ExamRecords { exam, records })
+                .map(|(exam, records)| ExamRecords {
+                    exam,
+                    records: records.iter().map(|record| (**record).clone()).collect(),
+                })
                 .collect(),
             adaptive: Some(adaptive.capture()),
         }
@@ -220,12 +243,7 @@ impl ServerImage {
                     .map_err(|err| format!("session {id} vanished during restore: {err}"))?;
             }
         }
-        for exam in self.finished {
-            for record in exam.records {
-                stream.apply(&exam.exam, &record);
-                finished.push(&exam.exam, record);
-            }
-        }
+        file_records(self.finished, finished, stream);
         for image in self.adaptive.unwrap_or_default() {
             let sitting = image.restore()?;
             let id = sitting.id().to_string();
@@ -235,6 +253,26 @@ impl ServerImage {
         }
         Ok(())
     }
+}
+
+/// Files an image's records the way a live finish does: push, then
+/// fold into the stream, so a record for a student already filed (a
+/// resit in a later delta) replaces the earlier one in both.
+fn file_records(exams: Vec<ExamRecords>, finished: &FinishedStore, stream: &StreamEngine) {
+    for exam in exams {
+        for record in exam.records {
+            stream.apply(&exam.exam, &record);
+            finished.push(&exam.exam, record);
+        }
+    }
+}
+
+fn to_payload<T: Serialize>(value: &T, what: &str) -> Result<String, StoreError> {
+    serde_json::to_string(value).map_err(|err| {
+        StoreError::Io(std::io::Error::other(format!(
+            "{what} failed to serialize: {err}"
+        )))
+    })
 }
 
 /// The server's handle on its write-ahead log: the event store plus the
@@ -249,6 +287,15 @@ pub struct Journal {
     gate: RwLock<()>,
     /// Snapshot after this many journaled events (0 = never).
     snapshot_every: u64,
+    /// The [`FinishedStore`] tick the durable images cover: every record
+    /// filed at or below it is in the base or a delta. It advances only
+    /// after an image write succeeds, so a failed write's records go
+    /// into the next image.
+    covered_tick: AtomicU64,
+    /// The highest sequence number whose effects are in memory — what
+    /// `/healthz` reports as `last_applied_seq`. Published only after
+    /// the mutation, replayed record or bootstrap restore it names.
+    applied_seq: AtomicU64,
 }
 
 impl Journal {
@@ -263,11 +310,14 @@ impl Journal {
         snapshot_every: u64,
     ) -> Result<(Self, Recovered), StoreError> {
         let (store, recovered) = EventStore::open(dir.as_ref().to_path_buf(), options)?;
+        let head = store.next_seq() - 1;
         Ok((
             Self {
                 store,
                 gate: RwLock::new(()),
                 snapshot_every,
+                covered_tick: AtomicU64::new(0),
+                applied_seq: AtomicU64::new(head),
             },
             recovered,
         ))
@@ -286,12 +336,7 @@ impl Journal {
     ///
     /// Propagates [`StoreError`] from the underlying append.
     pub fn append(&self, event: &SessionEvent) -> Result<u64, StoreError> {
-        let payload = serde_json::to_string(event).map_err(|err| {
-            StoreError::Io(std::io::Error::other(format!(
-                "event failed to serialize: {err}"
-            )))
-        })?;
-        self.append_raw(payload.as_bytes())
+        self.append_raw(to_payload(event, "event")?.as_bytes())
     }
 
     /// Appends pre-serialized event bytes. The replication follower uses
@@ -308,7 +353,7 @@ impl Journal {
 
     /// Installs a bootstrap snapshot received from a primary, rebasing
     /// the local log to its sequence numbering. Call with the write gate
-    /// held.
+    /// held, then [`Self::mark_installed`] once memory holds the image.
     ///
     /// # Errors
     ///
@@ -327,25 +372,88 @@ impl Journal {
         self.gate.write()
     }
 
+    /// The highest sequence number whose effects are in memory.
+    #[must_use]
+    pub fn applied_seq(&self) -> u64 {
+        self.applied_seq.load(Ordering::Acquire)
+    }
+
+    /// Publishes `seq` as applied once its mutation is in memory.
+    pub(crate) fn mark_applied(&self, seq: u64) {
+        self.applied_seq.fetch_max(seq, Ordering::AcqRel);
+    }
+
+    /// Records that the durable images cover every record `finished`
+    /// holds — true right after restoring them, before any tail replay.
+    pub(crate) fn mark_covered(&self, finished: &FinishedStore) {
+        self.covered_tick.store(finished.tick(), Ordering::Release);
+    }
+
+    /// Records that memory now holds exactly the bootstrap image
+    /// installed through `seq`. The head may move backwards here (a
+    /// deposed primary rebasing onto its successor's history).
+    pub(crate) fn mark_installed(&self, finished: &FinishedStore, seq: u64) {
+        self.mark_covered(finished);
+        self.applied_seq.store(seq, Ordering::Release);
+    }
+
     /// Whether enough events have accumulated to warrant a snapshot.
     #[must_use]
     pub fn due_for_snapshot(&self) -> bool {
         self.snapshot_every > 0 && self.store.events_since_snapshot() >= self.snapshot_every
     }
 
-    /// Writes a compacting snapshot of `image`. Call with the write
-    /// gate held.
+    /// Writes a compacting full base snapshot of `image`. Call with the
+    /// write gate held. The covered tick stays where it was, because the
+    /// journal cannot tell when `image` was captured: the next delta may
+    /// repeat records the base already holds, which recovery files
+    /// idempotently.
     ///
     /// # Errors
     ///
     /// Propagates [`StoreError`]; the log remains intact on failure.
     pub fn write_snapshot(&self, image: &ServerImage) -> Result<(), StoreError> {
-        let payload = serde_json::to_string(image).map_err(|err| {
-            StoreError::Io(std::io::Error::other(format!(
-                "image failed to serialize: {err}"
-            )))
-        })?;
-        self.store.snapshot(payload.as_bytes())
+        self.store.snapshot(to_payload(image, "image")?.as_bytes())
+    }
+
+    /// Captures `state` and writes it as a full base. Call with the
+    /// write gate held.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StoreError`]; the log remains intact on failure.
+    pub(crate) fn write_base(&self, state: &ServerState) -> Result<(), StoreError> {
+        let tick = state.finished.tick();
+        let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
+        self.write_snapshot(&image)?;
+        self.covered_tick.store(tick, Ordering::Release);
+        Ok(())
+    }
+
+    /// Periodic compaction: writes a delta when a base exists and the
+    /// deltas, this one included, stay smaller than it; otherwise folds
+    /// everything into a fresh base. Call with the write gate held.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StoreError`]; the log and the covered tick stay as
+    /// they were on failure.
+    pub(crate) fn compact(&self, state: &ServerState) -> Result<(), StoreError> {
+        let tick = state.finished.tick();
+        let (base_bytes, delta_bytes) = self.store.image_bytes();
+        let delta = ServerImage::capture_since(
+            &state.registry,
+            &state.finished,
+            &state.adaptive,
+            self.covered_tick.load(Ordering::Acquire),
+        );
+        let payload = to_payload(&delta, "image")?;
+        if delta_bytes + (payload.len() as u64) < base_bytes {
+            self.store.snapshot_delta(payload.as_bytes())?;
+            self.covered_tick.store(tick, Ordering::Release);
+            return Ok(());
+        }
+        self.write_base(state)
     }
 
     /// Flushes the log to stable storage.
@@ -361,10 +469,12 @@ impl Journal {
 /// What [`open_journaled_state`] found and rebuilt.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Live sessions restored from the snapshot image.
+    /// Live sessions restored from the newest image.
     pub snapshot_sessions: usize,
-    /// Finished records restored from the snapshot image.
+    /// Finished records restored from the base and its deltas.
     pub snapshot_records: usize,
+    /// Delta images restored on top of the base.
+    pub snapshot_deltas: usize,
     /// Tail events replayed after the snapshot.
     pub events_replayed: usize,
     /// Store-level repairs (torn tails truncated).
@@ -506,7 +616,7 @@ pub(crate) fn apply_event(
 }
 
 /// Opens the journal at `dir`, rebuilds the full [`ServerState`] from
-/// snapshot + tail, and attaches the journal so subsequent mutations
+/// base + deltas + tail, and attaches the journal so subsequent mutations
 /// keep being logged.
 ///
 /// # Errors
@@ -528,14 +638,30 @@ pub fn open_journaled_state(
         ..RecoveryReport::default()
     };
 
-    if let Some(snapshot) = recovered.snapshot {
-        let text = String::from_utf8(snapshot.payload)
-            .map_err(|_| "snapshot payload is not UTF-8".to_string())?;
-        let image: ServerImage = serde_json::from_str(&text)
-            .map_err(|err| format!("snapshot failed to decode: {err}"))?;
+    // The base, then each delta in seq order: every image's records
+    // are filed like live finishes, and the live sittings come from the
+    // newest image alone (older images' sittings have since finished or
+    // moved on).
+    report.snapshot_deltas = recovered.deltas.len();
+    let images: Vec<Snapshot> = recovered
+        .snapshot
+        .into_iter()
+        .chain(recovered.deltas)
+        .collect();
+    let newest = images.len().saturating_sub(1);
+    for (index, snapshot) in images.into_iter().enumerate() {
+        let image = decode_image(&snapshot)?;
+        report.snapshot_records += image
+            .finished
+            .iter()
+            .map(|e| e.records.len())
+            .sum::<usize>();
+        if index < newest {
+            file_records(image.finished, &state.finished, &state.stream);
+            continue;
+        }
         report.snapshot_sessions =
             image.sessions.len() + image.adaptive.as_ref().map_or(0, Vec::len);
-        report.snapshot_records = image.finished.iter().map(|e| e.records.len()).sum();
         image.restore(
             &state.registry,
             &state.finished,
@@ -543,6 +669,7 @@ pub fn open_journaled_state(
             &state.adaptive,
         )?;
     }
+    journal.mark_covered(&state.finished);
 
     for record in recovered.events {
         let text = String::from_utf8(record.payload)
@@ -564,6 +691,17 @@ pub fn open_journaled_state(
 
     state.journal = Some(journal);
     Ok((state, report))
+}
+
+fn decode_image(snapshot: &Snapshot) -> Result<ServerImage, String> {
+    let text = std::str::from_utf8(&snapshot.payload)
+        .map_err(|_| format!("image through seq {} is not UTF-8", snapshot.last_seq))?;
+    serde_json::from_str(text).map_err(|err| {
+        format!(
+            "image through seq {} failed to decode: {err}",
+            snapshot.last_seq
+        )
+    })
 }
 
 /// Decodes every event in a recovered log for offline inspection

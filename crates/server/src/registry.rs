@@ -105,11 +105,14 @@ impl SessionRegistry {
         }
     }
 
-    fn shard(&self, id: &str) -> &Shard {
+    fn shard_index(&self, id: &str) -> usize {
         let mut hasher = DefaultHasher::new();
         id.hash(&mut hasher);
-        let index = (hasher.finish() % self.shards.len() as u64) as usize;
-        &self.shards[index]
+        (hasher.finish() % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, id: &str) -> &Shard {
+        &self.shards[self.shard_index(id)]
     }
 
     /// Registers a freshly started session.
@@ -239,14 +242,23 @@ impl SessionRegistry {
         captured
     }
 
-    /// Drops every live session and tombstone. Used when a replication
-    /// follower installs a fresh bootstrap image over whatever it held;
+    /// Replaces every live session and tombstone with `fresh`'s live
+    /// sessions, one shard at a time: a reader of any one session sees
+    /// the old slot or the new one, never a gap. Used when a replication
+    /// follower restores a bootstrap image into a fresh registry;
     /// callers must exclude concurrent mutators (the follower holds the
     /// journal write gate).
-    pub fn clear(&self) {
-        for shard in &self.shards {
+    pub fn replace_with(&self, fresh: SessionRegistry) {
+        let mut incoming: Vec<HashMap<String, Arc<Mutex<SessionSlot>>>> =
+            self.shards.iter().map(|_| HashMap::new()).collect();
+        for shard in fresh.shards {
+            for (id, slot) in shard.into_inner().live {
+                incoming[self.shard_index(&id)].insert(id, slot);
+            }
+        }
+        for (shard, live) in self.shards.iter().zip(incoming) {
             let mut shard = shard.write();
-            shard.live.clear();
+            shard.live = live;
             shard.tombstones.clear();
         }
     }
@@ -262,9 +274,26 @@ impl SessionRegistry {
 /// [`Self::capture`]) copy only pointers under the read lock and
 /// deep-clone after releasing it: a finish's [`Self::push`] then never
 /// waits behind a whole class being cloned.
+///
+/// Every filed record carries a *tick* from a counter bumped under the
+/// write lock, so [`Self::filed_since`] can hand the journal exactly
+/// the records a delta snapshot must add.
 #[derive(Debug, Default)]
 pub struct FinishedStore {
-    by_exam: RwLock<HashMap<String, BTreeMap<String, Arc<StudentRecord>>>>,
+    shelves: RwLock<Shelves>,
+}
+
+#[derive(Debug, Default)]
+struct Shelves {
+    by_exam: HashMap<String, BTreeMap<String, Filed>>,
+    /// The tick of the most recent push; never reset.
+    tick: u64,
+}
+
+#[derive(Debug)]
+struct Filed {
+    tick: u64,
+    record: Arc<StudentRecord>,
 }
 
 impl FinishedStore {
@@ -279,21 +308,25 @@ impl FinishedStore {
     pub fn push(&self, exam: &str, record: StudentRecord) {
         let key = record.student.as_str().to_string();
         let record = Arc::new(record);
-        self.by_exam
-            .write()
+        let mut shelves = self.shelves.write();
+        shelves.tick += 1;
+        let tick = shelves.tick;
+        shelves
+            .by_exam
             .entry(exam.to_string())
             .or_default()
-            .insert(key, record);
+            .insert(key, Filed { tick, record });
     }
 
     /// All records for an exam, in student-id order.
     #[must_use]
     pub fn records(&self, exam: &str) -> Vec<StudentRecord> {
         let shared: Vec<Arc<StudentRecord>> = self
-            .by_exam
+            .shelves
             .read()
+            .by_exam
             .get(exam)
-            .map(|records| records.values().cloned().collect())
+            .map(|records| records.values().map(|f| Arc::clone(&f.record)).collect())
             .unwrap_or_default();
         deep_clone(&shared)
     }
@@ -301,7 +334,43 @@ impl FinishedStore {
     /// Number of finished sittings filed for an exam.
     #[must_use]
     pub fn count(&self, exam: &str) -> usize {
-        self.by_exam.read().get(exam).map_or(0, BTreeMap::len)
+        self.shelves
+            .read()
+            .by_exam
+            .get(exam)
+            .map_or(0, BTreeMap::len)
+    }
+
+    /// The tick of the most recent push (0 before the first). Every
+    /// record [`Self::filed_since`] returns for this tick or a later one
+    /// was filed after the call.
+    #[must_use]
+    pub fn tick(&self) -> u64 {
+        self.shelves.read().tick
+    }
+
+    /// The records filed after `tick` and still current (a resit since
+    /// then counts, a record it replaced does not), grouped and sorted
+    /// like [`Self::capture`]. Exams with no such record are left out.
+    #[must_use]
+    pub fn filed_since(&self, tick: u64) -> Vec<(String, Vec<Arc<StudentRecord>>)> {
+        let mut shared: Vec<(String, Vec<Arc<StudentRecord>>)> = self
+            .shelves
+            .read()
+            .by_exam
+            .iter()
+            .map(|(exam, records)| {
+                let fresh = records
+                    .values()
+                    .filter(|filed| filed.tick > tick)
+                    .map(|filed| Arc::clone(&filed.record))
+                    .collect();
+                (exam.clone(), fresh)
+            })
+            .collect();
+        shared.retain(|(_, records)| !records.is_empty());
+        shared.sort_by(|a, b| a.0.cmp(&b.0));
+        shared
     }
 
     /// Clones out every exam's records, sorted by exam id (records are
@@ -309,22 +378,21 @@ impl FinishedStore {
     /// durability snapshot.
     #[must_use]
     pub fn capture(&self) -> Vec<(String, Vec<StudentRecord>)> {
-        let mut shared: Vec<(String, Vec<Arc<StudentRecord>>)> = self
-            .by_exam
-            .read()
-            .iter()
-            .map(|(exam, records)| (exam.clone(), records.values().cloned().collect()))
-            .collect();
-        shared.sort_by(|a, b| a.0.cmp(&b.0));
-        shared
+        self.filed_since(0)
             .into_iter()
             .map(|(exam, records)| (exam, deep_clone(&records)))
             .collect()
     }
 
-    /// Drops every filed record (see [`SessionRegistry::clear`]).
-    pub fn clear(&self) {
-        self.by_exam.write().clear();
+    /// Takes over `fresh`'s records in one step, so a reader sees either
+    /// the old records or the new ones, never an empty store in between
+    /// (a replication bootstrap restores into a fresh store, then swaps
+    /// it in). The tick never moves backwards.
+    pub fn replace_with(&self, fresh: FinishedStore) {
+        let fresh = fresh.shelves.into_inner();
+        let mut shelves = self.shelves.write();
+        shelves.by_exam = fresh.by_exam;
+        shelves.tick = shelves.tick.max(fresh.tick);
     }
 }
 
@@ -503,5 +571,34 @@ mod tests {
         assert_eq!(captured[0].0, "alpha");
         assert_eq!(captured[1].0, "quiz");
         assert_eq!(captured[1].1.len(), 2);
+    }
+
+    #[test]
+    fn filed_since_returns_only_current_records_filed_after_the_tick() {
+        let store = FinishedStore::new();
+        let make = |student: &str| StudentRecord::new(student.parse().unwrap(), Vec::new());
+        store.push("quiz", make("amy"));
+        store.push("quiz", make("bob"));
+        store.push("alpha", make("cat"));
+        let tick = store.tick();
+        assert_eq!(tick, 3);
+        assert!(store.filed_since(tick).is_empty());
+        // A resit since the tick counts; the record it replaced does not
+        // come back, and untouched exams are left out.
+        store.push("quiz", make("bob"));
+        store.push("quiz", make("dan"));
+        let fresh = store.filed_since(tick);
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(fresh[0].0, "quiz");
+        let students: Vec<&str> = fresh[0].1.iter().map(|r| r.student.as_str()).collect();
+        assert_eq!(students, ["bob", "dan"]);
+        assert_eq!(store.filed_since(0).len(), 2, "tick 0 is a full capture");
+        // Swapping in a fresh store never moves the tick backwards.
+        let fresh_store = FinishedStore::new();
+        fresh_store.push("quiz", make("eve"));
+        store.replace_with(fresh_store);
+        assert_eq!(store.tick(), 5);
+        assert_eq!(store.count("quiz"), 1);
+        assert_eq!(store.count("alpha"), 0);
     }
 }

@@ -63,10 +63,13 @@ use serde::{Number, Value};
 
 use mine_store::replicate::{read_message, write_message, Message};
 use mine_store::{FaultPlan, NetAction, ReplError, StreamCursor};
+use mine_streamstats::StreamEngine;
 
+use crate::adaptive::AdaptiveRegistry;
 use crate::client::{backoff_delay, HttpClient, RetryPolicy};
 use crate::journal::{apply_event, Journal, ServerImage, SessionEvent};
 use crate::metrics::Metrics;
+use crate::registry::{FinishedStore, SessionRegistry};
 use crate::router::Router;
 
 /// Socket read timeout on both sides of the stream: long enough for
@@ -1027,25 +1030,29 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     let image: ServerImage = serde_json::from_str(text).map_err(|err| ReplError::Frame {
         reason: format!("bootstrap image failed to decode: {err}"),
     })?;
+    // Restore into fresh structures first, off the gate; readers keep
+    // seeing the old state meanwhile.
+    let registry = SessionRegistry::default();
+    let finished = FinishedStore::new();
+    let stream = StreamEngine::new(*state.stream.config());
+    let adaptive = AdaptiveRegistry::new();
+    image
+        .restore(&registry, &finished, &stream, &adaptive)
+        .map_err(|reason| ReplError::Frame { reason })?;
     {
-        // Install under the exclusive gate: readers see either the old
-        // state or the complete bootstrap, never a half-restored mix.
+        // Install and swap under the exclusive gate. Each structure
+        // swaps in one step, so a reader sees the old state or the
+        // bootstrap, never an empty one, and `last_applied_seq` moves
+        // to the image only once the swap is done.
         let _gate = journal.gate_write();
         journal
             .install_snapshot(&payload, last_seq)
             .map_err(repl_io)?;
-        state.registry.clear();
-        state.finished.clear();
-        state.stream.clear();
-        state.adaptive.clear();
-        image
-            .restore(
-                &state.registry,
-                &state.finished,
-                &state.stream,
-                &state.adaptive,
-            )
-            .map_err(|reason| ReplError::Frame { reason })?;
+        state.registry.replace_with(registry);
+        state.finished.replace_with(finished);
+        state.stream.replace_with(stream);
+        state.adaptive.replace_with(adaptive);
+        journal.mark_installed(&state.finished, last_seq);
     }
     write_message(&mut writer, &Message::Ack { seq: last_seq })?;
     writer.flush()?;
@@ -1102,6 +1109,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                         &state.adaptive,
                         event,
                     );
+                    journal.mark_applied(seq);
                 }
                 write_message(&mut writer, &Message::Ack { seq })?;
                 writer.flush()?;

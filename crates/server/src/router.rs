@@ -24,7 +24,7 @@ use crate::adaptive::{
 use crate::analysis_bodies::AnalysisBodies;
 use crate::drain::Lifecycle;
 use crate::http::{Request, Response};
-use crate::journal::{Journal, ServerImage, SessionEvent};
+use crate::journal::{Journal, SessionEvent};
 use crate::metrics::{Metrics, Route};
 use crate::registry::{FinishedStore, RegistryError, SessionRegistry};
 use crate::repl::{ReplState, Role};
@@ -106,11 +106,12 @@ pub struct ServerState {
     pub adaptive: AdaptiveRegistry,
     /// Finished records, grouped per exam for live analysis.
     pub finished: FinishedStore,
-    /// The §4 pipeline with its fingerprint-keyed cache (the
-    /// `?mode=batch` escape hatch and the fallback for unstreamable
-    /// inputs). It runs inline on the request's worker: the server
-    /// already runs one worker per CPU, so fanning one read out over the
-    /// pool would only take CPU from other connections.
+    /// The §4 pipeline (the `?mode=batch` escape hatch and the fallback
+    /// for unstreamable inputs). It runs inline on the request's worker:
+    /// the server already runs one worker per CPU, so fanning one read
+    /// out over the pool would only take CPU from other connections. Its
+    /// cache is off: fingerprinting a class and cloning a cached
+    /// analysis cost more than the rare hit saved.
     pub analyzer: BatchAnalyzer,
     /// Running sufficient statistics per exam: finish-time updates in
     /// O(1 + re-assignments), analysis reads assembled from counters.
@@ -155,7 +156,9 @@ impl ServerState {
             registry: SessionRegistry::default(),
             adaptive: AdaptiveRegistry::new(),
             finished: FinishedStore::new(),
-            analyzer: BatchAnalyzer::new(config).with_threads(1),
+            analyzer: BatchAnalyzer::new(config)
+                .with_threads(1)
+                .with_cache_capacity(0),
             stream: Arc::new(StreamEngine::new(config)),
             analysis_bodies: AnalysisBodies::default(),
             metrics: Metrics::new(),
@@ -307,11 +310,12 @@ impl Router {
         response
     }
 
-    /// Writes a compacting snapshot when enough events have
-    /// accumulated. The write gate excludes every mutating handler, so
-    /// the captured [`ServerImage`] is consistent with the log. The
-    /// replication follower calls this too — it journals every applied
-    /// record, so its log compacts on the same cadence.
+    /// Compacts the log when enough events have accumulated: a delta
+    /// image while the deltas stay smaller than the base, else a fresh
+    /// base (see [`Journal::compact`]). The write gate excludes every
+    /// mutating handler, so the captured image is consistent with the
+    /// log. The replication follower calls this too — it journals every
+    /// applied record, so its log compacts on the same cadence.
     pub(crate) fn maybe_compact(&self) {
         let Some(journal) = &self.state.journal else {
             return;
@@ -325,12 +329,7 @@ impl Router {
         if !journal.due_for_snapshot() {
             return;
         }
-        let image = ServerImage::capture(
-            &self.state.registry,
-            &self.state.finished,
-            &self.state.adaptive,
-        );
-        if let Err(err) = journal.write_snapshot(&image) {
+        if let Err(err) = journal.compact(&self.state) {
             // A failed snapshot is not fatal: the log is intact and
             // compaction will be retried after the next mutation.
             eprintln!("[mine-serve] snapshot failed (log kept): {err}");
@@ -395,17 +394,14 @@ impl Router {
     fn journal_event(&self, journal: &Journal, event: &SessionEvent) -> Result<(), ApiError> {
         let payload = serde_json::to_string(event)
             .map_err(|err| ApiError::new(500, format!("event failed to serialize: {err}")))?;
-        match &self.state.repl {
-            Some(repl) => {
-                repl.append_and_publish(journal, payload.as_bytes(), &self.state.metrics)
-                    .map_err(|err| self.journal_failed(&err))?;
-            }
-            None => {
-                journal
-                    .append_raw(payload.as_bytes())
-                    .map_err(|err| self.journal_failed(&err))?;
-            }
+        let seq = match &self.state.repl {
+            Some(repl) => repl.append_and_publish(journal, payload.as_bytes(), &self.state.metrics),
+            None => journal.append_raw(payload.as_bytes()),
         }
+        .map_err(|err| self.journal_failed(&err))?;
+        // The caller applies the mutation next, still holding the
+        // session and the read gate, and replies only after it.
+        journal.mark_applied(seq);
         Ok(())
     }
 
@@ -502,7 +498,7 @@ impl Router {
             .as_ref()
             .map_or(Role::Primary, |repl| repl.role());
         let (epoch, last_applied) = match &self.state.journal {
-            Some(journal) => (journal.store().epoch(), journal.store().next_seq() - 1),
+            Some(journal) => (journal.store().epoch(), journal.applied_seq()),
             None => (mine_store::INITIAL_EPOCH, 0),
         };
         let storage = if self.state.storage.is_degraded() {
@@ -552,7 +548,7 @@ impl Router {
         let (Some(repl), Some(journal)) = (&self.state.repl, &self.state.journal) else {
             return;
         };
-        let head = journal.store().next_seq() - 1;
+        let head = journal.applied_seq();
         let role = repl.role();
         let (lag, followers) = if role == Role::Primary {
             let lag = repl
@@ -645,7 +641,7 @@ impl Router {
                 ("epoch".to_string(), epoch.to_value()),
                 (
                     "last_applied_seq".to_string(),
-                    (journal.store().next_seq() - 1).to_value(),
+                    journal.applied_seq().to_value(),
                 ),
             ]),
         ))
@@ -1702,22 +1698,23 @@ mod tests {
         assert_eq!(again.body, analysis.body);
 
         // `?mode=batch` forces the full pipeline and produces the very
-        // same bytes; a second batch read hits the analyzer's cache.
+        // same bytes; the server's analyzer keeps no cache, so a second
+        // batch read is cold again and byte-identical.
         let batch = router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch.status, 200, "{}", batch.body);
         assert_eq!(batch.body, analysis.body);
         let batch_again =
             router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch_again.body, analysis.body);
-        assert!(router.state().analyzer.cache_stats().hits >= 1);
+        assert_eq!(router.state().analyzer.cache_stats().hits, 0);
 
         // All four analyses were timed, labeled by mode (and cache
         // outcome for batch), the finish-time updates were counted, and
         // the scrape refreshes the pool gauges.
         let snapshot = router.state().metrics.snapshot(0, 0);
         assert_eq!(snapshot.analysis_duration_us.streaming.count, 2);
-        assert_eq!(snapshot.analysis_duration_us.cold.count, 1);
-        assert_eq!(snapshot.analysis_duration_us.hit.count, 1);
+        assert_eq!(snapshot.analysis_duration_us.cold.count, 2);
+        assert_eq!(snapshot.analysis_duration_us.hit.count, 0);
         assert_eq!(snapshot.streaming_update_us.count, 8);
         let scrape = router.handle(&Request::new("GET", "/metrics", ""));
         assert!(scrape
@@ -1725,10 +1722,10 @@ mod tests {
             .contains("mine_analysis_duration_seconds_count{mode=\"streaming\"} 2"));
         assert!(scrape
             .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 1"));
+            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 2"));
         assert!(scrape
             .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 1"));
+            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 0"));
         assert!(scrape.body.contains("mine_streaming_updates_total 8"));
         assert!(scrape
             .body

@@ -40,7 +40,7 @@ use mine_store::{
 };
 
 use crate::client::HttpClient;
-use crate::journal::{Journal, ServerImage};
+use crate::journal::Journal;
 use crate::repl::Role;
 use crate::router::Router;
 
@@ -258,8 +258,7 @@ fn repair(router: &Router, journal: &Journal, quarantined: u64) {
     }
     // Primary (or standalone): self-repair by compaction.
     let _gate = journal.gate_write();
-    let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
-    match journal.write_snapshot(&image) {
+    match journal.write_base(state) {
         Ok(()) => {
             state.metrics.repair_segments_total.add(quarantined);
             eprintln!(
@@ -361,8 +360,7 @@ mod tests {
         let report = ScrubReport {
             // Window 0 covers seqs 1..=1024; window 1 covers 1025..=2048.
             segments: vec![segment(1, 1000), segment(1001, 500), segment(1501, 1000)],
-            ranges: Vec::new(),
-            snapshot: None,
+            ..ScrubReport::default()
         };
         // Window 0 overlaps the first two segments.
         assert_eq!(segments_for_windows(&report, &[0]), vec![1, 1001]);

@@ -218,7 +218,6 @@ fn antientropy_child() {
         sync: SyncPolicy::Always,
         max_segment_bytes,
         fault_plan: fault_plan.clone(),
-        ..StoreOptions::default()
     };
     // No compaction cadence: the bit-rot scenario needs its sealed
     // segments to stay on disk until the scrubber reaches them.

@@ -8,14 +8,17 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Number, Value};
 
 use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
+use mine_server::http::Request;
 use mine_server::{
-    open_journaled_state, AckMode, HttpClient, ReplListener, ReplState, Role, Router, ServeOptions,
-    Server,
+    open_journaled_state, start_follower, AckMode, HttpClient, ReplListener, ReplState, Role,
+    Router, ServeOptions, Server,
 };
 use mine_store::{StoreOptions, SyncPolicy};
 
@@ -499,6 +502,122 @@ fn kill_nine_primary_promote_follower_loses_no_acked_event() {
     deposed.child.wait().unwrap();
     follower.child.kill().unwrap();
     follower.child.wait().unwrap();
+    std::fs::remove_dir_all(&primary_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
+
+/// An in-process journaled node with a replication role.
+fn in_process_node(dir: &PathBuf, role: Role) -> (Router, Arc<ReplState>) {
+    let options = StoreOptions {
+        sync: SyncPolicy::Never,
+        ..StoreOptions::default()
+    };
+    let (mut state, _) = open_journaled_state(repository(), dir, options, 0).expect("open");
+    let repl = Arc::new(ReplState::new(role, AckMode::Leader));
+    state.repl = Some(Arc::clone(&repl));
+    (Router::with_state(state), repl)
+}
+
+fn handle_ok(router: &Router, method: &str, path: &str, body: &str) -> Value {
+    let response = router.handle(&Request::new(method, path, body));
+    assert!(response.status < 300, "{method} {path}: {}", response.body);
+    serde_json::from_str(&response.body).unwrap()
+}
+
+/// Regression: a bootstrap install used to move the follower's
+/// `last_applied_seq` to the image's seq before the registries were
+/// restored, and restored them by clearing first. A client that waited
+/// for the head and then read could get `409 no finished sittings`.
+/// The head must reach the image seq only once the image is readable,
+/// and a re-bootstrap must never expose an emptied state.
+#[test]
+fn healthz_head_never_runs_ahead_of_a_bootstrap_restore() {
+    let primary_dir = temp_dir("boot-primary");
+    let follower_dir = temp_dir("boot-follower");
+    let (primary, _) = in_process_node(&primary_dir, Role::Primary);
+    // A large image makes each restore take a while.
+    for index in 0..300 {
+        let started = handle_ok(
+            &primary,
+            "POST",
+            "/sessions",
+            &format!("{{\"exam\":\"final\",\"student\":\"b{index:03}\",\"seed\":{index}}}"),
+        );
+        let session = started.get("session").and_then(Value::as_str).unwrap();
+        for problem in started.get("problems").and_then(Value::as_array).unwrap() {
+            let problem = problem.get("id").and_then(Value::as_str).unwrap();
+            let body = format!(
+                "{{\"answer\":{},\"time_spent_secs\":9}}",
+                answer_json(problem, index)
+            );
+            handle_ok(
+                &primary,
+                "POST",
+                &format!("/sessions/{session}/answers"),
+                &body,
+            );
+        }
+        handle_ok(&primary, "POST", &format!("/sessions/{session}/finish"), "");
+    }
+    let image_seq = primary.state().journal.as_ref().unwrap().applied_seq();
+    let listener = ReplListener::start("127.0.0.1:0", primary.clone()).expect("bind repl");
+    let (follower, follower_repl) = in_process_node(&follower_dir, Role::Follower);
+    let puller = start_follower(listener.local_addr().to_string(), follower.clone());
+
+    // A reader that trusts the head: once `/healthz` reports the image
+    // seq, an analysis read must find the class.
+    let stop = Arc::new(AtomicBool::new(false));
+    let checked = Arc::new(AtomicUsize::new(0));
+    let reader = {
+        let (follower, stop, checked) = (follower.clone(), Arc::clone(&stop), Arc::clone(&checked));
+        std::thread::spawn(move || {
+            let mut conflicts = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                let health = handle_ok(&follower, "GET", "/healthz", "");
+                if healthz_u64(&health, "last_applied_seq") < image_seq {
+                    continue;
+                }
+                let read = follower.handle(&Request::new("GET", "/exams/final/analysis", ""));
+                checked.fetch_add(1, Ordering::Relaxed);
+                if read.status == 409 {
+                    conflicts.push(read.body);
+                }
+            }
+            conflicts
+        })
+    };
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for round in 0..6 {
+        if round > 0 {
+            follower_repl.request_resync(0);
+        }
+        while follower_repl.resync_requested()
+            || follower.state().journal.as_ref().unwrap().applied_seq() < image_seq
+        {
+            assert!(
+                Instant::now() < deadline,
+                "bootstrap round {round} never finished"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    stop.store(true, Ordering::Release);
+    let conflicts = reader.join().unwrap();
+    follower_repl.stop_puller();
+    puller.join();
+    listener.shutdown();
+    assert!(
+        checked.load(Ordering::Relaxed) > 0,
+        "the reader never saw the head"
+    );
+    assert!(
+        conflicts.is_empty(),
+        "{} read(s) at the image head answered 409: {:?}",
+        conflicts.len(),
+        conflicts.first()
+    );
+    drop((primary, follower));
     std::fs::remove_dir_all(&primary_dir).unwrap();
     std::fs::remove_dir_all(&follower_dir).unwrap();
 }

@@ -4,9 +4,9 @@
 //! A [`FaultPlan`] is the single source of chaos for a node. It is
 //! injected behind two seams:
 //!
-//! - **disk** — [`crate::EventStore`] consults it on every append and
-//!   segment fsync (`disk.append_err`, `disk.torn`, `disk.fsync_err`),
-//!   and the scrubber's injection seam consults it for data-at-rest
+//! - **disk** — [`crate::EventStore`] consults it on every append,
+//!   segment fsync and image write (`disk.append_err`, `disk.torn`,
+//!   `disk.fsync_err`, `disk.snapshot_err`), and the scrubber's injection seam consults it for data-at-rest
 //!   corruption (`disk.bitrot`);
 //! - **network** — the replication shipper consults it before every
 //!   outgoing frame (`net.drop`, `net.dup`, `net.delay`,
@@ -109,8 +109,10 @@ pub struct FaultPlan {
     /// [`fmt::Display`] stays canonical; claims are tracked separately.
     bitrot: BTreeMap<u64, usize>,
     fsync_err_calls: BTreeMap<u64, ()>,
+    snapshot_err_calls: BTreeSet<u64>,
     net: BTreeMap<u64, NetFault>,
     fsync_calls: AtomicU64,
+    snapshot_calls: AtomicU64,
     frames: AtomicU64,
     blackout: Mutex<Option<Blackout>>,
     /// Sequence numbers whose bit-rot injection has already fired, so
@@ -141,8 +143,10 @@ impl FaultPlan {
             disk: BTreeMap::new(),
             bitrot: BTreeMap::new(),
             fsync_err_calls: BTreeMap::new(),
+            snapshot_err_calls: BTreeSet::new(),
             net: BTreeMap::new(),
             fsync_calls: AtomicU64::new(0),
+            snapshot_calls: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             blackout: Mutex::new(None),
             bitrot_claimed: Mutex::new(BTreeSet::new()),
@@ -188,6 +192,7 @@ impl FaultPlan {
     /// | `disk.torn@SEQ:BYTES` | append of seq `SEQ` tears after `BYTES` bytes |
     /// | `disk.bitrot@SEQ:BYTES` | flip `BYTES` payload bytes of sealed record `SEQ` at rest |
     /// | `disk.fsync_err@CALL` | the `CALL`-th segment fsync fails |
+    /// | `disk.snapshot_err@CALL` | the `CALL`-th image write (base, delta or install) fails before its rename |
     /// | `net.drop@FRAME` | outgoing frame `FRAME` vanishes |
     /// | `net.dup@FRAME` | outgoing frame `FRAME` is sent twice |
     /// | `net.delay@FRAME:MS` | outgoing frame `FRAME` is delayed `MS` ms |
@@ -276,6 +281,9 @@ impl FaultPlan {
             "disk.fsync_err" => {
                 self.fsync_err_calls.insert(at, ());
             }
+            "disk.snapshot_err" => {
+                self.snapshot_err_calls.insert(at);
+            }
             "net.drop" => {
                 self.net.insert(at, NetFault::Drop);
             }
@@ -311,6 +319,7 @@ impl FaultPlan {
         self.disk.is_empty()
             && self.bitrot.is_empty()
             && self.fsync_err_calls.is_empty()
+            && self.snapshot_err_calls.is_empty()
             && self.net.is_empty()
     }
 
@@ -348,6 +357,14 @@ impl FaultPlan {
     pub fn fsync_fails(&self) -> bool {
         let call = self.fsync_calls.fetch_add(1, Ordering::SeqCst) + 1;
         self.fsync_err_calls.contains_key(&call)
+    }
+
+    /// Counts one image write (base, delta or installed bootstrap) and
+    /// reports whether this one is scheduled to fail. Calls are
+    /// numbered from 1.
+    pub fn snapshot_fails(&self) -> bool {
+        let call = self.snapshot_calls.fetch_add(1, Ordering::SeqCst) + 1;
+        self.snapshot_err_calls.contains(&call)
     }
 
     /// Counts one outgoing replication frame and returns what to do
@@ -407,6 +424,9 @@ impl fmt::Display for FaultPlan {
         for call in self.fsync_err_calls.keys() {
             parts.push(format!("disk.fsync_err@{call}"));
         }
+        for call in &self.snapshot_err_calls {
+            parts.push(format!("disk.snapshot_err@{call}"));
+        }
         for (frame, fault) in &self.net {
             match fault {
                 NetFault::Drop => parts.push(format!("net.drop@{frame}")),
@@ -431,7 +451,7 @@ mod tests {
     #[test]
     fn explicit_directives_parse_and_round_trip() {
         let plan = FaultPlan::parse(
-            "seed=9;disk.append_err@4;disk.torn@7:9;disk.fsync_err@2;\
+            "seed=9;disk.append_err@4;disk.torn@7:9;disk.fsync_err@2;disk.snapshot_err@3;\
              net.drop@3;net.dup@5;net.delay@6:25;net.partition@8:100;net.half_open@9:50",
         )
         .unwrap();
@@ -492,6 +512,15 @@ mod tests {
         assert!(!plan.fsync_fails());
         assert!(plan.fsync_fails());
         assert!(!plan.fsync_fails());
+    }
+
+    #[test]
+    fn snapshot_writes_are_counted_from_one() {
+        let plan = FaultPlan::parse("disk.snapshot_err@2").unwrap();
+        assert!(!plan.snapshot_fails());
+        assert!(plan.snapshot_fails());
+        assert!(!plan.snapshot_fails());
+        assert_eq!(plan.to_string(), "seed=0;disk.snapshot_err@2");
     }
 
     #[test]

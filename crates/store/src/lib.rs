@@ -2,8 +2,8 @@
 //!
 //! This crate gives the delivery service a crash-safe persistence
 //! layer: every mutation is journaled as a CRC-framed record in a
-//! write-ahead log, segments rotate by size, snapshots compact the
-//! history, and [`EventStore::open`] rebuilds everything a previous
+//! write-ahead log, segments rotate by size, base and delta snapshots
+//! compact the history, and [`EventStore::open`] rebuilds everything a previous
 //! process wrote — repairing the torn final record a kill -9 leaves
 //! behind and refusing to paper over corruption anywhere else.
 //!
@@ -38,9 +38,7 @@ pub mod scrub;
 
 pub use error::StoreError;
 pub use fault::{DiskFault, FaultPlan, NetAction, NetFault};
-pub use log::{
-    AppendFault, EventStore, Record, Recovered, Snapshot, StoreOptions, SyncPolicy, INITIAL_EPOCH,
-};
+pub use log::{EventStore, Record, Recovered, Snapshot, StoreOptions, SyncPolicy, INITIAL_EPOCH};
 pub use replicate::{Message, ReplError, StreamCursor};
 pub use scrub::{
     diverging_windows, inject_bitrot, scrub_dir, RangeHash, ScrubReport, SegmentReport,

@@ -3,29 +3,33 @@
 //!
 //! # On-disk layout
 //!
-//! A store directory holds two kinds of files:
+//! A store directory holds three kinds of files:
 //!
 //! ```text
 //! wal-00000000000000000001.log    segment: frames (see `frame`), first seq 1
 //! wal-00000000000000000812.log    next segment after size-based rotation
-//! snapshot-00000000000000000811.snap   caller payload covering seq ≤ 811
+//! snapshot-00000000000000000811.snap   base image covering seq ≤ 811
+//! delta-00000000000000001323.snap      delta image covering 811 < seq ≤ 1323
 //! ```
 //!
 //! Records carry monotonically increasing sequence numbers, starting
-//! from one. A snapshot file named `snapshot-{N}` asserts that its
-//! payload captures the effect of every record with seq ≤ N; compaction
-//! writes one atomically (temp sibling + fsync + rename + directory
-//! fsync — the same pattern `RepositorySnapshot::save` uses) and then
-//! deletes the segments it covers.
+//! from one. A snapshot file named `snapshot-{N}` (the *base*) asserts
+//! that its payload captures the effect of every record with seq ≤ N. A
+//! `delta-{N}` file asserts that the base plus every delta before it
+//! plus its own payload capture every record with seq ≤ N; what a delta
+//! holds is the caller's business. Compaction writes either kind
+//! atomically (temp sibling + fsync + rename + directory fsync — the
+//! same pattern `RepositorySnapshot::save` uses) and then deletes the
+//! segments it covers. A new base also deletes every delta.
 //!
 //! # Recovery
 //!
 //! [`EventStore::open`] replays the directory: it loads the newest
-//! snapshot, scans every segment, skips records the snapshot already
-//! covers, and returns the tail records for the caller to apply. A torn
-//! final record — the signature of a crash mid-append — is truncated
-//! away with a warning; a damaged record *inside* the committed history
-//! is an error, never silently dropped.
+//! base and the deltas newer than it, scans every segment, skips
+//! records the images already cover, and returns the tail records for
+//! the caller to apply. A torn final record — the signature of a crash
+//! mid-append — is truncated away with a warning; a damaged record
+//! *inside* the committed history is an error, never silently dropped.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -84,9 +88,6 @@ pub struct StoreOptions {
     pub sync: SyncPolicy,
     /// Rotate to a new segment once the current one reaches this size.
     pub max_segment_bytes: u64,
-    /// Fault injection for tests: fail one append mid-frame. `None` in
-    /// production.
-    pub append_fault: Option<AppendFault>,
     /// A seeded, replayable fault schedule (see [`FaultPlan`]) shared
     /// with the replication layer. `None` in production.
     pub fault_plan: Option<std::sync::Arc<FaultPlan>>,
@@ -97,22 +98,9 @@ impl Default for StoreOptions {
         Self {
             sync: SyncPolicy::Always,
             max_segment_bytes: 8 * 1024 * 1024,
-            append_fault: None,
             fault_plan: None,
         }
     }
-}
-
-/// Test-only fault injection: the append assigned `at_seq` writes only
-/// `partial_bytes` of its frame and then fails as if the disk returned
-/// `ENOSPC`. Exercises the store's real truncate-and-poison error path
-/// without needing a genuinely full filesystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppendFault {
-    /// Sequence number of the append that fails.
-    pub at_seq: u64,
-    /// How many bytes of the frame land on disk before the failure.
-    pub partial_bytes: usize,
 }
 
 /// One recovered record.
@@ -124,10 +112,10 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// The newest snapshot found during recovery.
+/// One image (a base snapshot or a delta) found during recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The snapshot covers every record with seq ≤ `last_seq`.
+    /// The image covers every record with seq ≤ `last_seq`.
     pub last_seq: u64,
     /// The caller's payload, byte for byte.
     pub payload: Vec<u8>,
@@ -136,9 +124,12 @@ pub struct Snapshot {
 /// Everything [`EventStore::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered {
-    /// The newest snapshot, when one exists.
+    /// The newest base snapshot, when one exists.
     pub snapshot: Option<Snapshot>,
-    /// Tail records not covered by the snapshot, in sequence order.
+    /// The deltas written on top of that base, in sequence order.
+    pub deltas: Vec<Snapshot>,
+    /// Tail records not covered by the base or its deltas, in sequence
+    /// order.
     pub events: Vec<Record>,
     /// Repairs performed (torn tails truncated), human-readable.
     pub warnings: Vec<String>,
@@ -153,6 +144,10 @@ struct Inner {
     segment_records: u64,
     next_seq: u64,
     since_snapshot: u64,
+    /// Payload bytes of the current base and of its deltas; the
+    /// caller's fold rule compares them.
+    base_bytes: u64,
+    delta_bytes: u64,
     last_sync: Instant,
     dirty: bool,
     /// Set when an append failed mid-write; holds the cause. A poisoned
@@ -189,6 +184,10 @@ pub(crate) fn segment_name(first_seq: u64) -> String {
 
 pub(crate) fn snapshot_name(last_seq: u64) -> String {
     format!("snapshot-{last_seq:020}.snap")
+}
+
+pub(crate) fn delta_name(last_seq: u64) -> String {
+    format!("delta-{last_seq:020}.snap")
 }
 
 pub(crate) fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -259,19 +258,23 @@ impl EventStore {
 
         let mut segment_seqs = Vec::new();
         let mut snapshot_seqs = Vec::new();
+        let mut delta_seqs = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let name = entry?.file_name().to_string_lossy().into_owned();
             if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
                 segment_seqs.push(seq);
             } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
                 snapshot_seqs.push(seq);
+            } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
+                delta_seqs.push(seq);
             }
         }
         segment_seqs.sort_unstable();
         snapshot_seqs.sort_unstable();
+        delta_seqs.sort_unstable();
 
-        // Newest snapshot wins; older ones are leftovers of a crash
-        // between snapshot write and cleanup.
+        // Newest base wins; older bases, and deltas at or below it, are
+        // leftovers of a crash between a base write and its cleanup.
         let snapshot = match snapshot_seqs.last() {
             Some(&last_seq) => {
                 let payload = std::fs::read(dir.join(snapshot_name(last_seq)))?;
@@ -282,7 +285,30 @@ impl EventStore {
             }
             None => None,
         };
-        let snapshot_seq = snapshot.as_ref().map_or(0, |s| s.last_seq);
+        let base_seq = snapshot.as_ref().map_or(0, |s| s.last_seq);
+        let mut deltas = Vec::new();
+        for &seq in &delta_seqs {
+            if seq <= base_seq {
+                let _ = std::fs::remove_file(dir.join(delta_name(seq)));
+                continue;
+            }
+            if snapshot.is_none() {
+                return Err(StoreError::Corrupt {
+                    file: delta_name(seq),
+                    offset: 0,
+                    reason: "delta image without a base snapshot".to_string(),
+                });
+            }
+            let payload = std::fs::read(dir.join(delta_name(seq)))?;
+            deltas.push(Snapshot {
+                last_seq: seq,
+                payload,
+            });
+        }
+        let base_bytes = snapshot.as_ref().map_or(0, |s| s.payload.len() as u64);
+        let delta_bytes = deltas.iter().map(|d| d.payload.len() as u64).sum();
+        // The tail starts after the newest image.
+        let snapshot_seq = deltas.last().map_or(base_seq, |d| d.last_seq);
 
         let mut events: Vec<Record> = Vec::new();
         let mut warnings = Vec::new();
@@ -382,6 +408,8 @@ impl EventStore {
                 segment_records,
                 next_seq,
                 since_snapshot: events.len() as u64,
+                base_bytes,
+                delta_bytes,
                 last_sync: Instant::now(),
                 dirty: false,
                 poisoned: None,
@@ -392,6 +420,7 @@ impl EventStore {
             store,
             Recovered {
                 snapshot,
+                deltas,
                 events,
                 warnings,
                 segments,
@@ -505,13 +534,8 @@ impl EventStore {
         inner.file.sync_data()
     }
 
-    /// Writes one encoded frame, honouring the fault-injection knobs.
+    /// Writes one encoded frame, honouring the fault plan.
     fn write_frame(&self, inner: &mut Inner, seq: u64, frame: &[u8]) -> std::io::Result<()> {
-        if let Some(fault) = self.options.append_fault {
-            if fault.at_seq == seq {
-                return Self::torn_write(inner, frame, fault.partial_bytes);
-            }
-        }
         if let Some(plan) = &self.options.fault_plan {
             match plan.disk_fault(seq) {
                 Some(DiskFault::AppendError) => {
@@ -678,11 +702,7 @@ impl EventStore {
     /// writer) and [`StoreError::Poisoned`] after an earlier failure.
     pub fn sync(&self) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        if let Some(cause) = &inner.poisoned {
-            return Err(StoreError::Poisoned {
-                cause: cause.clone(),
-            });
-        }
+        Self::refuse_poisoned(&inner)?;
         if let Err(err) = self.segment_sync(&mut inner) {
             return Err(self.poison(&mut inner, err));
         }
@@ -724,15 +744,24 @@ impl EventStore {
         self.inner.lock().expect("store mutex").next_seq
     }
 
-    /// Records appended since the last snapshot (or open).
+    /// Records appended since the last base or delta (or open).
     #[must_use]
     pub fn events_since_snapshot(&self) -> u64 {
         self.inner.lock().expect("store mutex").since_snapshot
     }
 
-    /// Writes a snapshot covering every record appended so far, then
-    /// compacts: all existing segments are deleted and the log restarts
-    /// in a fresh segment.
+    /// Payload bytes of the current base image and the total of its
+    /// deltas, `(base, deltas)`; `(0, 0)` before the first base. The
+    /// caller's fold rule weighs a new delta against them.
+    #[must_use]
+    pub fn image_bytes(&self) -> (u64, u64) {
+        let inner = self.inner.lock().expect("store mutex");
+        (inner.base_bytes, inner.delta_bytes)
+    }
+
+    /// Writes a base snapshot covering every record appended so far,
+    /// then compacts: every delta, every older base and every segment
+    /// is deleted and the log restarts in a fresh segment.
     ///
     /// The caller owns the payload format and must guarantee it really
     /// captures the effect of every record with seq < [`EventStore::next_seq`];
@@ -741,63 +770,60 @@ impl EventStore {
     ///
     /// The write is atomic — temp sibling, fsync, rename, directory
     /// fsync — so readers and recovery see either the old complete
-    /// snapshot or the new complete snapshot, never a prefix.
+    /// images or the new complete snapshot, never a prefix.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure; the previous
-    /// snapshot (if any) survives a failed attempt.
+    /// images (if any) survive a failed attempt.
     pub fn snapshot(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        if let Some(cause) = &inner.poisoned {
-            return Err(StoreError::Poisoned {
-                cause: cause.clone(),
-            });
-        }
+        Self::refuse_poisoned(&inner)?;
         let last_seq = inner.next_seq - 1;
-        let final_path = self.dir.join(snapshot_name(last_seq));
-        let tmp_path = self.dir.join(format!(
-            ".{}.tmp.{}",
-            snapshot_name(last_seq),
-            std::process::id()
-        ));
-        let result = (|| {
-            let mut file = File::create(&tmp_path)?;
-            file.write_all(payload)?;
-            file.sync_all()?;
-            std::fs::rename(&tmp_path, &final_path)?;
-            sync_dir(&self.dir)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(result.expect_err("checked").into());
-        }
+        self.write_image(&snapshot_name(last_seq), payload)?;
+        // The base is durable: drop everything it covers. Deltas go
+        // first, so a crash part-way leaves only deltas at or below the
+        // base, which recovery discards.
+        self.remove_covered(|name| {
+            parse_numbered(name, "delta-", ".snap").is_some()
+                || parse_numbered(name, "snapshot-", ".snap").is_some_and(|seq| seq < last_seq)
+        })?;
+        inner.base_bytes = payload.len() as u64;
+        inner.delta_bytes = 0;
+        let next_seq = inner.next_seq;
+        self.restart_log(&mut inner, next_seq)
+    }
 
-        // The snapshot is durable: drop everything it covers.
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name().to_string_lossy().into_owned();
-            let stale_segment = parse_numbered(&name, "wal-", ".log").is_some();
-            let stale_snapshot =
-                parse_numbered(&name, "snapshot-", ".snap").is_some_and(|seq| seq < last_seq);
-            if stale_segment || stale_snapshot {
-                let _ = std::fs::remove_file(self.dir.join(&name));
-            }
-        }
-        let path = self.dir.join(segment_name(inner.next_seq));
-        inner.file = OpenOptions::new().create(true).append(true).open(&path)?;
-        inner.segment_path = path;
-        inner.segment_bytes = 0;
-        inner.segment_records = 0;
-        inner.since_snapshot = 0;
-        inner.dirty = false;
-        sync_dir(&self.dir)?;
-        Ok(())
+    /// Writes a delta image covering every record appended so far, on
+    /// top of the current base and earlier deltas, then deletes the
+    /// segments it covers (all of them) and restarts the log in a fresh
+    /// segment. The base and earlier deltas stay: recovery returns them
+    /// all, in order.
+    ///
+    /// The same contract as [`EventStore::snapshot`] otherwise: the
+    /// caller quiesces appends and owns the payload, and the write is
+    /// atomic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on filesystem failure (the images and
+    /// log written so far survive) and [`StoreError::Poisoned`] after a
+    /// failed append.
+    pub fn snapshot_delta(&self, payload: &[u8]) -> Result<(), StoreError> {
+        let mut inner = self.inner.lock().expect("store mutex");
+        Self::refuse_poisoned(&inner)?;
+        let last_seq = inner.next_seq - 1;
+        self.write_image(&delta_name(last_seq), payload)?;
+        self.remove_covered(|_| false)?;
+        inner.delta_bytes += payload.len() as u64;
+        let next_seq = inner.next_seq;
+        self.restart_log(&mut inner, next_seq)
     }
 
     /// Replaces the store's entire history with a snapshot received from
     /// elsewhere (a replication bootstrap), asserting it covers every
-    /// record with seq ≤ `last_seq`. All local segments and older
-    /// snapshots are discarded and the writer restarts at
+    /// record with seq ≤ `last_seq`. All local segments, deltas and
+    /// older snapshots are discarded and the writer restarts at
     /// `last_seq + 1` — after this, local appends carry the *same*
     /// sequence numbers as the source's records, which is what lets a
     /// follower mirror its primary's WAL byte for byte.
@@ -812,42 +838,75 @@ impl EventStore {
     /// [`StoreError::Poisoned`] after a failed append.
     pub fn install_snapshot(&self, payload: &[u8], last_seq: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        if let Some(cause) = &inner.poisoned {
-            return Err(StoreError::Poisoned {
+        Self::refuse_poisoned(&inner)?;
+        self.write_image(&snapshot_name(last_seq), payload)?;
+        // The installed snapshot supersedes every local artifact:
+        // deltas, segments (whatever their seqs meant locally) and any
+        // snapshot not named exactly `last_seq`.
+        self.remove_covered(|name| {
+            parse_numbered(name, "delta-", ".snap").is_some()
+                || parse_numbered(name, "snapshot-", ".snap").is_some_and(|seq| seq != last_seq)
+        })?;
+        inner.base_bytes = payload.len() as u64;
+        inner.delta_bytes = 0;
+        self.restart_log(&mut inner, last_seq + 1)
+    }
+
+    fn refuse_poisoned(inner: &Inner) -> Result<(), StoreError> {
+        match &inner.poisoned {
+            Some(cause) => Err(StoreError::Poisoned {
                 cause: cause.clone(),
-            });
+            }),
+            None => Ok(()),
         }
-        let final_path = self.dir.join(snapshot_name(last_seq));
-        let tmp_path = self.dir.join(format!(
-            ".{}.tmp.{}",
-            snapshot_name(last_seq),
-            std::process::id()
-        ));
+    }
+
+    /// Writes one image file atomically: temp sibling, fsync, rename,
+    /// directory fsync. A scheduled `disk.snapshot_err` fails the write
+    /// after the fsync and before the rename, so the temp file is what
+    /// a failed write leaves to clean up.
+    fn write_image(&self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
+        let final_path = self.dir.join(name);
+        let tmp_path = self.dir.join(format!(".{name}.tmp.{}", std::process::id()));
         let result = (|| {
             let mut file = File::create(&tmp_path)?;
             file.write_all(payload)?;
             file.sync_all()?;
+            if let Some(plan) = &self.options.fault_plan {
+                if plan.snapshot_fails() {
+                    return Err(std::io::Error::other("injected snapshot write failure"));
+                }
+            }
             std::fs::rename(&tmp_path, &final_path)?;
             sync_dir(&self.dir)
         })();
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp_path);
-            return Err(result.expect_err("checked").into());
         }
+        result.map_err(Into::into)
+    }
 
-        // The installed snapshot supersedes every local artifact:
-        // segments (whatever their seqs meant locally) and any snapshot
-        // not named exactly `last_seq`.
+    /// Best-effort removal of every image file `stale_image` selects,
+    /// then of every segment: the image just written covers them all.
+    fn remove_covered(&self, stale_image: impl Fn(&str) -> bool) -> Result<(), StoreError> {
+        let mut segments = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let name = entry?.file_name().to_string_lossy().into_owned();
-            let stale_segment = parse_numbered(&name, "wal-", ".log").is_some();
-            let stale_snapshot =
-                parse_numbered(&name, "snapshot-", ".snap").is_some_and(|seq| seq != last_seq);
-            if stale_segment || stale_snapshot {
+            if parse_numbered(&name, "wal-", ".log").is_some() {
+                segments.push(name);
+            } else if stale_image(&name) {
                 let _ = std::fs::remove_file(self.dir.join(&name));
             }
         }
-        let next_seq = last_seq + 1;
+        for name in segments {
+            let _ = std::fs::remove_file(self.dir.join(&name));
+        }
+        Ok(())
+    }
+
+    /// Points the writer at a fresh segment starting at `next_seq`
+    /// after an image write deleted the old ones.
+    fn restart_log(&self, inner: &mut Inner, next_seq: u64) -> Result<(), StoreError> {
         let path = self.dir.join(segment_name(next_seq));
         inner.file = OpenOptions::new().create(true).append(true).open(&path)?;
         inner.segment_path = path;
@@ -969,6 +1028,131 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn image_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".snap"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn deltas_stack_on_the_base_and_a_new_base_deletes_them() {
+        let dir = temp_dir("deltas");
+        let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        store.append(b"e1").unwrap();
+        store.snapshot(b"base-1").unwrap();
+        store.append(b"e2").unwrap();
+        store.snapshot_delta(b"d-2").unwrap();
+        store.append(b"e3").unwrap();
+        store.append(b"e4").unwrap();
+        store.snapshot_delta(b"d-4").unwrap();
+        assert_eq!(store.events_since_snapshot(), 0);
+        assert_eq!(store.image_bytes(), (6, 6));
+        store.append(b"tail-5").unwrap();
+        drop(store);
+
+        let (store, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.snapshot.as_ref().unwrap().last_seq, 1);
+        let deltas: Vec<(u64, &[u8])> = recovered
+            .deltas
+            .iter()
+            .map(|d| (d.last_seq, d.payload.as_slice()))
+            .collect();
+        assert_eq!(deltas, [(2, &b"d-2"[..]), (4, &b"d-4"[..])]);
+        assert_eq!(payloads(&recovered), ["tail-5"]);
+        assert_eq!(store.image_bytes(), (6, 6), "totals are read back at open");
+        assert_eq!(store.next_seq(), 6);
+
+        store.snapshot(b"base-5").unwrap();
+        assert_eq!(image_files(&dir), [snapshot_name(5)]);
+        assert_eq!(store.image_bytes(), (6, 0));
+        drop(store);
+        let (_, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert!(recovered.deltas.is_empty());
+        assert!(recovered.events.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_leftovers_around_images_recover_to_the_newest_history() {
+        let dir = temp_dir("delta-leftovers");
+        let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        store.append(b"e1").unwrap();
+        store.snapshot(b"base-1").unwrap();
+        store.append(b"e2").unwrap();
+        store.snapshot_delta(b"d-2").unwrap();
+        store.append(b"e3").unwrap();
+        drop(store);
+        // A crash between a delta's rename and its segment deletion
+        // leaves segments the delta covers.
+        std::fs::write(dir.join(delta_name(3)), b"d-3").unwrap();
+        let (store, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.deltas.len(), 2);
+        assert!(recovered.events.is_empty(), "the segment is covered");
+        assert_eq!(store.next_seq(), 4);
+        drop(store);
+        // A crash between a new base's rename and the delta cleanup
+        // leaves deltas at or below the base: they are discarded.
+        std::fs::write(dir.join(snapshot_name(3)), b"base-3").unwrap();
+        let (_, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.snapshot.as_ref().unwrap().payload, b"base-3");
+        assert!(recovered.deltas.is_empty());
+        assert!(recovered.events.is_empty());
+        assert_eq!(image_files(&dir), [snapshot_name(3)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_delta_without_a_base_is_corruption() {
+        let dir = temp_dir("orphan-delta");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(delta_name(4)), b"d-4").unwrap();
+        assert!(matches!(
+            EventStore::open(&dir, StoreOptions::default()),
+            Err(StoreError::Corrupt { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_image_writes_keep_the_log_and_leave_no_temp_file() {
+        let dir = temp_dir("snapshot-err");
+        let options = StoreOptions {
+            fault_plan: Some(std::sync::Arc::new(
+                FaultPlan::parse("disk.snapshot_err@2;disk.snapshot_err@3").unwrap(),
+            )),
+            ..StoreOptions::default()
+        };
+        let (store, _) = EventStore::open(&dir, options).unwrap();
+        store.append(b"e1").unwrap();
+        store.snapshot(b"base-1").unwrap();
+        store.append(b"e2").unwrap();
+        assert!(matches!(
+            store.snapshot_delta(b"d-2"),
+            Err(StoreError::Io(_))
+        ));
+        assert!(matches!(store.snapshot(b"base-2"), Err(StoreError::Io(_))));
+        assert_eq!(store.events_since_snapshot(), 1, "nothing was compacted");
+        assert_eq!(store.image_bytes(), (6, 0));
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|name| !name.contains(".tmp.")),
+            "{names:?}"
+        );
+        store.snapshot_delta(b"d-2").unwrap();
+        drop(store);
+        let (_, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered.deltas.len(), 1);
+        assert!(recovered.events.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn empty_snapshot_covering_no_events_is_valid() {
         let dir = temp_dir("empty-snap");
@@ -1027,10 +1211,10 @@ mod tests {
     fn failed_append_poisons_the_writer_and_leaves_no_half_frame() {
         let dir = temp_dir("poison");
         let options = StoreOptions {
-            append_fault: Some(AppendFault {
-                at_seq: 3,
-                partial_bytes: 9, // mid-header: worst-case torn write
-            }),
+            // Tear seq 3 mid-header: the worst-case torn write.
+            fault_plan: Some(std::sync::Arc::new(
+                FaultPlan::parse("disk.torn@3:9").unwrap(),
+            )),
             ..StoreOptions::default()
         };
         let (store, _) = EventStore::open(&dir, options).unwrap();
@@ -1065,8 +1249,11 @@ mod tests {
         let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
         // Local history that the installed snapshot must wipe out.
         store.append(b"local-1").unwrap();
+        store.snapshot(b"local-base").unwrap();
         store.append(b"local-2").unwrap();
+        store.snapshot_delta(b"local-delta").unwrap();
         store.install_snapshot(b"primary-image", 41).unwrap();
+        assert_eq!(image_files(&dir), [snapshot_name(41)]);
         // The next append continues the *primary's* numbering.
         assert_eq!(store.next_seq(), 42);
         assert_eq!(store.append(b"tail-42").unwrap(), 42);
@@ -1172,27 +1359,6 @@ mod tests {
         assert_eq!(payloads(&recovered), ["one"]);
         assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
         assert_eq!(store.append(b"two").unwrap(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fault_plan_torn_write_matches_the_legacy_append_fault() {
-        let dir = temp_dir("plan-torn");
-        let options = StoreOptions {
-            fault_plan: Some(std::sync::Arc::new(
-                FaultPlan::parse("disk.torn@3:9").unwrap(),
-            )),
-            ..StoreOptions::default()
-        };
-        let (store, _) = EventStore::open(&dir, options).unwrap();
-        store.append(b"one").unwrap();
-        store.append(b"two").unwrap();
-        assert!(matches!(store.append(b"doomed"), Err(StoreError::Io(_))));
-        drop(store);
-        // The half-frame was truncated at fault time: recovery is clean.
-        let (_, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(payloads(&recovered), ["one", "two"]);
-        assert!(recovered.warnings.is_empty(), "{:?}", recovered.warnings);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,5 @@
 //! Integrity scrubbing: re-verifies the CRCs and framing of sealed WAL
-//! segments and the newest snapshot, and condenses intact history into
+//! segments and the newest snapshot with its deltas, and condenses intact history into
 //! comparable *range hashes*.
 //!
 //! A scrub pass is the read-only half of anti-entropy. It never
@@ -87,10 +87,10 @@ pub struct SegmentReport {
     pub corrupt: Option<String>,
 }
 
-/// The verdict on the newest snapshot file.
+/// The verdict on one image file: the newest base snapshot or a delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotReport {
-    /// File name (`snapshot-….snap`).
+    /// File name (`snapshot-….snap` or `delta-….snap`).
     pub file: String,
     /// The sequence number the snapshot claims to cover.
     pub last_seq: u64,
@@ -109,14 +109,26 @@ pub struct ScrubReport {
     pub ranges: Vec<RangeHash>,
     /// The newest snapshot's verdict, when one exists.
     pub snapshot: Option<SnapshotReport>,
+    /// Verdicts on the deltas newer than that snapshot, in sequence
+    /// order.
+    pub deltas: Vec<SnapshotReport>,
 }
 
 impl ScrubReport {
-    /// True when no segment and no snapshot failed verification.
+    /// True when no segment and no image failed verification.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.corrupt_segments().is_empty()
-            && self.snapshot.as_ref().is_none_or(|s| s.corrupt.is_none())
+        self.corrupt_segments().is_empty() && self.corrupt_images() == 0
+    }
+
+    /// How many image files (base or delta) failed verification.
+    #[must_use]
+    pub fn corrupt_images(&self) -> usize {
+        self.snapshot
+            .iter()
+            .chain(&self.deltas)
+            .filter(|image| image.corrupt.is_some())
+            .count()
     }
 
     /// The segments that failed verification.
@@ -145,16 +157,20 @@ impl ScrubReport {
 pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, StoreError> {
     let mut segment_seqs = Vec::new();
     let mut snapshot_seqs = Vec::new();
+    let mut delta_seqs = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name().to_string_lossy().into_owned();
         if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
             segment_seqs.push(seq);
         } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
             snapshot_seqs.push(seq);
+        } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
+            delta_seqs.push(seq);
         }
     }
     segment_seqs.sort_unstable();
     snapshot_seqs.sort_unstable();
+    delta_seqs.sort_unstable();
 
     let mut report = ScrubReport::default();
     let mut windows: BTreeMap<u64, RangeHash> = BTreeMap::new();
@@ -221,29 +237,29 @@ pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, Store
     }
     report.ranges = windows.into_values().collect();
 
-    if let Some(&last_seq) = snapshot_seqs.last() {
-        let file = crate::log::snapshot_name(last_seq);
-        match std::fs::read(dir.join(&file)) {
-            Ok(payload) => {
-                report.snapshot = Some(SnapshotReport {
-                    file,
-                    last_seq,
-                    bytes: payload.len() as u64,
-                    corrupt: None,
-                });
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => {
-                report.snapshot = Some(SnapshotReport {
-                    file,
-                    last_seq,
-                    bytes: 0,
-                    corrupt: Some(err.to_string()),
-                });
-            }
-        }
-    }
+    let base_seq = snapshot_seqs.last().copied();
+    report.snapshot = base_seq.and_then(|seq| read_image(dir, crate::log::snapshot_name(seq), seq));
+    report.deltas = delta_seqs
+        .into_iter()
+        .filter(|&seq| base_seq.is_some_and(|base| seq > base))
+        .filter_map(|seq| read_image(dir, crate::log::delta_name(seq), seq))
+        .collect();
     Ok(report)
+}
+
+/// Reads one image file back; `None` when it vanished mid-pass.
+fn read_image(dir: &Path, file: String, last_seq: u64) -> Option<SnapshotReport> {
+    let (bytes, corrupt) = match std::fs::read(dir.join(&file)) {
+        Ok(payload) => (payload.len() as u64, None),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(err) => (0, Some(err.to_string())),
+    };
+    Some(SnapshotReport {
+        file,
+        last_seq,
+        bytes,
+        corrupt,
+    })
 }
 
 /// Window starts where `local` and `remote` disagree *inside the acked

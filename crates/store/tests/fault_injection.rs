@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use mine_store::{AppendFault, EventStore, StoreError, StoreOptions, SyncPolicy};
+use mine_store::{EventStore, FaultPlan, StoreError, StoreOptions, SyncPolicy};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mine-store-fault-{tag}-{}", std::process::id()));
@@ -224,10 +224,9 @@ fn disk_full_mid_append_never_exposes_a_half_frame() {
     // frame was never individually fsynced either.
     let options = StoreOptions {
         sync: SyncPolicy::Interval(Duration::from_millis(50)),
-        append_fault: Some(AppendFault {
-            at_seq: 4,
-            partial_bytes: 9,
-        }),
+        fault_plan: Some(std::sync::Arc::new(
+            FaultPlan::parse("disk.torn@4:9").unwrap(),
+        )),
         ..StoreOptions::default()
     };
     let (store, _) = EventStore::open(&dir, options).unwrap();

@@ -681,7 +681,7 @@ fn multiset_remove(map: &mut BTreeMap<Duration, u64>, key: Duration) {
 /// engine-wide counter, replaced after every mutation while the exam's
 /// mutex is still held. A stamp therefore names exactly one stream
 /// state, stamps only ever grow, and no stamp is ever issued twice —
-/// not even across [`StreamEngine::clear`]. Readers compare stamps
+/// not even across [`StreamEngine::replace_with`]. Readers compare stamps
 /// ([`StreamEngine::generation`]) without taking the exam mutex to tell
 /// whether anything they derived from an earlier state is still
 /// current.
@@ -810,11 +810,18 @@ impl StreamEngine {
         stream.report(problems).map(|report| (stamp, report))
     }
 
-    /// Drops every stream — used when a follower re-bootstraps from a
-    /// snapshot before replaying the leader's WAL. The stamp clock keeps
-    /// running, so re-applied streams never repeat an earlier stamp.
-    pub fn clear(&self) {
-        self.exams.write().clear();
+    /// Takes over every stream of `fresh` in one swap — used when a
+    /// follower re-bootstraps: it restores the leader's image into a
+    /// fresh engine, then swaps it in, so a reader sees the old streams
+    /// or the new ones, never an empty engine. Each taken-over stream is
+    /// re-stamped from this engine's clock, so no stamp is ever issued
+    /// twice.
+    pub fn replace_with(&self, fresh: StreamEngine) {
+        let exams = fresh.exams.into_inner();
+        for slot in exams.values() {
+            slot.stamp.store(next_stamp(&self.clock), Ordering::Release);
+        }
+        *self.exams.write() = exams;
     }
 }
 
@@ -903,7 +910,7 @@ mod tests {
     // write lock after a failed read — a scrutinee-temporary read
     // guard held across that write deadlocked the whole server once.
     #[test]
-    fn engine_with_exam_creates_streams_and_clear_drops_them() {
+    fn engine_with_exam_creates_streams_and_replace_swaps_them() {
         let engine = StreamEngine::new(AnalysisConfig::default());
         assert_eq!(engine.with_exam("quiz", |stream| stream.sittings()), 0);
         engine.apply("quiz", &record("s1", &[1.0, 0.0]));
@@ -912,8 +919,11 @@ mod tests {
         assert_eq!(engine.sittings("quiz"), 2);
         assert_eq!(engine.sittings("other"), 1);
         assert_eq!(engine.sittings("absent"), 0);
-        engine.clear();
+        let fresh = StreamEngine::new(AnalysisConfig::default());
+        fresh.apply("other", &record("s9", &[0.0, 1.0]));
+        engine.replace_with(fresh);
         assert_eq!(engine.sittings("quiz"), 0);
+        assert_eq!(engine.sittings("other"), 1);
     }
 
     #[test]
@@ -941,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reapply_never_reuse_a_stamp() {
+    fn replace_and_reapply_never_reuse_a_stamp() {
         let engine = StreamEngine::new(AnalysisConfig::default());
         let rows = [record("s1", &[1.0, 0.0]), record("s2", &[0.0, 1.0])];
         let mut issued = Vec::new();
@@ -949,7 +959,16 @@ mod tests {
             engine.apply("quiz", row);
             issued.push(engine.generation("quiz").unwrap());
         }
-        engine.clear();
+        // The fresh engine's own clock starts over; the swap re-stamps.
+        let fresh = StreamEngine::new(AnalysisConfig::default());
+        fresh.apply("quiz", &rows[0]);
+        engine.replace_with(fresh);
+        issued.push(engine.generation("quiz").unwrap());
+        assert!(
+            issued.windows(2).all(|pair| pair[0] < pair[1]),
+            "{issued:?}"
+        );
+        engine.replace_with(StreamEngine::new(AnalysisConfig::default()));
         assert_eq!(engine.generation("quiz"), None);
         for row in &rows {
             engine.apply("quiz", row);

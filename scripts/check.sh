@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> recovery smoke (kill -9 with base + delta snapshots on disk, byte-identical analysis, mine audit)"
+timeout 120 scripts/smoke_recover.sh
+
 echo "==> served-path benchmark smoke (every workload + the traced run, tiny scale)"
 timeout 300 cargo test --offline -q --manifest-path servebench/Cargo.toml
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test for crash recovery: boot a journaled `mine serve`, drive
-# sittings through it, capture the live analysis report, kill -9 the
-# server, restart it from the same --data-dir, and assert the restarted
-# server serves a byte-identical report.
+# sittings through it until its journal holds at least one delta
+# snapshot on top of the base, capture the live analysis report, kill -9
+# the server, restart it from the same --data-dir, and assert the
+# restarted server serves a byte-identical report and the journal
+# audits clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +52,18 @@ wait_up
 echo "==> loadgen: $CLIENTS clients"
 "$MINE" loadgen "$ADDR" quiz --clients "$CLIENTS" --seed 11
 
+# One sitting at a time until a compaction has stacked a delta on the
+# base. A fold into a new base deletes the deltas, but the fresh base
+# holds the whole class while one sitting adds a record or two, so the
+# next compaction writes a delta: this ends within a few sittings.
+deltas() { compgen -G "$DATA/delta-*.snap" >/dev/null; }
+for seed in $(seq 100 139); do
+  deltas && break
+  "$MINE" loadgen "$ADDR" quiz --clients 1 --seed "$seed" >/dev/null
+done
+deltas || fail "no delta snapshot after 40 more sittings"
+echo "==> journal before the crash: $(cd "$DATA" && echo *.snap)"
+
 echo "==> capture the pre-crash analysis"
 curl -sf "http://$ADDR/exams/quiz/analysis" > "$WORKDIR/before.json"
 grep -q '"analyses"' "$WORKDIR/before.json" || fail "no analysis before the crash"
@@ -77,4 +91,4 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 "$MINE" audit "$DATA" --db "$DB" || fail "journal audit found violations"
 
-echo "smoke_recover: OK (analysis byte-identical across kill -9, audit clean)"
+echo "smoke_recover: OK (base + deltas + tail recovered byte-identical across kill -9, audit clean)"

@@ -77,7 +77,7 @@ use mine_assessment::server::{
 };
 use mine_assessment::simulator::{CohortSpec, Simulation};
 use mine_assessment::store::{
-    scrub_dir, EventStore, FaultPlan, ScrubReport, StoreOptions, SyncPolicy,
+    scrub_dir, EventStore, FaultPlan, ScrubReport, SnapshotReport, StoreOptions, SyncPolicy,
 };
 use serde::{Serialize, Value};
 
@@ -656,8 +656,12 @@ fn serve(args: &[String]) -> CliResult {
                 eprintln!("journal: note: {note}");
             }
             println!(
-                "journal at {dir}: {} session(s) + {} record(s) from snapshot, {} event(s) replayed",
-                report.snapshot_sessions, report.snapshot_records, report.events_replayed
+                "journal at {dir}: {} session(s) + {} record(s) from snapshot and {} delta(s), \
+                 {} event(s) replayed",
+                report.snapshot_sessions,
+                report.snapshot_records,
+                report.snapshot_deltas,
+                report.events_replayed
             );
             if repl_addr.is_some() || replica_of.is_some() {
                 let role = if replica_of.is_some() {
@@ -789,6 +793,13 @@ fn recover(args: &[String]) -> CliResult {
         )),
         None => out.push_str("snapshot: none\n"),
     }
+    for delta in &recovered.deltas {
+        out.push_str(&format!(
+            "delta: through seq {}, {} byte(s)\n",
+            delta.last_seq,
+            delta.payload.len()
+        ));
+    }
     let events = decode_events(&recovered)?;
     out.push_str(&format!(
         "segments: {}\nevents after snapshot: {}\n",
@@ -884,13 +895,7 @@ fn scrub(args: &[String]) -> CliResult {
     if report.is_clean() {
         Ok(())
     } else {
-        let corrupt = report.corrupt_segments().len()
-            + usize::from(
-                report
-                    .snapshot
-                    .as_ref()
-                    .is_some_and(|snapshot| snapshot.corrupt.is_some()),
-            );
+        let corrupt = report.corrupt_segments().len() + report.corrupt_images();
         Err(format!("scrub found {corrupt} corrupt file(s)"))
     }
 }
@@ -919,6 +924,15 @@ fn render_scrub(report: &ScrubReport) -> String {
             }
         },
         None => out.push_str("snapshot: none\n"),
+    }
+    for delta in &report.deltas {
+        match &delta.corrupt {
+            None => out.push_str(&format!(
+                "delta {}: through seq {}, {} byte(s), clean\n",
+                delta.file, delta.last_seq, delta.bytes
+            )),
+            Some(reason) => out.push_str(&format!("delta {}: CORRUPT: {reason}\n", delta.file)),
+        }
     }
     out.push_str(&format!(
         "range hashes: {} window(s)\n",
@@ -968,19 +982,22 @@ fn scrub_value(report: &ScrubReport) -> Value {
             })
             .collect(),
     );
-    let snapshot = report.snapshot.as_ref().map_or(Value::Null, |snapshot| {
+    let image = |image: &SnapshotReport| {
         Value::Object(vec![
-            ("file".to_string(), Value::String(snapshot.file.clone())),
-            ("last_seq".to_string(), snapshot.last_seq.to_value()),
-            ("bytes".to_string(), snapshot.bytes.to_value()),
-            ("corrupt".to_string(), optional_reason(&snapshot.corrupt)),
+            ("file".to_string(), Value::String(image.file.clone())),
+            ("last_seq".to_string(), image.last_seq.to_value()),
+            ("bytes".to_string(), image.bytes.to_value()),
+            ("corrupt".to_string(), optional_reason(&image.corrupt)),
         ])
-    });
+    };
+    let snapshot = report.snapshot.as_ref().map_or(Value::Null, image);
+    let deltas = Value::Array(report.deltas.iter().map(image).collect());
     Value::Object(vec![
         ("clean".to_string(), Value::Bool(report.is_clean())),
         ("segments".to_string(), segments),
         ("ranges".to_string(), ranges),
         ("snapshot".to_string(), snapshot),
+        ("deltas".to_string(), deltas),
     ])
 }
 
