@@ -41,12 +41,9 @@ fn exam(n_questions: usize) -> Exam {
     builder.build().unwrap()
 }
 
-/// An uncached analyzer: every run recomputes, so the comparison
-/// exercises the pool instead of the cache.
+/// An analyzer on a `threads`-wide pool budget.
 fn analyzer(threads: usize) -> BatchAnalyzer {
-    BatchAnalyzer::new(AnalysisConfig::default())
-        .with_threads(threads)
-        .with_cache_capacity(0)
+    BatchAnalyzer::new(AnalysisConfig::default()).with_threads(threads)
 }
 
 proptest! {

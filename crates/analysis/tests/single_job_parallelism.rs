@@ -41,9 +41,7 @@ fn single_job_batch_spreads_questions_over_workers() {
         .unwrap();
     let records = vec![record];
 
-    let analyzer = BatchAnalyzer::new(AnalysisConfig::default())
-        .with_threads(8)
-        .with_cache_capacity(0);
+    let analyzer = BatchAnalyzer::new(AnalysisConfig::default()).with_threads(8);
 
     // Workers race the submitting thread for chunks, so on a loaded or
     // single-core machine any one round may be swallowed whole by the

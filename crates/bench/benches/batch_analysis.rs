@@ -7,9 +7,7 @@
 //! pinned byte-identical to the live analyzer by its oracle test, so
 //! the comparison stays honest as the hot path keeps evolving.
 //! `batch/Nt` runs the same jobs through `BatchAnalyzer` on the
-//! work-stealing pool with an N-thread budget (cache disabled, so the
-//! numbers measure computation, not memoization). A final pair
-//! measures the warm-cache path.
+//! work-stealing pool with an N-thread budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -57,9 +55,7 @@ fn bench(c: &mut Criterion) {
             |b, records| b.iter(|| sequential(records, &problems)),
         );
         for threads in [1usize, 2, 4, 8] {
-            let analyzer = BatchAnalyzer::new(AnalysisConfig::default())
-                .with_threads(threads)
-                .with_cache_capacity(0);
+            let analyzer = BatchAnalyzer::new(AnalysisConfig::default()).with_threads(threads);
             group.bench_with_input(
                 BenchmarkId::new(format!("batch/{threads}t"), exams),
                 &records,
@@ -75,30 +71,6 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-    group.finish();
-
-    // Memoization: the same 10 sittings analyzed again and again.
-    let records = workload(10);
-    let mut group = c.benchmark_group("batch_cache");
-    let cold = BatchAnalyzer::new(AnalysisConfig::default()).with_cache_capacity(0);
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            cold.analyze_records(&records, &problems)
-                .unwrap()
-                .summary
-                .exams
-        });
-    });
-    let warm = BatchAnalyzer::new(AnalysisConfig::default());
-    warm.analyze_records(&records, &problems).unwrap();
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            warm.analyze_records(&records, &problems)
-                .unwrap()
-                .summary
-                .exams
-        });
-    });
     group.finish();
 }
 

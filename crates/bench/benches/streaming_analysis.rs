@@ -8,11 +8,10 @@
 //!   call and reported as p50/p99/max, because the acceptance bar is a
 //!   tail bound (sub-millisecond p99), not an average.
 //! * **Analysis read** — assembling the §4 report. `streaming` folds
-//!   the engine's counters; `batch_cold` recomputes from the raw rows
-//!   with the cache disabled; `batch_warm` is the memoized re-read.
+//!   the engine's counters; `batch_cold` recomputes from the raw rows.
 //!   Read arms report the minimum over the iterations (deterministic
 //!   workload, so spread is pure interference). Serialization is
-//!   excluded from all three arms (it is common to both HTTP paths);
+//!   excluded from both arms (it is common to both HTTP paths);
 //!   `streaming+serialize` is included so the end-to-end handler cost
 //!   is still on record.
 //!
@@ -131,7 +130,7 @@ fn main() {
         // Read arms. The streaming report must agree with batch before
         // its timing means anything.
         let streaming_report = stream.report(&problems).expect("streamable workload");
-        let batch = BatchAnalyzer::new(config).with_cache_capacity(0);
+        let batch = BatchAnalyzer::new(config);
         let batch_report = batch
             .analyze_records(std::slice::from_ref(&record), &problems)
             .expect("batch analyzes");
@@ -157,34 +156,19 @@ fn main() {
                     .exams,
             );
         });
-        let warm_analyzer = BatchAnalyzer::new(config);
-        warm_analyzer
-            .analyze_records(std::slice::from_ref(&record), &problems)
-            .unwrap();
-        let warm = best_ns(iters, || {
-            std::hint::black_box(
-                warm_analyzer
-                    .analyze_records(std::slice::from_ref(&record), &problems)
-                    .unwrap()
-                    .summary
-                    .exams,
-            );
-        });
 
         println!(
-            "analysis_read/{n}: streaming {} (+serialize {}) batch_cold {} batch_warm {} \
+            "analysis_read/{n}: streaming {} (+serialize {}) batch_cold {} \
              — streaming {:.0}x faster than cold",
             human(streaming),
             human(serialized),
             human(cold),
-            human(warm),
             cold as f64 / streaming.max(1) as f64
         );
         for (arm, ns) in [
             ("streaming", streaming),
             ("streaming+serialize", serialized),
             ("batch_cold", cold),
-            ("batch_warm", warm),
         ] {
             export(&format!(
                 "{{\"id\":\"analysis_read/{arm}/{n}\",\"min_ns\":{ns},\"elements\":{n}}}"

@@ -4,7 +4,7 @@
 //! # Architecture
 //!
 //! One process-wide registry holds a fixed array of worker slots. Each
-//! slot owns a fixed-capacity Chase–Lev deque ([`deque`]): the worker
+//! slot owns a fixed-capacity Chase–Lev deque (`deque`): the worker
 //! pushes and pops its own deque LIFO, every other worker steals from
 //! it FIFO. Threads are spawned lazily — the first operation that asks
 //! for `n`-way parallelism spawns up to `n − 1` long-lived workers, and

@@ -38,7 +38,7 @@ use mine_itembank::Repository;
 use mine_store::{EventStore, StoreOptions, INITIAL_EPOCH};
 use serde::{Serialize, Value};
 
-use crate::journal::{open_journaled_state, ServerImage, SessionEvent};
+use crate::journal::{decode_payload, open_journaled_state, ServerImage, SessionEvent};
 
 /// What the audit found in one journal directory.
 #[derive(Debug)]
@@ -249,14 +249,14 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
     node.head_seq = store.next_seq() - 1;
     node.events = recovered.events.len();
     for image in images {
-        if let Err(err) = decode_image(&image.payload) {
+        if let Err(err) = decode_payload::<ServerImage>(&image.payload, "payload") {
             node.violations
                 .push(format!("snapshot through {}: {err}", image.last_seq));
         }
     }
     let mut payloads = BTreeMap::new();
     for record in &recovered.events {
-        if let Err(err) = decode_event(&record.payload) {
+        if let Err(err) = decode_payload::<SessionEvent>(&record.payload, "payload") {
             node.violations
                 .push(format!("record seq {}: {err}", record.seq));
         }
@@ -268,16 +268,6 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
         payloads,
     };
     (node, Some(records))
-}
-
-fn decode_event(payload: &[u8]) -> Result<SessionEvent, String> {
-    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    serde_json::from_str(text).map_err(|err| format!("payload failed to decode: {err}"))
-}
-
-fn decode_image(payload: &[u8]) -> Result<ServerImage, String> {
-    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    serde_json::from_str(text).map_err(|err| format!("payload failed to decode: {err}"))
 }
 
 /// Checks acked-prefix containment between every node pair: over the

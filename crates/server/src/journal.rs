@@ -353,7 +353,7 @@ impl Journal {
 
     /// Installs a bootstrap snapshot received from a primary, rebasing
     /// the local log to its sequence numbering. Call with the write gate
-    /// held, then [`Self::mark_installed`] once memory holds the image.
+    /// held, then `mark_installed` once memory holds the image.
     ///
     /// # Errors
     ///
@@ -650,7 +650,10 @@ pub fn open_journaled_state(
         .collect();
     let newest = images.len().saturating_sub(1);
     for (index, snapshot) in images.into_iter().enumerate() {
-        let image = decode_image(&snapshot)?;
+        let image: ServerImage = decode_payload(
+            &snapshot.payload,
+            format_args!("image through seq {}", snapshot.last_seq),
+        )?;
         report.snapshot_records += image
             .finished
             .iter()
@@ -672,10 +675,8 @@ pub fn open_journaled_state(
     journal.mark_covered(&state.finished);
 
     for record in recovered.events {
-        let text = String::from_utf8(record.payload)
-            .map_err(|_| format!("event seq {} is not UTF-8", record.seq))?;
-        let event: SessionEvent = serde_json::from_str(&text)
-            .map_err(|err| format!("event seq {} failed to decode: {err}", record.seq))?;
+        let event: SessionEvent =
+            decode_payload(&record.payload, format_args!("event seq {}", record.seq))?;
         if let Some(note) = apply_event(
             &state.repository,
             &state.registry,
@@ -693,15 +694,15 @@ pub fn open_journaled_state(
     Ok((state, report))
 }
 
-fn decode_image(snapshot: &Snapshot) -> Result<ServerImage, String> {
-    let text = std::str::from_utf8(&snapshot.payload)
-        .map_err(|_| format!("image through seq {} is not UTF-8", snapshot.last_seq))?;
-    serde_json::from_str(text).map_err(|err| {
-        format!(
-            "image through seq {} failed to decode: {err}",
-            snapshot.last_seq
-        )
-    })
+/// Decodes a journaled payload (an event or an image) from its JSON.
+/// An error names the payload by `what`, as in "event seq 7 is not
+/// UTF-8" or "event seq 7 failed to decode: …".
+pub(crate) fn decode_payload<T: Deserialize>(
+    payload: &[u8],
+    what: impl std::fmt::Display,
+) -> Result<T, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| format!("{what} is not UTF-8"))?;
+    serde_json::from_str(text).map_err(|err| format!("{what} failed to decode: {err}"))
 }
 
 /// Decodes every event in a recovered log for offline inspection
@@ -715,10 +716,7 @@ pub fn decode_events(recovered: &Recovered) -> Result<Vec<(u64, SessionEvent)>, 
         .events
         .iter()
         .map(|record| {
-            let text = std::str::from_utf8(&record.payload)
-                .map_err(|_| format!("event seq {} is not UTF-8", record.seq))?;
-            let event: SessionEvent = serde_json::from_str(text)
-                .map_err(|err| format!("event seq {} failed to decode: {err}", record.seq))?;
+            let event = decode_payload(&record.payload, format_args!("event seq {}", record.seq))?;
             Ok((record.seq, event))
         })
         .collect()
@@ -728,6 +726,18 @@ pub fn decode_events(recovered: &Recovered) -> Result<Vec<(u64, SessionEvent)>, 
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn payload_errors_name_what_failed() {
+        let err = decode_payload::<SessionEvent>(&[0xff, 0xfe], format_args!("event seq {}", 7))
+            .unwrap_err();
+        assert_eq!(err, "event seq 7 is not UTF-8");
+        let err = decode_payload::<ServerImage>(b"{", "bootstrap image").unwrap_err();
+        assert!(
+            err.starts_with("bootstrap image failed to decode: "),
+            "{err}"
+        );
+    }
 
     #[test]
     fn session_events_round_trip_through_json() {

@@ -357,15 +357,13 @@ impl Metric for PerRoute {
     }
 }
 
-/// Analysis wall time: batch mode split by cache outcome (a cold run of
-/// the full pipeline vs a cached report), and streaming mode (a report
-/// assembled from the engine's running counters).
+/// Analysis wall time by mode: batch (a run of the full pipeline over
+/// the filed records) and streaming (a report assembled from the
+/// engine's running counters, or its stored body).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisModes<T> {
-    /// Batch mode, cache miss.
-    pub cold: T,
-    /// Batch mode, cache hit.
-    pub hit: T,
+    /// Batch mode.
+    pub batch: T,
     /// Streaming mode.
     pub streaming: T,
 }
@@ -376,27 +374,20 @@ impl Metric for AnalysisModes<Histogram> {
 
     fn read(&self) -> Self::Value {
         AnalysisModes {
-            cold: self.cold.get(),
-            hit: self.hit.get(),
+            batch: self.batch.get(),
             streaming: self.streaming.get(),
         }
     }
 
     fn write_json(value: &Self::Value, out: &mut JsonWriter) {
         let mut modes = out.object();
-        Histogram::write_json(&value.cold, modes.key("cold"));
-        Histogram::write_json(&value.hit, modes.key("hit"));
+        Histogram::write_json(&value.batch, modes.key("batch"));
         Histogram::write_json(&value.streaming, modes.key("streaming"));
         modes.end();
     }
 
     fn write_samples(value: &Self::Value, name: &str, out: &mut String) {
-        value
-            .cold
-            .write_samples(name, "mode=\"batch\",cache=\"cold\"", out);
-        value
-            .hit
-            .write_samples(name, "mode=\"batch\",cache=\"hit\"", out);
+        value.batch.write_samples(name, "mode=\"batch\"", out);
         value
             .streaming
             .write_samples(name, "mode=\"streaming\"", out);
@@ -476,7 +467,7 @@ metrics! {
     status_5xx: Counter;
     latency_us: Histogram => "mine_request_duration_seconds", "Request latency.";
     analysis_duration_us: AnalysisModes<Histogram> => "mine_analysis_duration_seconds",
-        "Analysis wall time by mode (batch runs carry the cache outcome).";
+        "Analysis wall time by mode.";
     streaming_update_us: Histogram => "mine_streaming_update_seconds",
         "Finish-time streaming statistics update.",
         streaming_updates_total => "mine_streaming_updates_total",
@@ -834,43 +825,34 @@ mod tests {
     }
 
     #[test]
-    fn analysis_histogram_is_labeled_by_mode_and_cache_outcome() {
+    fn analysis_histogram_is_labeled_by_mode() {
         let metrics = Metrics::new();
         let analysis = &metrics.analysis_duration_us;
-        analysis.cold.observe(Duration::from_millis(20));
-        analysis.cold.observe(Duration::from_millis(90));
-        analysis.hit.observe(Duration::from_micros(40));
+        analysis.batch.observe(Duration::from_millis(20));
+        analysis.batch.observe(Duration::from_millis(90));
         analysis.streaming.observe(Duration::from_micros(60));
         metrics.pool_workers.set(4);
         metrics.pool_steals_total.set(17);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.analysis_duration_us.cold.count, 2);
-        assert_eq!(snapshot.analysis_duration_us.hit.count, 1);
+        assert_eq!(snapshot.analysis_duration_us.batch.count, 2);
         assert_eq!(snapshot.analysis_duration_us.streaming.count, 1);
-        // 40 µs lands in the first hit bucket; cold times stay separate.
-        assert_eq!(snapshot.analysis_duration_us.hit.buckets[0], 1);
-        assert_eq!(snapshot.analysis_duration_us.cold.buckets[0], 0);
+        // 60 µs lands in the first streaming bucket; batch times stay
+        // separate.
         assert_eq!(snapshot.analysis_duration_us.streaming.buckets[0], 1);
+        assert_eq!(snapshot.analysis_duration_us.batch.buckets[0], 0);
         assert_eq!(snapshot.pool_workers, 4);
         assert_eq!(snapshot.pool_steals_total, 17);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_analysis_duration_seconds histogram"));
-        assert!(
-            text.contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 2")
-        );
-        assert!(
-            text.contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 1")
-        );
+        assert!(text.contains("mine_analysis_duration_seconds_count{mode=\"batch\"} 2"));
         assert!(text.contains("mine_analysis_duration_seconds_count{mode=\"streaming\"} 1"));
-        // Cumulative buckets per label: both cold observations are ≤ 0.1 s.
-        assert!(text.contains(
-            "mine_analysis_duration_seconds_bucket{mode=\"batch\",cache=\"cold\",le=\"0.1\"} 2"
-        ));
-        assert!(text.contains(
-            "mine_analysis_duration_seconds_bucket{mode=\"batch\",cache=\"hit\",le=\"0.0001\"} 1"
-        ));
+        // Cumulative buckets per label: both batch observations are ≤ 0.1 s.
+        assert!(
+            text.contains("mine_analysis_duration_seconds_bucket{mode=\"batch\",le=\"0.025\"} 1")
+        );
+        assert!(text.contains("mine_analysis_duration_seconds_bucket{mode=\"batch\",le=\"0.1\"} 2"));
         assert!(text
             .contains("mine_analysis_duration_seconds_bucket{mode=\"streaming\",le=\"0.0001\"} 1"));
         assert!(text.contains("# TYPE mine_pool_workers gauge"));
@@ -881,8 +863,7 @@ mod tests {
         let json = serde_json::to_string(&snapshot).unwrap();
         let value: Value = serde_json::from_str(&json).unwrap();
         let analysis = value.get("analysis_duration_us").unwrap();
-        assert!(analysis.get("cold").is_some());
-        assert!(analysis.get("hit").is_some());
+        assert!(analysis.get("batch").is_some());
         assert!(analysis.get("streaming").is_some());
         assert_eq!(value.get("pool_workers").unwrap().kind(), "number");
         assert_eq!(value.get("pool_steals_total").unwrap().kind(), "number");
@@ -1036,6 +1017,6 @@ mod tests {
             r#""latency_us":{"buckets":[{"le_us":"100","count":0},{"le_us":"250","count":0},{"le_us":"500","count":1},"#
         ));
         assert!(json.contains(r#"{"le_us":"+inf","count":0}],"sum":300,"count":1}"#));
-        assert!(json.contains(r#""analysis_duration_us":{"cold":{"buckets":["#));
+        assert!(json.contains(r#""analysis_duration_us":{"batch":{"buckets":["#));
     }
 }

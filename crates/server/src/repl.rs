@@ -7,7 +7,7 @@
 //! ([`ReplListener`]); each **follower** connects to it
 //! ([`start_follower`]), bootstraps from a full [`ServerImage`]
 //! snapshot, and then applies the primary's WAL records in strict
-//! sequence order — through [`crate::journal::apply_event`], the same
+//! sequence order — through `journal::apply_event`, the same
 //! function crash recovery uses, so a replica's registry is
 //! byte-identical to what the primary would rebuild from the same log.
 //! Followers serve every read route and refuse writes with
@@ -67,7 +67,7 @@ use mine_streamstats::StreamEngine;
 
 use crate::adaptive::AdaptiveRegistry;
 use crate::client::{backoff_delay, HttpClient, RetryPolicy};
-use crate::journal::{apply_event, Journal, ServerImage, SessionEvent};
+use crate::journal::{apply_event, decode_payload, Journal, ServerImage, SessionEvent};
 use crate::metrics::Metrics;
 use crate::registry::{FinishedStore, SessionRegistry};
 use crate::router::Router;
@@ -502,7 +502,7 @@ impl ReplState {
     /// handlers could append seqs N and N+1 but enqueue them reversed,
     /// and followers would see a gap and force a full re-bootstrap. The
     /// quorum wait happens *outside* the lock (it can block for up to
-    /// [`Self::quorum_timeout`]). The record is already durable before
+    /// the `quorum_timeout`). The record is already durable before
     /// the wait, so a timeout degrades to leader-ack (counted) rather
     /// than failing the request — failing *after* journaling would make
     /// live behavior diverge from replay.
@@ -866,7 +866,7 @@ pub struct FollowerPuller {
 impl FollowerPuller {
     /// Waits for the puller thread to exit (call
     /// [`ReplState::stop_puller`] first; the thread polls the flag at
-    /// least every [`SOCKET_TIMEOUT`]).
+    /// least every `SOCKET_TIMEOUT`).
     pub fn join(mut self) {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -1024,12 +1024,8 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
             reason: "expected a bootstrap Snapshot".to_string(),
         });
     };
-    let text = std::str::from_utf8(&payload).map_err(|err| ReplError::Frame {
-        reason: format!("bootstrap image is not UTF-8: {err}"),
-    })?;
-    let image: ServerImage = serde_json::from_str(text).map_err(|err| ReplError::Frame {
-        reason: format!("bootstrap image failed to decode: {err}"),
-    })?;
+    let image: ServerImage = decode_payload(&payload, "bootstrap image")
+        .map_err(|reason| ReplError::Frame { reason })?;
     // Restore into fresh structures first, off the gate; readers keep
     // seeing the old state meanwhile.
     let registry = SessionRegistry::default();
@@ -1092,13 +1088,9 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                             ),
                         });
                     }
-                    let text = std::str::from_utf8(&payload).map_err(|err| ReplError::Frame {
-                        reason: format!("record seq {seq} is not UTF-8: {err}"),
-                    })?;
                     let event: SessionEvent =
-                        serde_json::from_str(text).map_err(|err| ReplError::Frame {
-                            reason: format!("record seq {seq} failed to decode: {err}"),
-                        })?;
+                        decode_payload(&payload, format_args!("record seq {seq}"))
+                            .map_err(|reason| ReplError::Frame { reason })?;
                     // Deterministic rejections replay identically on
                     // every replica; nothing to do with the note.
                     let _note = apply_event(

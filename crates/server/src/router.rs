@@ -109,9 +109,7 @@ pub struct ServerState {
     /// The §4 pipeline (the `?mode=batch` escape hatch and the fallback
     /// for unstreamable inputs). It runs inline on the request's worker:
     /// the server already runs one worker per CPU, so fanning one read
-    /// out over the pool would only take CPU from other connections. Its
-    /// cache is off: fingerprinting a class and cloning a cached
-    /// analysis cost more than the rare hit saved.
+    /// out over the pool would only take CPU from other connections.
     pub analyzer: BatchAnalyzer,
     /// Running sufficient statistics per exam: finish-time updates in
     /// O(1 + re-assignments), analysis reads assembled from counters.
@@ -156,9 +154,7 @@ impl ServerState {
             registry: SessionRegistry::default(),
             adaptive: AdaptiveRegistry::new(),
             finished: FinishedStore::new(),
-            analyzer: BatchAnalyzer::new(config)
-                .with_threads(1)
-                .with_cache_capacity(0),
+            analyzer: BatchAnalyzer::new(config).with_threads(1),
             stream: Arc::new(StreamEngine::new(config)),
             analysis_bodies: AnalysisBodies::default(),
             metrics: Metrics::new(),
@@ -1155,21 +1151,17 @@ impl Router {
             )));
         }
         let class = ExamRecord::new(parsed, records);
-        let hits_before = self.state.analyzer.cache_stats().hits;
         let started = std::time::Instant::now();
         let report = self
             .state
             .analyzer
             .analyze_records(std::slice::from_ref(&class), &problems)
             .map_err(|err| ApiError::new(500, format!("analysis failed: {err}")))?;
-        let cache_hit = self.state.analyzer.cache_stats().hits > hits_before;
-        let by_cache = &self.state.metrics.analysis_duration_us;
-        let histogram = if cache_hit {
-            &by_cache.hit
-        } else {
-            &by_cache.cold
-        };
-        histogram.observe(started.elapsed());
+        self.state
+            .metrics
+            .analysis_duration_us
+            .batch
+            .observe(started.elapsed());
         respond_with_report(&report, wants_alt)
     }
 
@@ -1691,30 +1683,28 @@ mod tests {
         assert!(report.get("analyses").is_some());
         assert!(report.get("summary").is_some());
 
-        // The default mode streams from counters — the batch pipeline
-        // was never invoked.
-        assert_eq!(router.state().analyzer.cache_stats().hits, 0);
         let again = router.handle(&Request::new("GET", "/exams/quiz/analysis", ""));
         assert_eq!(again.body, analysis.body);
+        // The default mode streams from counters — the batch pipeline
+        // was never invoked.
+        let analysis_duration = &router.state().metrics.analysis_duration_us;
+        assert_eq!(analysis_duration.batch.get().count, 0);
 
         // `?mode=batch` forces the full pipeline and produces the very
-        // same bytes; the server's analyzer keeps no cache, so a second
-        // batch read is cold again and byte-identical.
+        // same bytes, and so does a second batch read.
         let batch = router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch.status, 200, "{}", batch.body);
         assert_eq!(batch.body, analysis.body);
         let batch_again =
             router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch_again.body, analysis.body);
-        assert_eq!(router.state().analyzer.cache_stats().hits, 0);
 
-        // All four analyses were timed, labeled by mode (and cache
-        // outcome for batch), the finish-time updates were counted, and
-        // the scrape refreshes the pool gauges.
+        // All four analyses were timed and labeled by mode, the
+        // finish-time updates were counted, and the scrape refreshes the
+        // pool gauges.
         let snapshot = router.state().metrics.snapshot(0, 0);
         assert_eq!(snapshot.analysis_duration_us.streaming.count, 2);
-        assert_eq!(snapshot.analysis_duration_us.cold.count, 2);
-        assert_eq!(snapshot.analysis_duration_us.hit.count, 0);
+        assert_eq!(snapshot.analysis_duration_us.batch.count, 2);
         assert_eq!(snapshot.streaming_update_us.count, 8);
         let scrape = router.handle(&Request::new("GET", "/metrics", ""));
         assert!(scrape
@@ -1722,10 +1712,7 @@ mod tests {
             .contains("mine_analysis_duration_seconds_count{mode=\"streaming\"} 2"));
         assert!(scrape
             .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 2"));
-        assert!(scrape
-            .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 0"));
+            .contains("mine_analysis_duration_seconds_count{mode=\"batch\"} 2"));
         assert!(scrape.body.contains("mine_streaming_updates_total 8"));
         assert!(scrape
             .body

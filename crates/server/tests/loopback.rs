@@ -203,7 +203,7 @@ fn concurrent_clients_complete_sittings_and_analysis_matches_direct_run() {
     assert_eq!(again.body, served.body);
 
     // Forcing batch recomputes the identical bytes, and so does a
-    // second batch read: the server's analyzer keeps no cache.
+    // second batch read.
     let batch = client
         .get("/exams/final/analysis?mode=batch")
         .expect("batch analysis");
@@ -212,7 +212,15 @@ fn concurrent_clients_complete_sittings_and_analysis_matches_direct_run() {
         .get("/exams/final/analysis?mode=batch")
         .expect("batch analysis again");
     assert_eq!(batch_again.body, served.body);
-    assert_eq!(router.state().analyzer.cache_stats().hits, 0);
+    // Only the two forced reads ran the batch pipeline.
+    let scrape = client.get("/metrics").expect("metrics text");
+    assert!(
+        scrape
+            .body
+            .contains("mine_analysis_duration_seconds_count{mode=\"batch\"} 2\n"),
+        "{}",
+        scrape.body
+    );
 
     server.shutdown();
 }

@@ -154,7 +154,7 @@ impl FaultPlan {
     }
 
     /// Derives a pseudo-random *network* schedule from `seed`: over the
-    /// first [`SEEDED_FRAME_HORIZON`] outgoing frames, roughly one in
+    /// first `SEEDED_FRAME_HORIZON` outgoing frames, roughly one in
     /// eight is dropped, one in sixteen duplicated, one in eight
     /// delayed 10–50 ms. Disk faults are never generated (they poison
     /// the writer, which a recover-and-converge chaos run cannot come

@@ -31,7 +31,7 @@
 //!
 //! The batch pipeline computes its variances in moment form (Σv, Σv²).
 //! When every awarded-points value is an exact small integer (see
-//! [`exactly_summable`]) those sums are exact in both the batch f64
+//! `exactly_summable`) those sums are exact in both the batch f64
 //! folds and the engine's running i64 accumulators, so the assembler
 //! reproduces every statistic bit-for-bit from counters alone. The only
 //! read-time row iteration left is the per-student scatter figure,

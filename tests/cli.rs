@@ -203,3 +203,37 @@ fn thread_counts_are_validated_not_clamped() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
 }
+
+#[test]
+fn batch_analyze_output_does_not_depend_on_thread_count() {
+    let (_dir, db) = temp_db("batch");
+    run(&["init", &db]);
+    run(&["add-tf", &db, "q1", "s", "A", "true", "x"]);
+    run(&["add-tf", &db, "q2", "s", "B", "false", "y"]);
+    run(&["add-tf", &db, "q3", "s", "C", "true", "z"]);
+    run(&["add-exam", &db, "e", "T", "q1", "q2", "q3"]);
+
+    let batch = |threads: &str| {
+        let out = run(&[
+            "batch-analyze",
+            &db,
+            "e",
+            "4",
+            "30",
+            "7",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        stdout(&out)
+    };
+    let one = batch("1");
+    assert_eq!(one, batch("2"), "thread count changed the output");
+    assert!(
+        one.contains("batch: 4 sittings of e (30 students each)"),
+        "{one}"
+    );
+    assert!(one.contains("questions analyzed: 12"), "{one}");
+    // Every sitting is analyzed afresh; there is no cache to report on.
+    assert!(!one.contains("cache:"), "{one}");
+}

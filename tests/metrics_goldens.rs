@@ -40,8 +40,7 @@ fn filled() -> MetricsSnapshot {
         }
     };
     let analysis = &metrics.analysis_duration_us;
-    observe(&analysis.cold, &[20_000, 90_000, 3_000_000]);
-    observe(&analysis.hit, &[40, 300]);
+    observe(&analysis.batch, &[20_000, 90_000, 3_000_000]);
     observe(&analysis.streaming, &[60, 150, 600, 4_000]);
     observe(
         &metrics.streaming_update_us,
@@ -91,15 +90,11 @@ const JSON_GOLDEN: &str = concat!(
     r#","count":22},{"le_us":"500","count":11},{"le_us":"1000","count":11},{"le_us":"5000""#,
     r#","count":11},{"le_us":"25000","count":11},{"le_us":"100000""#,
     r#","count":11},{"le_us":"1000000","count":11},{"le_us":"+inf","count":10}],"sum":28963570"#,
-    r#","count":120},"analysis_duration_us":{"cold":{"buckets":[{"le_us":"100""#,
+    r#","count":120},"analysis_duration_us":{"batch":{"buckets":[{"le_us":"100""#,
     r#","count":0},{"le_us":"250","count":0},{"le_us":"500","count":0},{"le_us":"1000""#,
     r#","count":0},{"le_us":"5000","count":0},{"le_us":"25000","count":1},{"le_us":"100000""#,
     r#","count":1},{"le_us":"1000000","count":0},{"le_us":"+inf","count":1}],"sum":3110000"#,
-    r#","count":3},"hit":{"buckets":[{"le_us":"100","count":1},{"le_us":"250""#,
-    r#","count":0},{"le_us":"500","count":1},{"le_us":"1000","count":0},{"le_us":"5000""#,
-    r#","count":0},{"le_us":"25000","count":0},{"le_us":"100000","count":0},{"le_us":"1000000""#,
-    r#","count":0},{"le_us":"+inf","count":0}],"sum":340,"count":2}"#,
-    r#","streaming":{"buckets":[{"le_us":"100","count":1},{"le_us":"250""#,
+    r#","count":3},"streaming":{"buckets":[{"le_us":"100","count":1},{"le_us":"250""#,
     r#","count":1},{"le_us":"500","count":0},{"le_us":"1000","count":1},{"le_us":"5000""#,
     r#","count":1},{"le_us":"25000","count":0},{"le_us":"100000","count":0},{"le_us":"1000000""#,
     r#","count":0},{"le_us":"+inf","count":0}],"sum":4810,"count":4}}"#,
@@ -162,30 +157,19 @@ mine_request_duration_seconds_bucket{le="+Inf"} 120
 mine_request_duration_seconds_sum 28.96357
 mine_request_duration_seconds_count 120
 "#,
-    r#"# HELP mine_analysis_duration_seconds Analysis wall time by mode (batch runs carry the cache outcome).
+    r#"# HELP mine_analysis_duration_seconds Analysis wall time by mode.
 # TYPE mine_analysis_duration_seconds histogram
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.0001"} 0
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.00025"} 0
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.0005"} 0
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.001"} 0
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.005"} 0
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.025"} 1
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="0.1"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="1"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="cold",le="+Inf"} 3
-mine_analysis_duration_seconds_sum{mode="batch",cache="cold"} 3.11
-mine_analysis_duration_seconds_count{mode="batch",cache="cold"} 3
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.0001"} 1
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.00025"} 1
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.0005"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.001"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.005"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.025"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="0.1"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="1"} 2
-mine_analysis_duration_seconds_bucket{mode="batch",cache="hit",le="+Inf"} 2
-mine_analysis_duration_seconds_sum{mode="batch",cache="hit"} 0.00034
-mine_analysis_duration_seconds_count{mode="batch",cache="hit"} 2
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.0001"} 0
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.00025"} 0
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.0005"} 0
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.001"} 0
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.005"} 0
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.025"} 1
+mine_analysis_duration_seconds_bucket{mode="batch",le="0.1"} 2
+mine_analysis_duration_seconds_bucket{mode="batch",le="1"} 2
+mine_analysis_duration_seconds_bucket{mode="batch",le="+Inf"} 3
+mine_analysis_duration_seconds_sum{mode="batch"} 3.11
+mine_analysis_duration_seconds_count{mode="batch"} 3
 mine_analysis_duration_seconds_bucket{mode="streaming",le="0.0001"} 1
 mine_analysis_duration_seconds_bucket{mode="streaming",le="0.00025"} 2
 mine_analysis_duration_seconds_bucket{mode="streaming",le="0.0005"} 2
