@@ -239,6 +239,12 @@ impl ExamSession {
         &self.id
     }
 
+    /// The sitting's copy of problem `id`, if the exam includes it.
+    #[must_use]
+    pub fn problem(&self, id: &ProblemId) -> Option<&Problem> {
+        self.problems.get(id)
+    }
+
     /// The exam being sat.
     #[must_use]
     pub fn exam_id(&self) -> &ExamId {

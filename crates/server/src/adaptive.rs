@@ -4,14 +4,17 @@
 //! adaptive sitting serves **one item at a time**, re-estimating the
 //! student's ability after every answer and picking the next item by
 //! maximum Fisher information at the current estimate. The server keeps
-//! these sittings in their own registry (the lifecycle differs too much
-//! from `ExamSession` to share slots) but runs them behind the exact
-//! same durability machinery: every step is journaled WAL-first, the
-//! sitting is captured into snapshots, and crash recovery / replication
-//! replay the steps through this module's own `answer` path, so a
-//! rebuilt sitting reports a byte-identical ability estimate and — the
-//! estimator and the tie-break rule being deterministic — the identical
-//! next item.
+//! these sittings in a second instance of the same generic
+//! [`Registry`](crate::registry::Registry) that holds fixed-form
+//! sessions, and mutates both kinds through the one event-apply path
+//! (`ServerState::apply`): every
+//! step is journaled WAL-first, the sitting is captured into snapshots,
+//! and crash recovery / replication replay the steps through this
+//! module's own `answer` path, so a rebuilt sitting reports a
+//! byte-identical ability estimate and — the estimator and the
+//! tie-break rule being deterministic — the identical next item. A
+//! finished sitting leaves no trace in the registry, exactly like a
+//! fixed-form one.
 //!
 //! The journaled state "delta" is deliberately the *input* (the graded
 //! answer), not the *output* (the posterior): replaying inputs through
@@ -21,9 +24,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 use mine_adaptive::{
     AbilityEstimate, AdaptiveOptions, AdaptiveTest, InvalidAdaptiveOptions, ItemPool,
@@ -67,6 +68,19 @@ pub enum AdaptiveAnswerError {
     /// The answer could not be graded against the current item.
     Grading(String),
 }
+
+impl std::fmt::Display for AdaptiveAnswerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AdaptiveAnswerError::Complete => f.write_str(
+                "the stop rule has fired; the sitting only accepts POST /sessions/{id}/finish",
+            ),
+            AdaptiveAnswerError::Grading(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for AdaptiveAnswerError {}
 
 /// One step of an adaptive sitting, exactly as journaled: the submitted
 /// answer and the time it took. Grading and re-estimation are *derived*
@@ -120,7 +134,7 @@ impl AdaptiveImage {
             }
             sitting
                 .answer(step.answer, step.time_spent)
-                .map_err(|e| format!("adaptive image step failed to replay: {e:?}"))?;
+                .map_err(|e| format!("adaptive image step failed to replay: {e}"))?;
         }
         Ok(sitting)
     }
@@ -352,121 +366,6 @@ impl AdaptiveSitting {
     }
 }
 
-/// Lookup failures against the adaptive registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptiveLookup {
-    /// No sitting with that id was ever registered here.
-    Missing,
-    /// The sitting existed but already finished (HTTP 410).
-    Gone,
-    /// A sitting with that id is already live (HTTP 409 on insert).
-    Duplicate,
-}
-
-/// Registry of live adaptive sittings.
-///
-/// Deliberately simpler than the sharded `SessionRegistry`: a sitting's
-/// hot path is dominated by EAP estimation (tens of microseconds), so a
-/// single `RwLock<BTreeMap>` map — read-locked only long enough to
-/// clone an `Arc` — is not a contention concern, and the `BTreeMap`
-/// gives deterministic snapshot ordering for free.
-#[derive(Debug, Default)]
-pub struct AdaptiveRegistry {
-    live: RwLock<BTreeMap<String, Arc<Mutex<AdaptiveSitting>>>>,
-    finished: RwLock<std::collections::HashSet<String>>,
-}
-
-impl AdaptiveRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether `id` belongs to this registry (live or finished) — used
-    /// by the router to dispatch shared `/sessions/{id}` routes.
-    #[must_use]
-    pub fn routes(&self, id: &str) -> bool {
-        self.live.read().contains_key(id) || self.finished.read().contains(id)
-    }
-
-    /// Registers a new sitting.
-    ///
-    /// # Errors
-    ///
-    /// [`AdaptiveLookup::Duplicate`] when the id is already live or
-    /// already finished.
-    pub fn insert(&self, sitting: AdaptiveSitting) -> Result<(), AdaptiveLookup> {
-        let id = sitting.id().to_string();
-        if self.finished.read().contains(&id) {
-            return Err(AdaptiveLookup::Duplicate);
-        }
-        let mut live = self.live.write();
-        if live.contains_key(&id) {
-            return Err(AdaptiveLookup::Duplicate);
-        }
-        live.insert(id, Arc::new(Mutex::new(sitting)));
-        Ok(())
-    }
-
-    /// Runs `f` with exclusive access to the sitting.
-    ///
-    /// # Errors
-    ///
-    /// [`AdaptiveLookup::Missing`] or [`AdaptiveLookup::Gone`].
-    pub fn with<R>(
-        &self,
-        id: &str,
-        f: impl FnOnce(&mut AdaptiveSitting) -> R,
-    ) -> Result<R, AdaptiveLookup> {
-        let slot = match self.live.read().get(id) {
-            Some(slot) => Arc::clone(slot),
-            None if self.finished.read().contains(id) => return Err(AdaptiveLookup::Gone),
-            None => return Err(AdaptiveLookup::Missing),
-        };
-        let mut sitting = slot.lock();
-        Ok(f(&mut sitting))
-    }
-
-    /// Removes a finished sitting, remembering the id so later requests
-    /// draw 410 Gone rather than 404.
-    pub fn remove(&self, id: &str) {
-        if self.live.write().remove(id).is_some() {
-            self.finished.write().insert(id.to_string());
-        }
-    }
-
-    /// Number of live sittings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live.read().len()
-    }
-
-    /// Whether no sittings are live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live.read().is_empty()
-    }
-
-    /// Captures every live sitting, ordered by id.
-    #[must_use]
-    pub fn capture(&self) -> Vec<AdaptiveImage> {
-        self.live
-            .read()
-            .values()
-            .map(|slot| slot.lock().image())
-            .collect()
-    }
-
-    /// Takes over `fresh`'s sittings (a follower re-bootstrapping
-    /// restores into a fresh registry, then swaps it in, so readers never
-    /// see an empty one).
-    pub fn replace_with(&self, fresh: AdaptiveRegistry) {
-        *self.live.write() = fresh.live.into_inner();
-        *self.finished.write() = fresh.finished.into_inner();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,23 +481,5 @@ mod tests {
             restored.finish().unwrap().to_value(),
             sitting.finish().unwrap().to_value()
         );
-    }
-
-    #[test]
-    fn registry_lifecycle_and_tombstones() {
-        let registry = AdaptiveRegistry::new();
-        let sitting = start(6, AdaptiveOptions::for_bank(6));
-        let id = sitting.id().to_string();
-        registry.insert(sitting.clone()).unwrap();
-        assert_eq!(registry.insert(sitting), Err(AdaptiveLookup::Duplicate));
-        assert!(registry.routes(&id));
-        assert_eq!(registry.len(), 1);
-        registry
-            .with(&id, |s| assert_eq!(s.step_count(), 0))
-            .unwrap();
-        registry.remove(&id);
-        assert!(registry.routes(&id));
-        assert_eq!(registry.with(&id, |_| ()), Err(AdaptiveLookup::Gone));
-        assert_eq!(registry.with("nope", |_| ()), Err(AdaptiveLookup::Missing));
     }
 }

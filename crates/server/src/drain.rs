@@ -18,20 +18,21 @@
 //!   journaled `Paused` event, a final snapshot has been written, and
 //!   the listener threads are joining.
 //!
-//! Correctness does not depend on the deadline: the final snapshot is
-//! captured under the journal's exclusive write gate, so even a
-//! straggling request that outlives the deadline either lands wholly
-//! before the snapshot or wholly after it in the WAL — a restarted
-//! server replays it either way. The deadline only bounds how long
-//! shutdown *waits* for stragglers before moving on.
+//! Correctness does not depend on the deadline: the pause pass and the
+//! final snapshot run under the journal's exclusive write gate, so even
+//! a straggling request that outlives the deadline either lands wholly
+//! before the pass or wholly after the snapshot in the WAL — a
+//! restarted server replays it either way. The deadline only bounds how
+//! long shutdown *waits* for stragglers before moving on.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use mine_delivery::SessionState;
+use mine_delivery::{DeliveryError, SessionState};
 
 use crate::journal::{Journal, SessionEvent};
-use crate::router::ServerState;
+use crate::registry::Keyed;
+use crate::router::{Rejected, ServerState};
 
 /// Where the server is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,22 +152,38 @@ pub struct DrainReport {
 /// Pauses every still-active session through the journaled `Paused`
 /// event and writes a final compacting snapshot.
 ///
-/// Pausing goes through exactly the code path the `POST
-/// /sessions/{id}/pause` handler uses — WAL-first append under the
-/// journal read gate, then the in-memory mutation under the session's
-/// own lock — so a recovered server cannot tell a drain-pause from a
-/// learner-pause. Non-resumable sessions refuse to pause; that is
-/// recorded as a note and the session is still captured live in the
-/// snapshot (recovery restores it mid-flight, exactly like a crash).
+/// Pausing goes through `ServerState::apply`, the method the `POST
+/// /sessions/{id}/pause` handler uses — WAL-first append, then the
+/// in-memory mutation under the session's own lock — so a recovered
+/// server cannot tell a drain-pause from a learner-pause. Non-resumable
+/// sessions refuse to pause; that is recorded as a note and the session
+/// is still captured live in the snapshot (recovery restores it
+/// mid-flight, exactly like a crash).
 pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
     let mut report = DrainReport {
         drained_cleanly: true,
         ..DrainReport::default()
     };
     let journal = state.journal.as_ref();
+    // The exclusive gate waits out any mutating handler that is
+    // mid-request and holds later ones off until the final image is
+    // written: the sessions stay as captured, and the image is
+    // consistent with the log even when the drain deadline expired with
+    // work running.
+    let _gate = journal.map(Journal::gate_write);
+    let commit = |event: &SessionEvent| match journal {
+        Some(journal) => journal
+            .append(event)
+            .map(drop)
+            .map_err(|err| format!("journal append failed: {err}")),
+        None => Ok(()),
+    };
 
-    for (session, _) in state.registry.capture() {
-        match session.state() {
+    for (id, session_state) in state
+        .registry
+        .capture(|slot| (slot.key().to_string(), slot.session.state()))
+    {
+        match session_state {
             SessionState::Paused => {
                 report.sessions_already_paused += 1;
                 continue;
@@ -174,42 +191,23 @@ pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
             SessionState::Finished => continue,
             SessionState::Active => {}
         }
-        let id = session.id().as_str().to_string();
-        let _gate = journal.map(Journal::gate_read);
-        let outcome = state.registry.with(&id, |slot| {
-            // Re-check under the slot lock: a straggling handler may
-            // have paused or finished the session since the capture.
-            if slot.session.state() != SessionState::Active {
-                return Ok(false);
-            }
-            if let Some(journal) = journal {
-                journal
-                    .append(&SessionEvent::Paused {
-                        session: id.clone(),
-                    })
-                    .map_err(|err| format!("journal append failed: {err}"))?;
-            }
-            let checkpoint = slot
-                .session
-                .pause()
-                .map_err(|err| format!("refused to pause: {err}"))?;
-            slot.checkpoint = Some(checkpoint);
-            Ok::<bool, String>(true)
-        });
-        match outcome {
-            Ok(Ok(true)) => report.sessions_paused += 1,
-            Ok(Ok(false)) => {}
-            Ok(Err(note)) => report.notes.push(format!("session {id}: {note}")),
+        let pause = SessionEvent::Paused {
+            session: id.clone(),
+        };
+        match state.apply(&pause, commit, |_| ()) {
+            Ok(()) => report.sessions_paused += 1,
+            // Without a journal there is no gate: a straggling handler
+            // paused or finished the session since the capture.
+            Err(Rejected::Delivery(DeliveryError::WrongState { .. })) => {}
+            Err(Rejected::Delivery(err)) => report
+                .notes
+                .push(format!("session {id}: refused to pause: {err}")),
             Err(err) => report.notes.push(format!("session {id}: {err}")),
         }
     }
 
     if let Some(journal) = journal {
-        // The exclusive gate waits out any mutating handler that is
-        // mid-request, making the captured image consistent with the
-        // log even when the drain deadline expired with work running.
         // A full base, not a delta: a clean shutdown leaves one image.
-        let _gate = journal.gate_write();
         match journal.write_base(state) {
             Ok(()) => {
                 report.snapshot_written = true;

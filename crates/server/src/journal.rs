@@ -27,8 +27,9 @@
 //!
 //! [`open_journaled_state`] restores the base, files each delta's
 //! records on top, takes the live sittings from the newest image,
-//! replays the tail through the very same registry/session methods the
-//! live handlers use, and returns the ready [`ServerState`].
+//! replays the tail through `ServerState::apply` — the very method
+//! the live handlers mutate through — and returns the ready
+//! [`ServerState`].
 //! Determinism comes from the sessions' logical clock: no wall time is
 //! ever consulted.
 
@@ -46,8 +47,8 @@ use mine_itembank::Repository;
 use mine_store::{EventStore, Recovered, Snapshot, StoreError, StoreOptions};
 use mine_streamstats::StreamEngine;
 
-use crate::adaptive::{AdaptiveImage, AdaptiveRegistry, AdaptiveSitting};
-use crate::registry::{FinishedStore, SessionRegistry};
+use crate::adaptive::{AdaptiveImage, AdaptiveSitting};
+use crate::registry::{FinishedStore, Registry, SessionRegistry, SessionSlot};
 use crate::router::ServerState;
 
 /// One journaled mutation of the session registry.
@@ -87,7 +88,8 @@ pub enum SessionEvent {
         session: String,
     },
     /// `POST /sessions/{id}/finish` — the sitting was graded, filed,
-    /// and evicted.
+    /// and evicted. Later requests for it answer 404, and a re-sit with
+    /// the same seed starts afresh.
     Finished {
         /// The session finished.
         session: String,
@@ -123,7 +125,8 @@ pub enum SessionEvent {
 }
 
 impl SessionEvent {
-    /// Short label for inspection tooling (`mine recover`).
+    /// Short label for inspection tooling (`mine recover`) and replay
+    /// notes.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -178,7 +181,7 @@ impl ServerImage {
     pub fn capture(
         registry: &SessionRegistry,
         finished: &FinishedStore,
-        adaptive: &AdaptiveRegistry,
+        adaptive: &Registry<AdaptiveSitting>,
     ) -> Self {
         Self::capture_since(registry, finished, adaptive, 0)
     }
@@ -189,18 +192,14 @@ impl ServerImage {
     pub fn capture_since(
         registry: &SessionRegistry,
         finished: &FinishedStore,
-        adaptive: &AdaptiveRegistry,
+        adaptive: &Registry<AdaptiveSitting>,
         tick: u64,
     ) -> Self {
         Self {
-            sessions: registry
-                .capture()
-                .into_iter()
-                .map(|(session, checkpoint)| SlotImage {
-                    session: session.image(),
-                    checkpoint,
-                })
-                .collect(),
+            sessions: registry.capture(|slot| SlotImage {
+                session: slot.session.image(),
+                checkpoint: slot.checkpoint.clone(),
+            }),
             finished: finished
                 .filed_since(tick)
                 .into_iter()
@@ -209,7 +208,7 @@ impl ServerImage {
                     records: records.iter().map(|record| (**record).clone()).collect(),
                 })
                 .collect(),
-            adaptive: Some(adaptive.capture()),
+            adaptive: Some(adaptive.capture(AdaptiveSitting::image)),
         }
     }
 
@@ -228,20 +227,18 @@ impl ServerImage {
         registry: &SessionRegistry,
         finished: &FinishedStore,
         stream: &StreamEngine,
-        adaptive: &AdaptiveRegistry,
+        adaptive: &Registry<AdaptiveSitting>,
     ) -> Result<(), String> {
         for slot in self.sessions {
             let id = slot.session.id.as_str().to_string();
             let session = ExamSession::from_image(slot.session)
                 .map_err(|err| format!("session {id} failed to rebuild: {err}"))?;
             registry
-                .insert(session)
+                .insert(SessionSlot {
+                    session,
+                    checkpoint: slot.checkpoint,
+                })
                 .map_err(|err| format!("session {id} failed to re-register: {err}"))?;
-            if slot.checkpoint.is_some() {
-                registry
-                    .with(&id, |live| live.checkpoint = slot.checkpoint.clone())
-                    .map_err(|err| format!("session {id} vanished during restore: {err}"))?;
-            }
         }
         file_records(self.finished, finished, stream);
         for image in self.adaptive.unwrap_or_default() {
@@ -249,7 +246,7 @@ impl ServerImage {
             let id = sitting.id().to_string();
             adaptive
                 .insert(sitting)
-                .map_err(|err| format!("adaptive sitting {id} failed to re-register: {err:?}"))?;
+                .map_err(|err| format!("adaptive sitting {id} failed to re-register: {err}"))?;
         }
         Ok(())
     }
@@ -484,137 +481,6 @@ pub struct RecoveryReport {
     pub notes: Vec<String>,
 }
 
-/// Replays one journaled event through the same code paths the live
-/// handlers use. Returns a note when the event did not apply cleanly.
-/// Recovery and the replication follower share this function, which is
-/// what makes a replica's in-memory state bit-identical to what the
-/// primary would rebuild from the same log.
-pub(crate) fn apply_event(
-    repository: &Repository,
-    registry: &SessionRegistry,
-    finished: &FinishedStore,
-    stream: &StreamEngine,
-    adaptive: &AdaptiveRegistry,
-    event: SessionEvent,
-) -> Option<String> {
-    match event {
-        SessionEvent::Created {
-            exam,
-            student,
-            options,
-        } => {
-            let (exam, problems) = match repository.resolve_exam(&exam) {
-                Ok(resolved) => resolved,
-                Err(err) => return Some(format!("created: {err}")),
-            };
-            let session = match ExamSession::start(&exam, problems, student, options) {
-                Ok(session) => session,
-                Err(err) => return Some(format!("created: {err}")),
-            };
-            registry
-                .insert(session)
-                .err()
-                .map(|err| format!("created: {err}"))
-        }
-        SessionEvent::Answered {
-            session,
-            answer,
-            time_spent,
-        } => match registry.with(&session, |slot| slot.session.answer(answer, time_spent)) {
-            // An answer the live server rejected (expiry, wrong kind)
-            // replays as the same rejection — not a divergence.
-            Ok(_) => None,
-            Err(err) => Some(format!("answered: {err}")),
-        },
-        SessionEvent::Paused { session } => {
-            match registry.with(&session, |slot| {
-                let checkpoint = slot.session.pause()?;
-                slot.checkpoint = Some(checkpoint);
-                Ok::<_, mine_delivery::DeliveryError>(())
-            }) {
-                Ok(_) => None,
-                Err(err) => Some(format!("paused: {err}")),
-            }
-        }
-        SessionEvent::Resumed { session } => {
-            match registry.with(&session, |slot| slot.session.reactivate()) {
-                Ok(_) => None,
-                Err(err) => Some(format!("resumed: {err}")),
-            }
-        }
-        SessionEvent::Finished { session } => {
-            let outcome = registry.with(&session, |slot| {
-                slot.session
-                    .finish()
-                    .map(|record| (slot.session.exam_id().as_str().to_string(), record))
-            });
-            match outcome {
-                Ok(Ok((exam, record))) => {
-                    // Mirror the live finish path: file and fold under
-                    // the engine's per-exam lock so replay produces the
-                    // same engine state the origin built incrementally.
-                    stream.with_exam(&exam, |exam_stream| {
-                        finished.push(&exam, record.clone());
-                        exam_stream.apply(&record);
-                    });
-                    let _ = registry.remove(&session);
-                    None
-                }
-                Ok(Err(err)) => Some(format!("finished: {err}")),
-                Err(err) => Some(format!("finished: {err}")),
-            }
-        }
-        SessionEvent::AdaptiveCreated {
-            exam,
-            student,
-            options,
-        } => {
-            let (exam, problems) = match repository.resolve_exam(&exam) {
-                Ok(resolved) => resolved,
-                Err(err) => return Some(format!("adaptive-created: {err}")),
-            };
-            let sitting =
-                match AdaptiveSitting::start(exam.id().clone(), problems, student, options) {
-                    Ok(sitting) => sitting,
-                    Err(err) => return Some(format!("adaptive-created: {err}")),
-                };
-            adaptive
-                .insert(sitting)
-                .err()
-                .map(|err| format!("adaptive-created: {err:?}"))
-        }
-        SessionEvent::AdaptiveStep {
-            session,
-            answer,
-            time_spent,
-        } => match adaptive.with(&session, |sitting| sitting.answer(answer, time_spent)) {
-            // A step the live server rejected (a grading error after the
-            // append) replays as the same deterministic rejection.
-            Ok(_) => None,
-            Err(err) => Some(format!("adaptive-step: {err:?}")),
-        },
-        SessionEvent::AdaptiveFinished { session } => {
-            let outcome = adaptive.with(&session, |sitting| {
-                sitting
-                    .finish()
-                    .map(|record| (sitting.exam().as_str().to_string(), record))
-            });
-            match outcome {
-                Ok(Ok((exam, record))) => {
-                    stream.with_exam(&exam, |exam_stream| {
-                        finished.push(&exam, record.clone());
-                        exam_stream.apply(&record);
-                    });
-                    adaptive.remove(&session);
-                    None
-                }
-                Ok(Err(err)) => Some(format!("adaptive-finished: {err}")),
-                Err(err) => Some(format!("adaptive-finished: {err:?}")),
-            }
-        }
-    }
-}
-
 /// Opens the journal at `dir`, rebuilds the full [`ServerState`] from
 /// base + deltas + tail, and attaches the journal so subsequent mutations
 /// keep being logged.
@@ -677,14 +543,7 @@ pub fn open_journaled_state(
     for record in recovered.events {
         let event: SessionEvent =
             decode_payload(&record.payload, format_args!("event seq {}", record.seq))?;
-        if let Some(note) = apply_event(
-            &state.repository,
-            &state.registry,
-            &state.finished,
-            &state.stream,
-            &state.adaptive,
-            event,
-        ) {
+        if let Err(note) = state.replay(&event) {
             report.notes.push(format!("seq {}: {note}", record.seq));
         }
         report.events_replayed += 1;
@@ -737,6 +596,41 @@ mod tests {
             err.starts_with("bootstrap image failed to decode: "),
             "{err}"
         );
+    }
+
+    #[test]
+    fn replay_notes_name_the_event_and_the_reason() {
+        let dir = std::env::temp_dir().join(format!("mine-journal-notes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open =
+            || open_journaled_state(Repository::new(), &dir, StoreOptions::default(), 0).unwrap();
+        {
+            let (state, _) = open();
+            let journal = state.journal.as_ref().unwrap();
+            journal
+                .append(&SessionEvent::AdaptiveStep {
+                    session: "cat~s1@0".to_string(),
+                    answer: Answer::TrueFalse(true),
+                    time_spent: Duration::from_secs(1),
+                })
+                .unwrap();
+            journal
+                .append(&SessionEvent::Created {
+                    exam: "quiz".parse().unwrap(),
+                    student: "s1".parse().unwrap(),
+                    options: DeliveryOptions::default(),
+                })
+                .unwrap();
+        }
+        let (_, report) = open();
+        assert_eq!(
+            report.notes,
+            [
+                "seq 1: adaptive-step: no session cat~s1@0",
+                "seq 2: created: exam \"quiz\" not found",
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

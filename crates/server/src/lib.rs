@@ -20,8 +20,9 @@
 //! | `GET /metrics` | request counts, latency histogram, session gauges |
 //!
 //! The architecture is transport-agnostic: [`Router::handle`] maps a
-//! parsed [`http::Request`] to an [`http::Response`] over a sharded
-//! [`SessionRegistry`], so handler unit tests run with zero sockets
+//! parsed [`http::Request`] to an [`http::Response`] over sharded
+//! [`Registry`] instances, changing them only through
+//! `ServerState::apply`, so handler unit tests run with zero sockets
 //! while [`Server::start`] serves the same router over real loopback
 //! TCP. [`loadgen`] drives a running server with many deterministic
 //! concurrent clients.
@@ -67,9 +68,7 @@ pub mod router;
 pub mod scrub;
 pub mod serve;
 
-pub use adaptive::{
-    AdaptiveImage, AdaptiveLookup, AdaptiveRegistry, AdaptiveSitting, AdaptiveStep,
-};
+pub use adaptive::{AdaptiveImage, AdaptiveSitting, AdaptiveStep};
 pub use audit::{audit_dirs, AuditReport, NodeAudit};
 pub use client::{
     backoff_delay, ClientResponse, HttpClient, ResilientClient, RetryPolicy,
@@ -84,7 +83,7 @@ pub use journal::{
 pub use loadgen::{run_loadgen, AnswerKey, LoadGenOptions, LoadGenReport, LoadMode};
 pub use metrics::{Metrics, MetricsSnapshot, Route};
 pub use overload::{OverloadOptions, PeerLimiter, RateLimit, TokenBucket};
-pub use registry::{FinishedStore, RegistryError, SessionRegistry, SessionSlot};
+pub use registry::{FinishedStore, Registry, RegistryError, SessionRegistry, SessionSlot};
 pub use repl::{
     start_follower, AckMode, FailoverConfig, FollowerPuller, ReplListener, ReplState, Role,
     DEFAULT_FAILOVER_TIMEOUT,

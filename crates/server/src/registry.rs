@@ -1,36 +1,52 @@
-//! Concurrent session state: a sharded registry of live
-//! [`ExamSession`]s and a store of finished [`StudentRecord`]s.
+//! Concurrent session state: a sharded [`Registry`] of live sittings
+//! and a store of finished [`StudentRecord`]s.
 //!
-//! The registry spreads sessions over a fixed set of shards, each a
-//! `parking_lot::RwLock<HashMap<..>>`; a session's shard is chosen by
-//! hashing its id, so operations on different sessions contend only
-//! when they land on the same shard, and operations on the *same*
-//! session serialize on that session's own mutex — never on a global
-//! lock. Handlers get at a session through [`SessionRegistry::with`],
-//! which holds the shard read lock just long enough to clone the
-//! per-session `Arc`.
+//! One generic registry holds both kinds of sitting: the server keeps
+//! a `Registry<SessionSlot>` of fixed-form sittings and a
+//! `Registry<AdaptiveSitting>` of CAT sittings. Values spread over a
+//! fixed set of shards, each a `parking_lot::RwLock<HashMap<..>>`; a
+//! value's shard is chosen by hashing its id, so operations on
+//! different sittings contend only when they land on the same shard,
+//! and operations on the *same* sitting serialize on that sitting's
+//! own mutex — never on a global lock. Callers get at a sitting
+//! through [`Registry::with`], which holds the shard read lock just
+//! long enough to clone the per-sitting `Arc`.
+//!
+//! A removed sitting leaves nothing behind: later lookups answer
+//! [`RegistryError::Missing`], and a sitting with the same id (a re-sit
+//! with the same seed) can be inserted afresh. Removal empties the slot
+//! under the sitting's own lock, so a request that found the slot just
+//! before also gets `Missing` and can never touch the re-sit. The
+//! registry holds only what a snapshot image captures, and reads no
+//! clock.
+//!
+//! [`AdaptiveSitting`]: crate::adaptive::AdaptiveSitting
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use mine_core::{SessionId, StudentRecord};
+use mine_core::StudentRecord;
 use mine_delivery::{ExamSession, SessionCheckpoint, SessionState};
+
+use crate::adaptive::AdaptiveSitting;
 
 /// Default shard count — enough to keep 32+ concurrent clients off each
 /// other's locks without wasting memory.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// How long a removed session's tombstone distinguishes "already
-/// removed" from "never existed".
-pub const DEFAULT_TOMBSTONE_TTL: Duration = Duration::from_secs(300);
+/// A value a [`Registry`] can hold: it knows its own id.
+pub trait Keyed {
+    /// The id the value is registered under.
+    fn key(&self) -> &str;
+}
 
-/// A live session plus the server-side copy of its latest pause
-/// checkpoint (the paper's `cmi.suspend_data`).
+/// A live fixed-form session plus the server-side copy of its latest
+/// pause checkpoint (the paper's `cmi.suspend_data`).
 #[derive(Debug)]
 pub struct SessionSlot {
     /// The in-memory sitting.
@@ -39,17 +55,39 @@ pub struct SessionSlot {
     pub checkpoint: Option<SessionCheckpoint>,
 }
 
+impl SessionSlot {
+    /// A freshly started session with no checkpoint.
+    #[must_use]
+    pub fn new(session: ExamSession) -> Self {
+        Self {
+            session,
+            checkpoint: None,
+        }
+    }
+}
+
+impl Keyed for SessionSlot {
+    fn key(&self) -> &str {
+        self.session.id().as_str()
+    }
+}
+
+impl Keyed for AdaptiveSitting {
+    fn key(&self) -> &str {
+        self.id()
+    }
+}
+
+/// The registry of live fixed-form sessions.
+pub type SessionRegistry = Registry<SessionSlot>;
+
 /// Failure modes of registry operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
-    /// A session with the same id is already registered.
-    Duplicate(SessionId),
-    /// No session with the given id.
+    /// A sitting with the same id is already registered.
+    Duplicate(String),
+    /// No sitting with the given id.
     Missing(String),
-    /// The session existed and was removed recently (its tombstone has
-    /// not expired) — a repeated removal, not an unknown id, so a
-    /// caller retrying a finish can treat it as success.
-    AlreadyRemoved(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -57,51 +95,38 @@ impl std::fmt::Display for RegistryError {
         match self {
             RegistryError::Duplicate(id) => write!(f, "session {id} already exists"),
             RegistryError::Missing(id) => write!(f, "no session {id}"),
-            RegistryError::AlreadyRemoved(id) => write!(f, "session {id} was already removed"),
         }
     }
 }
 
 impl std::error::Error for RegistryError {}
 
-/// One shard: live slots plus tombstones of recently removed sessions,
-/// behind a single lock so remove-vs-remove races resolve atomically.
-#[derive(Debug, Default)]
-struct ShardMap {
-    live: HashMap<String, Arc<Mutex<SessionSlot>>>,
-    tombstones: HashMap<String, Instant>,
+fn missing(id: &str) -> RegistryError {
+    RegistryError::Missing(id.to_string())
 }
 
-type Shard = RwLock<ShardMap>;
+/// A sitting's slot; `None` once the sitting is removed.
+type Slot<T> = Arc<Mutex<Option<T>>>;
+type Shard<T> = RwLock<HashMap<String, Slot<T>>>;
 
-/// A sharded, thread-safe map of live exam sessions.
+/// A sharded, thread-safe map of live sittings keyed by id.
 #[derive(Debug)]
-pub struct SessionRegistry {
-    shards: Vec<Shard>,
-    tombstone_ttl: Duration,
+pub struct Registry<T> {
+    shards: Vec<Shard<T>>,
 }
 
-impl Default for SessionRegistry {
+impl<T: Keyed> Default for Registry<T> {
     fn default() -> Self {
         Self::new(DEFAULT_SHARDS)
     }
 }
 
-impl SessionRegistry {
+impl<T: Keyed> Registry<T> {
     /// Creates a registry with the given shard count (minimum 1).
     #[must_use]
     pub fn new(shards: usize) -> Self {
-        Self::with_tombstone_ttl(shards, DEFAULT_TOMBSTONE_TTL)
-    }
-
-    /// Creates a registry with an explicit tombstone lifetime (how long
-    /// [`SessionRegistry::remove`] can tell a repeated removal apart
-    /// from an unknown session).
-    #[must_use]
-    pub fn with_tombstone_ttl(shards: usize, tombstone_ttl: Duration) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            tombstone_ttl,
         }
     }
 
@@ -111,156 +136,146 @@ impl SessionRegistry {
         (hasher.finish() % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, id: &str) -> &Shard {
+    fn shard(&self, id: &str) -> &Shard<T> {
         &self.shards[self.shard_index(id)]
     }
 
-    /// Registers a freshly started session.
+    /// The slot registered under `id`; the shard lock is released on
+    /// return, before the caller locks the slot.
+    fn slot(&self, id: &str) -> Result<Slot<T>, RegistryError> {
+        self.shard(id)
+            .read()
+            .get(id)
+            .cloned()
+            .ok_or_else(|| missing(id))
+    }
+
+    /// Registers a freshly started sitting under its own id.
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError::Duplicate`] when the id is taken.
-    pub fn insert(&self, session: ExamSession) -> Result<SessionId, RegistryError> {
-        let id = session.id().clone();
-        let mut shard = self.shard(id.as_str()).write();
-        if shard.live.contains_key(id.as_str()) {
-            return Err(RegistryError::Duplicate(id));
+    pub fn insert(&self, value: T) -> Result<(), RegistryError> {
+        let id = value.key();
+        let mut shard = self.shard(id).write();
+        if shard.contains_key(id) {
+            return Err(RegistryError::Duplicate(id.to_string()));
         }
-        // A fresh session supersedes any tombstone of its predecessor
-        // (a re-sit with the same seed after a finish).
-        shard.tombstones.remove(id.as_str());
-        shard.live.insert(
-            id.as_str().to_string(),
-            Arc::new(Mutex::new(SessionSlot {
-                session,
-                checkpoint: None,
-            })),
-        );
-        Ok(id)
+        shard.insert(id.to_string(), Arc::new(Mutex::new(Some(value))));
+        Ok(())
     }
 
-    /// Runs `f` with exclusive access to a session's slot.
+    /// Runs `f` with exclusive access to a sitting.
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError::Missing`] for unknown ids.
-    pub fn with<R>(
-        &self,
-        id: &str,
-        f: impl FnOnce(&mut SessionSlot) -> R,
-    ) -> Result<R, RegistryError> {
-        let slot = {
-            let shard = self.shard(id).read();
-            shard
-                .live
-                .get(id)
-                .cloned()
-                .ok_or_else(|| RegistryError::Missing(id.to_string()))?
-        };
+    pub fn with<R>(&self, id: &str, f: impl FnOnce(&mut T) -> R) -> Result<R, RegistryError> {
+        let slot = self.slot(id)?;
         let mut guard = slot.lock();
-        Ok(f(&mut guard))
+        Ok(f(guard.as_mut().ok_or_else(|| missing(id))?))
     }
 
-    /// Removes a session (after finish), returning its slot.
-    ///
-    /// Removal is idempotent in the face of races: when two callers
-    /// race to remove the same finished session, exactly one gets the
-    /// slot and the other gets [`RegistryError::AlreadyRemoved`] (for
-    /// as long as the tombstone lives), not a misleading `Missing`.
+    /// Runs `f` with exclusive access to a sitting and, if it returns
+    /// `Ok`, removes the sitting before its lock is released.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError::AlreadyRemoved`] when the session was
-    /// removed within the tombstone TTL and [`RegistryError::Missing`]
-    /// for ids never (or no longer memorably) registered.
-    pub fn remove(&self, id: &str) -> Result<Arc<Mutex<SessionSlot>>, RegistryError> {
-        let mut shard = self.shard(id).write();
-        let ttl = self.tombstone_ttl;
-        shard
-            .tombstones
-            .retain(|_, removed_at| removed_at.elapsed() < ttl);
-        if let Some(slot) = shard.live.remove(id) {
-            shard.tombstones.insert(id.to_string(), Instant::now());
-            return Ok(slot);
+    /// Returns [`RegistryError::Missing`] for unknown ids, including a
+    /// sitting removed while the caller waited for its lock.
+    pub fn take_if<R, E>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&mut T) -> Result<R, E>,
+    ) -> Result<Result<R, E>, RegistryError> {
+        let slot = self.slot(id)?;
+        let mut guard = slot.lock();
+        let outcome = f(guard.as_mut().ok_or_else(|| missing(id))?);
+        if outcome.is_ok() {
+            *guard = None;
+            self.shard(id).write().remove(id);
         }
-        if shard.tombstones.contains_key(id) {
-            return Err(RegistryError::AlreadyRemoved(id.to_string()));
-        }
-        Err(RegistryError::Missing(id.to_string()))
+        Ok(outcome)
     }
 
-    /// Number of sessions currently registered.
+    /// Whether a sitting with this id is live.
+    #[must_use]
+    pub fn contains(&self, id: &str) -> bool {
+        self.shard(id).read().contains_key(id)
+    }
+
+    /// Removes a sitting. When callers race to remove the same sitting,
+    /// exactly one succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RegistryError::Missing`] when no sitting has the id.
+    pub fn remove(&self, id: &str) -> Result<(), RegistryError> {
+        self.take_if(id, |_| Ok::<(), Infallible>(())).map(|_| ())
+    }
+
+    /// Number of live sittings.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().live.len())
-            .sum()
+        self.shards.iter().map(|shard| shard.read().len()).sum()
     }
 
-    /// Whether no session is registered.
+    /// Whether no sitting is live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Counts sessions by lifecycle state `(active, paused)`.
+    /// Maps `image` over every live sitting in id order — the
+    /// deterministic basis of a durability snapshot. Callers needing a
+    /// *consistent* capture must exclude concurrent mutators first (the
+    /// server does so via its journal gate).
     #[must_use]
-    pub fn state_counts(&self) -> (usize, usize) {
-        let mut active = 0;
-        let mut paused = 0;
+    pub fn capture<C>(&self, mut image: impl FnMut(&T) -> C) -> Vec<C> {
+        // Clone the Arcs out so slot locks are not taken while a shard
+        // lock is held (lock-ordering hygiene).
+        let mut slots: Vec<(String, Slot<T>)> = Vec::new();
         for shard in &self.shards {
-            // Clone the Arcs out so slot locks are not taken while the
-            // shard lock is held (lock-ordering hygiene).
-            let slots: Vec<_> = shard.read().live.values().cloned().collect();
-            for slot in slots {
-                match slot.lock().session.state() {
-                    SessionState::Active => active += 1,
-                    SessionState::Paused => paused += 1,
-                    SessionState::Finished => {}
-                }
-            }
+            slots.extend(
+                shard
+                    .read()
+                    .iter()
+                    .map(|(id, slot)| (id.clone(), Arc::clone(slot))),
+            );
         }
-        (active, paused)
+        slots.sort_by(|a, b| a.0.cmp(&b.0));
+        slots
+            .iter()
+            .filter_map(|(_, slot)| slot.lock().as_ref().map(&mut image))
+            .collect()
     }
 
-    /// Clones out every live session (with its checkpoint), sorted by
-    /// session id — the deterministic basis of a durability snapshot.
-    /// Callers needing a *consistent* capture must exclude concurrent
-    /// mutators first (the server does so via its journal gate).
-    #[must_use]
-    pub fn capture(&self) -> Vec<(ExamSession, Option<SessionCheckpoint>)> {
-        let mut captured = Vec::new();
-        for shard in &self.shards {
-            let slots: Vec<_> = shard.read().live.values().cloned().collect();
-            for slot in slots {
-                let guard = slot.lock();
-                captured.push((guard.session.clone(), guard.checkpoint.clone()));
-            }
-        }
-        captured.sort_by(|a, b| a.0.id().as_str().cmp(b.0.id().as_str()));
-        captured
-    }
-
-    /// Replaces every live session and tombstone with `fresh`'s live
-    /// sessions, one shard at a time: a reader of any one session sees
-    /// the old slot or the new one, never a gap. Used when a replication
-    /// follower restores a bootstrap image into a fresh registry;
-    /// callers must exclude concurrent mutators (the follower holds the
-    /// journal write gate).
-    pub fn replace_with(&self, fresh: SessionRegistry) {
-        let mut incoming: Vec<HashMap<String, Arc<Mutex<SessionSlot>>>> =
+    /// Replaces every live sitting with `fresh`'s, one shard at a time:
+    /// a reader of any one sitting sees the old slot or the new one,
+    /// never a gap. Used when a replication follower restores a
+    /// bootstrap image into a fresh registry; callers must exclude
+    /// concurrent mutators (the follower holds the journal write gate).
+    pub fn replace_with(&self, fresh: Self) {
+        let mut incoming: Vec<HashMap<String, Slot<T>>> =
             self.shards.iter().map(|_| HashMap::new()).collect();
         for shard in fresh.shards {
-            for (id, slot) in shard.into_inner().live {
+            for (id, slot) in shard.into_inner() {
                 incoming[self.shard_index(&id)].insert(id, slot);
             }
         }
         for (shard, live) in self.shards.iter().zip(incoming) {
-            let mut shard = shard.write();
-            shard.live = live;
-            shard.tombstones.clear();
+            *shard.write() = live;
         }
+    }
+}
+
+impl Registry<SessionSlot> {
+    /// Counts sessions by lifecycle state `(active, paused)`.
+    #[must_use]
+    pub fn state_counts(&self) -> (usize, usize) {
+        let states = self.capture(|slot| slot.session.state());
+        let count = |state| states.iter().filter(|s| **s == state).count();
+        (count(SessionState::Active), count(SessionState::Paused))
     }
 }
 
@@ -403,25 +418,44 @@ fn deep_clone(records: &[Arc<StudentRecord>]) -> Vec<StudentRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mine_adaptive::AdaptiveOptions;
     use mine_core::Answer;
     use mine_delivery::DeliveryOptions;
-    use mine_itembank::{Exam, Problem};
+    use mine_itembank::{Calibration, Exam, Problem};
     use std::time::Duration;
 
-    fn session(student: &str, seed: u64) -> ExamSession {
+    fn session(student: &str, seed: u64) -> SessionSlot {
         let problems = vec![Problem::true_false("q1", "Yes?", true).unwrap()];
         let exam = Exam::builder("quiz")
             .unwrap()
             .entry("q1".parse().unwrap())
             .build()
             .unwrap();
-        ExamSession::start(
-            &exam,
+        SessionSlot::new(
+            ExamSession::start(
+                &exam,
+                problems,
+                student.parse().unwrap(),
+                DeliveryOptions {
+                    seed,
+                    ..DeliveryOptions::default()
+                },
+            )
+            .unwrap(),
+        )
+    }
+
+    fn adaptive(student: &str, seed: u64) -> AdaptiveSitting {
+        let problems = vec![Problem::true_false("q1", "Yes?", true)
+            .unwrap()
+            .with_calibration(Calibration::new(1.0, 0.0, 0.2))];
+        AdaptiveSitting::start(
+            "cat".parse().unwrap(),
             problems,
             student.parse().unwrap(),
-            DeliveryOptions {
+            AdaptiveOptions {
                 seed,
-                ..DeliveryOptions::default()
+                ..AdaptiveOptions::for_bank(1)
             },
         )
         .unwrap()
@@ -430,10 +464,13 @@ mod tests {
     #[test]
     fn insert_with_remove_round_trip() {
         let registry = SessionRegistry::new(4);
-        let id = registry.insert(session("s1", 0)).unwrap();
+        let slot = session("s1", 0);
+        let id = slot.key().to_string();
+        registry.insert(slot).unwrap();
         assert_eq!(registry.len(), 1);
+        assert!(registry.contains(&id));
         let answered = registry
-            .with(id.as_str(), |slot| {
+            .with(&id, |slot| {
                 slot.session
                     .answer(Answer::TrueFalse(true), Duration::from_secs(5))
                     .unwrap();
@@ -441,19 +478,16 @@ mod tests {
             })
             .unwrap();
         assert_eq!(answered, 1);
-        registry.remove(id.as_str()).unwrap();
+        registry.remove(&id).unwrap();
         assert!(registry.is_empty());
-        assert!(matches!(
-            registry.with(id.as_str(), |_| ()),
-            Err(RegistryError::Missing(_))
-        ));
-        // A second removal within the tombstone TTL is recognizably a
-        // repeat, not an unknown id.
-        assert!(matches!(
-            registry.remove(id.as_str()),
-            Err(RegistryError::AlreadyRemoved(_))
-        ));
-        // But an id that never existed is Missing.
+        assert!(!registry.contains(&id));
+        // A removed sitting leaves nothing behind: every later lookup or
+        // removal is plain Missing, like an id that never existed.
+        assert_eq!(
+            registry.with(&id, |_| ()),
+            Err(RegistryError::Missing(id.clone()))
+        );
+        assert_eq!(registry.remove(&id), Err(RegistryError::Missing(id)));
         assert!(matches!(
             registry.remove("ghost"),
             Err(RegistryError::Missing(_))
@@ -461,69 +495,82 @@ mod tests {
     }
 
     #[test]
-    fn racing_removals_resolve_to_one_winner_and_typed_repeats() {
+    fn racing_removals_leave_exactly_one_winner() {
         let registry = Arc::new(SessionRegistry::new(4));
-        let id = registry.insert(session("s1", 0)).unwrap();
+        let slot = session("s1", 0);
+        let id = slot.key().to_string();
+        registry.insert(slot).unwrap();
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let registry = Arc::clone(&registry);
-                let id = id.as_str().to_string();
+                let id = id.clone();
                 std::thread::spawn(move || registry.remove(&id))
             })
             .collect();
         let outcomes: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
         let wins = outcomes.iter().filter(|o| o.is_ok()).count();
-        let repeats = outcomes
+        let missing = outcomes
             .iter()
-            .filter(|o| matches!(o, Err(RegistryError::AlreadyRemoved(_))))
+            .filter(|o| matches!(o, Err(RegistryError::Missing(_))))
             .count();
         assert_eq!(wins, 1, "exactly one remover gets the slot");
-        assert_eq!(repeats, 7, "every loser sees AlreadyRemoved, never Missing");
+        assert_eq!(missing, 7, "every loser sees Missing");
     }
 
     #[test]
-    fn tombstones_expire_and_are_superseded_by_reinsertion() {
-        let registry = SessionRegistry::with_tombstone_ttl(2, Duration::from_millis(20));
-        let id = registry.insert(session("s1", 0)).unwrap();
-        registry.remove(id.as_str()).unwrap();
-        assert!(matches!(
-            registry.remove(id.as_str()),
-            Err(RegistryError::AlreadyRemoved(_))
-        ));
-        std::thread::sleep(Duration::from_millis(40));
-        // The tombstone has expired: the id is plain Missing again.
-        assert!(matches!(
-            registry.remove(id.as_str()),
-            Err(RegistryError::Missing(_))
-        ));
-        // A re-sit with the same id clears any tombstone.
-        let id = registry.insert(session("s1", 0)).unwrap();
-        registry.remove(id.as_str()).unwrap();
-        registry.insert(session("s1", 0)).unwrap();
+    fn adaptive_sittings_share_the_lifecycle_and_resit_afresh() {
+        let registry: Registry<AdaptiveSitting> = Registry::default();
+        let sitting = adaptive("s1", 4);
+        let id = sitting.id().to_string();
+        registry.insert(sitting.clone()).unwrap();
+        assert_eq!(
+            registry.insert(sitting.clone()),
+            Err(RegistryError::Duplicate(id.clone()))
+        );
+        assert!(registry.contains(&id));
         assert_eq!(registry.len(), 1);
-        registry.with(id.as_str(), |_| ()).unwrap();
+        registry
+            .with(&id, |s| assert_eq!(s.step_count(), 0))
+            .unwrap();
+        registry.remove(&id).unwrap();
+        assert!(!registry.contains(&id));
+        assert_eq!(
+            registry.with(&id, |_| ()),
+            Err(RegistryError::Missing(id.clone()))
+        );
+        // A re-sit with the same seed starts afresh.
+        registry.insert(sitting).unwrap();
+        assert_eq!(registry.len(), 1);
     }
 
     #[test]
     fn capture_is_sorted_and_complete() {
         let registry = SessionRegistry::new(4);
         registry.insert(session("zed", 1)).unwrap();
-        let paused_id = registry.insert(session("amy", 2)).unwrap();
+        let paused = session("amy", 2);
+        let paused_id = paused.key().to_string();
+        registry.insert(paused).unwrap();
         registry
-            .with(paused_id.as_str(), |slot| {
+            .with(&paused_id, |slot| {
                 let checkpoint = slot.session.pause().unwrap();
                 slot.checkpoint = Some(checkpoint);
             })
             .unwrap();
-        let captured = registry.capture();
-        assert_eq!(captured.len(), 2);
+        let captured = registry.capture(|slot| {
+            (
+                slot.key().to_string(),
+                slot.session.state(),
+                slot.checkpoint.is_some(),
+            )
+        });
         // Sorted by session id, checkpoints carried along.
-        assert!(captured[0].0.id().as_str() < captured[1].0.id().as_str());
-        let amy = captured
-            .iter()
-            .find(|(s, _)| s.id().as_str() == paused_id.as_str())
-            .unwrap();
-        assert!(amy.1.is_some());
+        assert_eq!(
+            captured,
+            [
+                (paused_id, SessionState::Paused, true),
+                ("quiz#zed@1".to_string(), SessionState::Active, false),
+            ]
+        );
     }
 
     #[test]
@@ -542,7 +589,8 @@ mod tests {
     #[test]
     fn state_counts_track_pause() {
         let registry = SessionRegistry::new(2);
-        let a = registry.insert(session("a", 0)).unwrap();
+        let a = session("a", 0).key().to_string();
+        registry.insert(session("a", 0)).unwrap();
         registry.insert(session("b", 0)).unwrap();
         registry
             .with(a.as_str(), |slot| slot.session.pause().map(|_| ()))

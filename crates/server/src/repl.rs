@@ -7,9 +7,10 @@
 //! ([`ReplListener`]); each **follower** connects to it
 //! ([`start_follower`]), bootstraps from a full [`ServerImage`]
 //! snapshot, and then applies the primary's WAL records in strict
-//! sequence order — through `journal::apply_event`, the same
-//! function crash recovery uses, so a replica's registry is
-//! byte-identical to what the primary would rebuild from the same log.
+//! sequence order — through `ServerState::apply`, the method the
+//! primary's handlers and crash recovery mutate through, so a replica's
+//! registry is byte-identical to what the primary would rebuild from
+//! the same log.
 //! Followers serve every read route and refuse writes with
 //! `421 Misdirected Request` naming the leader.
 //!
@@ -65,11 +66,10 @@ use mine_store::replicate::{read_message, write_message, Message};
 use mine_store::{FaultPlan, NetAction, ReplError, StreamCursor};
 use mine_streamstats::StreamEngine;
 
-use crate::adaptive::AdaptiveRegistry;
 use crate::client::{backoff_delay, HttpClient, RetryPolicy};
-use crate::journal::{apply_event, decode_payload, Journal, ServerImage, SessionEvent};
+use crate::journal::{decode_payload, Journal, ServerImage, SessionEvent};
 use crate::metrics::Metrics;
-use crate::registry::{FinishedStore, SessionRegistry};
+use crate::registry::{FinishedStore, Registry, SessionRegistry};
 use crate::router::Router;
 
 /// Socket read timeout on both sides of the stream: long enough for
@@ -1031,7 +1031,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     let registry = SessionRegistry::default();
     let finished = FinishedStore::new();
     let stream = StreamEngine::new(*state.stream.config());
-    let adaptive = AdaptiveRegistry::new();
+    let adaptive = Registry::default();
     image
         .restore(&registry, &finished, &stream, &adaptive)
         .map_err(|reason| ReplError::Frame { reason })?;
@@ -1093,14 +1093,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                             .map_err(|reason| ReplError::Frame { reason })?;
                     // Deterministic rejections replay identically on
                     // every replica; nothing to do with the note.
-                    let _note = apply_event(
-                        &state.repository,
-                        &state.registry,
-                        &state.finished,
-                        &state.stream,
-                        &state.adaptive,
-                        event,
-                    );
+                    let _note = state.replay(&event);
                     journal.mark_applied(seq);
                 }
                 write_message(&mut writer, &Message::Ack { seq })?;

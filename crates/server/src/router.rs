@@ -6,6 +6,7 @@
 //! Every handler is a pure function of (state, request), so the full
 //! endpoint surface is testable in-process.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,20 +14,20 @@ use serde::{Deserialize, Number, Serialize, Value};
 
 use mine_adaptive::AdaptiveOptions;
 use mine_analysis::{AnalysisConfig, BatchAnalyzer};
-use mine_core::{Answer, ExamRecord};
-use mine_delivery::{DeliveryError, DeliveryOptions, ExamSession, SessionState};
-use mine_itembank::{Problem, ProblemBody, Repository};
+use mine_core::{Answer, ExamId, ExamRecord, StudentRecord};
+use mine_delivery::{DeliveryError, DeliveryOptions, ExamSession, SessionCheckpoint, SessionState};
+use mine_itembank::{BankError, Problem, ProblemBody, Repository};
 use mine_streamstats::StreamEngine;
 
-use crate::adaptive::{
-    AdaptiveAnswerError, AdaptiveLookup, AdaptiveRegistry, AdaptiveSitting, AdaptiveStartError,
-};
+use crate::adaptive::{AdaptiveAnswerError, AdaptiveSitting, AdaptiveStartError};
 use crate::analysis_bodies::AnalysisBodies;
 use crate::drain::Lifecycle;
 use crate::http::{Request, Response};
 use crate::journal::{Journal, SessionEvent};
 use crate::metrics::{Metrics, Route};
-use crate::registry::{FinishedStore, RegistryError, SessionRegistry};
+use crate::registry::{
+    FinishedStore, Keyed, Registry, RegistryError, SessionRegistry, SessionSlot,
+};
 use crate::repl::{ReplState, Role};
 
 /// Retry-After advertised on writes shed while storage is degraded:
@@ -98,12 +99,10 @@ pub struct ServerState {
     pub repository: Repository,
     /// Live sessions.
     pub registry: SessionRegistry,
-    /// Live adaptive (CAT) sittings — a separate registry because the
-    /// lifecycle (one item at a time, no pause, estimator on the hot
-    /// path) shares nothing with `ExamSession` slots. Session-id
-    /// formats are disjoint (`~` vs `#`), so shared `/sessions/{id}`
-    /// routes dispatch by which registry claims the id.
-    pub adaptive: AdaptiveRegistry,
+    /// Live adaptive (CAT) sittings: a second instance of the same
+    /// registry. Session-id formats are disjoint (`~` vs `#`), so shared
+    /// `/sessions/{id}` routes dispatch by whether this one holds the id.
+    pub adaptive: Registry<AdaptiveSitting>,
     /// Finished records, grouped per exam for live analysis.
     pub finished: FinishedStore,
     /// The §4 pipeline (the `?mode=batch` escape hatch and the fallback
@@ -136,10 +135,10 @@ pub struct ServerState {
     /// The scrubber's most recent pass (per-window range hashes and
     /// segment verdicts).
     pub integrity: crate::scrub::IntegrityTable,
-    /// Serializes `Created` journaling with registry insertion so a
-    /// session's `Created` event always precedes its other events in
-    /// the log (two racing starts of the same id would otherwise be
-    /// able to interleave append and insert).
+    /// Serializes starts: the duplicate check, the commit of the start
+    /// event and the registry insert happen as one step, so a start is
+    /// logged only if it applies and always precedes its sitting's
+    /// other events (see `ServerState::start`).
     create_lock: parking_lot::Mutex<()>,
 }
 
@@ -152,7 +151,7 @@ impl ServerState {
         Self {
             repository,
             registry: SessionRegistry::default(),
-            adaptive: AdaptiveRegistry::new(),
+            adaptive: Registry::default(),
             finished: FinishedStore::new(),
             analyzer: BatchAnalyzer::new(config).with_threads(1),
             stream: Arc::new(StreamEngine::new(config)),
@@ -164,6 +163,259 @@ impl ServerState {
             storage: StorageHealth::default(),
             integrity: crate::scrub::IntegrityTable::default(),
             create_lock: parking_lot::Mutex::new(()),
+        }
+    }
+
+    /// Applies one [`SessionEvent`]. This is the only code that changes
+    /// sittings: the router's handlers, crash recovery, the replication
+    /// follower and the drain pass all come through here, which is what
+    /// keeps live, WAL-replayed and promoted-replica state identical.
+    ///
+    /// `commit` runs WAL-first: after the event is validated as far as
+    /// it can be without mutating anything (a fixed start's options, an
+    /// adaptive answer on a complete sitting) and before any mutation,
+    /// under the sitting's own lock (a start's under the create lock).
+    /// If it fails, memory is untouched.
+    /// Once it has run, the mutation is attempted and a rejection (an
+    /// answer after expiry, say) is returned as one — replay meets the
+    /// same rejection deterministically. The router journals and ships
+    /// the event; recovery and the follower, replaying an event already
+    /// in the log, commit nothing.
+    ///
+    /// `render` sees what the mutation left behind and builds the
+    /// caller's response; replay renders nothing.
+    ///
+    /// A finish files the record into [`FinishedStore`], folds it into
+    /// the [`StreamEngine`] under the engine's per-exam lock (so the two
+    /// always agree on the row set), then frees the slot, all before the
+    /// sitting's lock is released: a finished sitting leaves nothing
+    /// behind, and a re-sit with the same seed starts afresh.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected`] says why the event did not apply.
+    pub(crate) fn apply<R, E>(
+        &self,
+        event: &SessionEvent,
+        commit: impl FnOnce(&SessionEvent) -> Result<(), E>,
+        render: impl FnOnce(Applied<'_>) -> R,
+    ) -> Result<R, Rejected<E>> {
+        let commit = |event| commit(event).map_err(Rejected::Commit);
+        match event {
+            SessionEvent::Created {
+                exam,
+                student,
+                options,
+            } => {
+                let (exam, problems) =
+                    self.repository.resolve_exam(exam).map_err(Rejected::Exam)?;
+                let session = ExamSession::start(&exam, problems, student.clone(), options.clone())
+                    .map_err(Rejected::Delivery)?;
+                let rendered = render(Applied::Started(&session));
+                self.start(&self.registry, SessionSlot::new(session), || commit(event))?;
+                Ok(rendered)
+            }
+            SessionEvent::AdaptiveCreated {
+                exam,
+                student,
+                options,
+            } => {
+                let (exam, problems) =
+                    self.repository.resolve_exam(exam).map_err(Rejected::Exam)?;
+                let mut sitting =
+                    AdaptiveSitting::start(exam.id().clone(), problems, student.clone(), *options)
+                        .map_err(Rejected::AdaptiveStart)?;
+                let rendered = render(Applied::AdaptiveStarted(&mut sitting));
+                self.start(&self.adaptive, sitting, || commit(event))?;
+                Ok(rendered)
+            }
+            SessionEvent::Answered {
+                session,
+                answer,
+                time_spent,
+            } => self
+                .registry
+                .with(session, |slot| {
+                    // Committed even if the session then rejects it: a
+                    // rejection can still move the logical clock (expiry
+                    // clamps it).
+                    commit(event)?;
+                    slot.session
+                        .answer(answer.clone(), *time_spent)
+                        .map_err(Rejected::Delivery)?;
+                    Ok(render(Applied::Session(&slot.session)))
+                })
+                .map_err(Rejected::Registry)?,
+            SessionEvent::Paused { session } => self
+                .registry
+                .with(session, |slot| {
+                    commit(event)?;
+                    let checkpoint = slot.session.pause().map_err(Rejected::Delivery)?;
+                    let rendered = render(Applied::Paused(&checkpoint));
+                    slot.checkpoint = Some(checkpoint);
+                    Ok(rendered)
+                })
+                .map_err(Rejected::Registry)?,
+            SessionEvent::Resumed { session } => self
+                .registry
+                .with(session, |slot| {
+                    commit(event)?;
+                    slot.session.reactivate().map_err(Rejected::Delivery)?;
+                    Ok(render(Applied::Session(&slot.session)))
+                })
+                .map_err(Rejected::Registry)?,
+            SessionEvent::AdaptiveStep {
+                session,
+                answer,
+                time_spent,
+            } => self
+                .adaptive
+                .with(session, |sitting| {
+                    // Refused before the commit: a complete sitting's log
+                    // must end at its last accepted step.
+                    if sitting.is_done() {
+                        return Err(Rejected::AdaptiveAnswer(AdaptiveAnswerError::Complete));
+                    }
+                    commit(event)?;
+                    sitting
+                        .answer(answer.clone(), *time_spent)
+                        .map_err(Rejected::AdaptiveAnswer)?;
+                    Ok(render(Applied::Stepped(sitting)))
+                })
+                .map_err(Rejected::Registry)?,
+            SessionEvent::Finished { session } => {
+                self.finish(&self.registry, session, render, |slot| {
+                    commit(event)?;
+                    let record = slot.session.finish().map_err(Rejected::Delivery)?;
+                    Ok((slot.session.exam_id().as_str().to_string(), record))
+                })
+            }
+            SessionEvent::AdaptiveFinished { session } => {
+                self.finish(&self.adaptive, session, render, |sitting| {
+                    commit(event)?;
+                    let record = sitting.finish().map_err(Rejected::Record)?;
+                    Ok((sitting.exam().as_str().to_string(), record))
+                })
+            }
+        }
+    }
+
+    /// The start of either kind. The create lock serializes starts, so
+    /// an id found free here is still free at the insert: a start event
+    /// is committed only if it applies, and always before its sitting's
+    /// other events.
+    fn start<T: Keyed, E>(
+        &self,
+        registry: &Registry<T>,
+        value: T,
+        commit: impl FnOnce() -> Result<(), Rejected<E>>,
+    ) -> Result<(), Rejected<E>> {
+        let _create = self.create_lock.lock();
+        if registry.contains(value.key()) {
+            let id = value.key().to_string();
+            return Err(Rejected::Registry(RegistryError::Duplicate(id)));
+        }
+        commit()?;
+        registry.insert(value).map_err(Rejected::Registry)
+    }
+
+    /// The finish of either kind: `close` commits and grades the sitting,
+    /// then the record is filed and folded and the slot freed, all under
+    /// the sitting's lock. A request that found the slot before it was
+    /// freed gets `Missing`, and a re-sit with the same id can only
+    /// start after the record is filed, as replay sees it.
+    fn finish<T: Keyed, R, E>(
+        &self,
+        registry: &Registry<T>,
+        id: &str,
+        render: impl FnOnce(Applied<'_>) -> R,
+        close: impl FnOnce(&mut T) -> Result<(String, StudentRecord), Rejected<E>>,
+    ) -> Result<R, Rejected<E>> {
+        let mut fold = Duration::ZERO;
+        let record = registry
+            .take_if(id, |value| {
+                let (exam, record) = close(value)?;
+                self.stream.with_exam(&exam, |stream| {
+                    self.finished.push(&exam, record.clone());
+                    let started = Instant::now();
+                    stream.apply(&record);
+                    fold = started.elapsed();
+                });
+                Ok(record)
+            })
+            .map_err(Rejected::Registry)??;
+        Ok(render(Applied::Finished {
+            record: &record,
+            fold,
+        }))
+    }
+
+    /// Applies an event already in the log, committing and rendering
+    /// nothing — crash recovery and the replication follower. A
+    /// rejection comes back as a note, `"{label}: {reason}"`; the live
+    /// server met the same rejection, so it is not a divergence.
+    pub(crate) fn replay(&self, event: &SessionEvent) -> Result<(), String> {
+        self.apply(event, |_| Ok::<(), Infallible>(()), |_| ())
+            .map_err(|err| format!("{}: {err}", event.label()))
+    }
+}
+
+/// What an applied event left behind, as [`ServerState::apply`] hands
+/// it to the render closure.
+#[derive(Debug)]
+pub(crate) enum Applied<'a> {
+    /// A fixed-form sitting started.
+    Started(&'a ExamSession),
+    /// An adaptive sitting started.
+    AdaptiveStarted(&'a mut AdaptiveSitting),
+    /// A fixed-form sitting answered or resumed.
+    Session(&'a ExamSession),
+    /// A fixed-form sitting paused with this checkpoint.
+    Paused(&'a SessionCheckpoint),
+    /// An adaptive sitting took a step.
+    Stepped(&'a mut AdaptiveSitting),
+    /// A sitting of either kind finished and was filed.
+    Finished {
+        /// The filed record.
+        record: &'a StudentRecord,
+        /// Time spent folding it into the streaming engine.
+        fold: Duration,
+    },
+}
+
+/// Why [`ServerState::apply`] did not apply an event. Apart from
+/// [`Rejected::Commit`], a rejection comes either from validation before
+/// the commit (an unknown exam or sitting, bad start options, an answer
+/// on a complete adaptive sitting) or from the mutation after it, which
+/// replay then refuses the same way.
+#[derive(Debug)]
+pub(crate) enum Rejected<E> {
+    /// The caller's commit hook failed; memory is untouched.
+    Commit(E),
+    /// The exam (or one of its problems) is not in the bank.
+    Exam(BankError),
+    /// The sitting is unknown, or its id is already live.
+    Registry(RegistryError),
+    /// The fixed-form sitting refused the operation.
+    Delivery(DeliveryError),
+    /// The adaptive sitting could not start.
+    AdaptiveStart(AdaptiveStartError),
+    /// The adaptive sitting refused the answer.
+    AdaptiveAnswer(AdaptiveAnswerError),
+    /// The adaptive record failed to grade at finish.
+    Record(String),
+}
+
+impl<E: std::fmt::Display> std::fmt::Display for Rejected<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::Commit(err) => err.fmt(f),
+            Rejected::Exam(err) => err.fmt(f),
+            Rejected::Registry(err) => err.fmt(f),
+            Rejected::Delivery(err) => err.fmt(f),
+            Rejected::AdaptiveStart(err) => err.fmt(f),
+            Rejected::AdaptiveAnswer(err) => err.fmt(f),
+            Rejected::Record(message) => f.write_str(message),
         }
     }
 }
@@ -224,31 +476,25 @@ impl From<RegistryError> for ApiError {
         match &err {
             RegistryError::Duplicate(_) => Self::conflict(err.to_string()),
             RegistryError::Missing(_) => Self::not_found(err.to_string()),
-            // The session existed but is gone — 410, not 404.
-            RegistryError::AlreadyRemoved(_) => Self::new(410, err.to_string()),
         }
     }
 }
 
-impl From<AdaptiveLookup> for ApiError {
-    fn from(err: AdaptiveLookup) -> Self {
-        match err {
-            AdaptiveLookup::Missing => Self::not_found("no adaptive sitting with that id"),
-            AdaptiveLookup::Gone => Self::new(410, "adaptive sitting already finished"),
-            AdaptiveLookup::Duplicate => {
-                Self::conflict("an adaptive sitting with that id already exists")
+impl From<Rejected<ApiError>> for ApiError {
+    fn from(rejected: Rejected<ApiError>) -> Self {
+        match rejected {
+            Rejected::Commit(err) => err,
+            Rejected::Exam(err) => Self::not_found(err.to_string()),
+            Rejected::Registry(err) => err.into(),
+            Rejected::Delivery(err) => err.into(),
+            Rejected::AdaptiveStart(err) => Self::new(422, err.to_string()),
+            Rejected::AdaptiveAnswer(AdaptiveAnswerError::Complete) => {
+                Self::conflict(AdaptiveAnswerError::Complete.to_string())
             }
-        }
-    }
-}
-
-impl From<AdaptiveAnswerError> for ApiError {
-    fn from(err: AdaptiveAnswerError) -> Self {
-        match err {
-            AdaptiveAnswerError::Complete => Self::conflict(
-                "the stop rule has fired; the sitting only accepts POST /sessions/{id}/finish",
-            ),
-            AdaptiveAnswerError::Grading(message) => Self::new(422, message),
+            Rejected::AdaptiveAnswer(AdaptiveAnswerError::Grading(message)) => {
+                Self::new(422, message)
+            }
+            Rejected::Record(message) => Self::new(500, message),
         }
     }
 }
@@ -395,8 +641,8 @@ impl Router {
             None => journal.append_raw(payload.as_bytes()),
         }
         .map_err(|err| self.journal_failed(&err))?;
-        // The caller applies the mutation next, still holding the
-        // session and the read gate, and replies only after it.
+        // `ServerState::apply` mutates next, still holding the session
+        // and the read gate, and the reply goes out only after it.
         journal.mark_applied(seq);
         Ok(())
     }
@@ -766,69 +1012,36 @@ impl Router {
     }
 
     fn start_fixed(&self, body: &Value) -> ApiResult {
-        let exam_id = require_str(body, "exam")?;
+        let exam = parse_exam_id(require_str(body, "exam")?)?;
         let student = require_str(body, "student")?;
         let options = DeliveryOptions {
             seed: optional_u64(body, "seed")?.unwrap_or(0),
             resumable: optional_bool(body, "resumable")?.unwrap_or(true),
             time_accommodation: optional_f64(body, "time_accommodation")?.unwrap_or(1.0),
         };
-        let (exam, problems) = self
-            .state
-            .repository
-            .resolve_exam(
-                &exam_id
-                    .parse()
-                    .map_err(|err| ApiError::bad_request(format!("bad exam id: {err}")))?,
-            )
-            .map_err(|err| ApiError::not_found(err.to_string()))?;
-        let student = student
-            .parse()
-            .map_err(|err| ApiError::bad_request(format!("bad student id: {err}")))?;
-        let session = ExamSession::start(&exam, problems.clone(), student, options)?;
-        let body = session_started_body(&session, &problems);
-        match &self.state.journal {
-            Some(journal) => {
-                let _gate = journal.gate_read();
-                // The create lock makes append+insert atomic with
-                // respect to other creators, so a `Created` event can
-                // never land in the log *after* one of its session's
-                // other events.
-                let _create = self.state.create_lock.lock();
-                self.journal_event(
-                    journal,
-                    &SessionEvent::Created {
-                        exam: exam.id().clone(),
-                        student: session.student().clone(),
-                        options: session.options().clone(),
-                    },
-                )?;
-                self.state.registry.insert(session)?;
-            }
-            None => {
-                self.state.registry.insert(session)?;
-            }
-        }
+        let student = parse_student_id(student)?;
+        let response = self.apply(&SessionEvent::Created {
+            exam,
+            student,
+            options,
+        })?;
         self.state.metrics.sessions_started.inc();
-        Ok(ok_json(201, &body))
+        Ok(response)
     }
 
     /// `POST /sessions` with `"mode": "adaptive"`: starts a CAT sitting
     /// serving one item at a time. Parameter or calibration problems
     /// answer `422` with the offending field named in the body.
     fn start_adaptive(&self, body: &Value) -> ApiResult {
-        let exam_id = require_str(body, "exam")?;
+        let exam = parse_exam_id(require_str(body, "exam")?)?;
         let student = require_str(body, "student")?;
-        let (exam, problems) = self
+        let bank = self
             .state
             .repository
-            .resolve_exam(
-                &exam_id
-                    .parse()
-                    .map_err(|err| ApiError::bad_request(format!("bad exam id: {err}")))?,
-            )
-            .map_err(|err| ApiError::not_found(err.to_string()))?;
-        let defaults = AdaptiveOptions::for_bank(problems.len());
+            .exam(&exam)
+            .map_err(|err| ApiError::not_found(err.to_string()))?
+            .len();
+        let defaults = AdaptiveOptions::for_bank(bank);
         let as_count = |value: u64| usize::try_from(value).unwrap_or(usize::MAX);
         let options = AdaptiveOptions {
             seed: optional_u64(body, "seed")?.unwrap_or(defaults.seed),
@@ -836,53 +1049,33 @@ impl Router {
             max_items: optional_u64(body, "max_items")?.map_or(defaults.max_items, as_count),
             se_threshold: optional_f64(body, "se_threshold")?.unwrap_or(defaults.se_threshold),
         };
-        let student = student
-            .parse()
-            .map_err(|err| ApiError::bad_request(format!("bad student id: {err}")))?;
-        let mut sitting =
-            match AdaptiveSitting::start(exam.id().clone(), problems, student, options) {
-                Ok(sitting) => sitting,
-                Err(err) => return Ok(adaptive_rejection(&err)),
-            };
-        let started_body = adaptive_started_body(&mut sitting);
-        match &self.state.journal {
-            Some(journal) => {
-                let _gate = journal.gate_read();
-                // Same ordering guarantee as fixed-form Created events.
-                let _create = self.state.create_lock.lock();
-                self.journal_event(
-                    journal,
-                    &SessionEvent::AdaptiveCreated {
-                        exam: exam.id().clone(),
-                        student: sitting.student().clone(),
-                        options,
-                    },
-                )?;
-                self.state.adaptive.insert(sitting)?;
-            }
-            None => {
-                self.state.adaptive.insert(sitting)?;
-            }
-        }
+        let student = parse_student_id(student)?;
+        let response = match self.apply(&SessionEvent::AdaptiveCreated {
+            exam,
+            student,
+            options,
+        }) {
+            Err(Rejected::AdaptiveStart(err)) => return Ok(adaptive_rejection(&err)),
+            applied => applied?,
+        };
         self.state.metrics.adaptive_sessions_started.inc();
-        Ok(ok_json(201, &started_body))
+        Ok(response)
     }
 
     fn session_status(&self, id: &str) -> ApiResult {
-        if self.state.adaptive.routes(id) {
-            let status = self.state.adaptive.with(id, adaptive_status_body)?;
-            return Ok(ok_json(200, &status));
-        }
-        let status = self
-            .state
-            .registry
-            .with(id, |slot| session_status_body(&slot.session))?;
+        let status = if self.state.adaptive.contains(id) {
+            self.state.adaptive.with(id, adaptive_status_body)?
+        } else {
+            self.state
+                .registry
+                .with(id, |slot| session_status_body(&slot.session))?
+        };
         Ok(ok_json(200, &status))
     }
 
-    /// `POST /sessions/{id}/answers` on an adaptive sitting: journal
-    /// the step WAL-first, grade, re-estimate, select the next item.
-    fn adaptive_answer(&self, id: &str, request: &Request) -> ApiResult {
+    /// `POST /sessions/{id}/answers`: a fixed-form answer, or one
+    /// adaptive step (grade, re-estimate, select the next item).
+    fn answer(&self, id: &str, request: &Request) -> ApiResult {
         let body = parse_body(request)?;
         let answer_value = body
             .get("answer")
@@ -897,192 +1090,91 @@ impl Router {
         }
         let time_spent = Duration::try_from_secs_f64(secs)
             .map_err(|err| ApiError::bad_request(format!("bad time_spent_secs: {err}")))?;
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
+        let session = id.to_string();
+        if !self.state.adaptive.contains(id) {
+            return Ok(self.apply(&SessionEvent::Answered {
+                session,
+                answer,
+                time_spent,
+            })?);
+        }
         let step_started = Instant::now();
-        let status = self.state.adaptive.with(id, |sitting| {
-            if sitting.is_done() {
-                // Rejected before journaling: a complete sitting's log
-                // must end at its last accepted step.
-                return Err(ApiError::from(AdaptiveAnswerError::Complete));
-            }
-            if let Some(journal) = journal {
-                self.journal_event(
-                    journal,
-                    &SessionEvent::AdaptiveStep {
-                        session: id.to_string(),
-                        answer: answer.clone(),
-                        time_spent,
-                    },
-                )?;
-            }
-            sitting
-                .answer(answer.clone(), time_spent)
-                .map_err(ApiError::from)?;
-            Ok::<_, ApiError>(adaptive_status_body(sitting))
-        })??;
+        let response = self.apply(&SessionEvent::AdaptiveStep {
+            session,
+            answer,
+            time_spent,
+        })?;
         self.state
             .metrics
             .adaptive_step_us
             .observe(step_started.elapsed());
-        Ok(ok_json(200, &status))
-    }
-
-    /// `POST /sessions/{id}/finish` on an adaptive sitting: grades the
-    /// record over the full exam problem set (skipped padding), files
-    /// it into the same store/stream path fixed-form sittings use.
-    fn adaptive_finish(&self, id: &str) -> ApiResult {
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
-        let (exam_id, record) = self.state.adaptive.with(id, |sitting| {
-            if let Some(journal) = journal {
-                self.journal_event(
-                    journal,
-                    &SessionEvent::AdaptiveFinished {
-                        session: id.to_string(),
-                    },
-                )?;
-            }
-            let record = sitting.finish().map_err(|err| ApiError::new(500, err))?;
-            Ok::<_, ApiError>((sitting.exam().as_str().to_string(), record))
-        })??;
-        self.state.stream.with_exam(&exam_id, |stream| {
-            self.state.finished.push(&exam_id, record.clone());
-            let update_started = Instant::now();
-            stream.apply(&record);
-            self.state
-                .metrics
-                .streaming_update_us
-                .observe(update_started.elapsed());
-        });
-        self.state.adaptive.remove(id);
-        self.state.metrics.adaptive_sessions_finished.inc();
-        Ok(ok_json(200, &record))
-    }
-
-    fn answer(&self, id: &str, request: &Request) -> ApiResult {
-        if self.state.adaptive.routes(id) {
-            return self.adaptive_answer(id, request);
-        }
-        let body = parse_body(request)?;
-        let answer_value = body
-            .get("answer")
-            .ok_or_else(|| ApiError::bad_request("missing field `answer`"))?;
-        let answer = Answer::from_value(answer_value)
-            .map_err(|err| ApiError::bad_request(format!("bad answer: {err}")))?;
-        let secs = optional_f64(&body, "time_spent_secs")?.unwrap_or(0.0);
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(ApiError::bad_request(format!(
-                "time_spent_secs must be a non-negative finite number, got {secs}"
-            )));
-        }
-        let time_spent = Duration::try_from_secs_f64(secs)
-            .map_err(|err| ApiError::bad_request(format!("bad time_spent_secs: {err}")))?;
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
-        let outcome = self.state.registry.with(id, |slot| {
-            if let Some(journal) = journal {
-                // Journaled even if the session rejects it: a rejection
-                // can still move the logical clock (expiry clamps it).
-                self.journal_event(
-                    journal,
-                    &SessionEvent::Answered {
-                        session: id.to_string(),
-                        answer: answer.clone(),
-                        time_spent,
-                    },
-                )?;
-            }
-            slot.session
-                .answer(answer.clone(), time_spent)
-                .map(|()| session_status_body(&slot.session))
-                .map_err(ApiError::from)
-        })?;
-        Ok(ok_json(200, &outcome?))
+        Ok(response)
     }
 
     fn pause(&self, id: &str) -> ApiResult {
-        if self.state.adaptive.routes(id) {
+        if self.state.adaptive.contains(id) {
             return Err(ApiError::conflict(
                 "adaptive sittings cannot pause; answer the pending item or finish",
             ));
         }
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
-        let checkpoint = self.state.registry.with(id, |slot| {
-            if let Some(journal) = journal {
-                self.journal_event(
-                    journal,
-                    &SessionEvent::Paused {
-                        session: id.to_string(),
-                    },
-                )?;
-            }
-            let checkpoint = slot.session.pause().map_err(ApiError::from)?;
-            slot.checkpoint = Some(checkpoint.clone());
-            Ok::<_, ApiError>(checkpoint)
-        })??;
-        Ok(ok_json(200, &checkpoint))
+        Ok(self.apply(&SessionEvent::Paused {
+            session: id.to_string(),
+        })?)
     }
 
     fn resume(&self, id: &str) -> ApiResult {
-        if self.state.adaptive.routes(id) {
+        if self.state.adaptive.contains(id) {
             return Err(ApiError::conflict(
                 "adaptive sittings cannot pause or resume; they are always live",
             ));
         }
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
-        let status = self.state.registry.with(id, |slot| {
-            if let Some(journal) = journal {
-                self.journal_event(
-                    journal,
-                    &SessionEvent::Resumed {
-                        session: id.to_string(),
-                    },
-                )?;
-            }
-            slot.session.reactivate().map_err(ApiError::from)?;
-            Ok::<_, ApiError>(session_status_body(&slot.session))
-        })??;
-        Ok(ok_json(200, &status))
+        Ok(self.apply(&SessionEvent::Resumed {
+            session: id.to_string(),
+        })?)
     }
 
+    /// `POST /sessions/{id}/finish`: grades the record (an adaptive one
+    /// over the full exam problem set, unadministered items padded as
+    /// skipped) and files it for analysis.
     fn finish(&self, id: &str) -> ApiResult {
-        if self.state.adaptive.routes(id) {
-            return self.adaptive_finish(id);
+        let session = id.to_string();
+        if self.state.adaptive.contains(id) {
+            let response = self.apply(&SessionEvent::AdaptiveFinished { session })?;
+            self.state.metrics.adaptive_sessions_finished.inc();
+            return Ok(response);
         }
+        let response = self.apply(&SessionEvent::Finished { session })?;
+        self.state.metrics.sessions_finished.inc();
+        Ok(response)
+    }
+
+    /// Applies `event` for a request: under the journal's read gate,
+    /// journaled and shipped by [`Self::journal_event`] as the commit,
+    /// rendered by [`Self::respond`].
+    fn apply(&self, event: &SessionEvent) -> Result<Response, Rejected<ApiError>> {
         let journal = self.state.journal.as_ref();
         let _gate = journal.map(Journal::gate_read);
-        let (exam_id, record) = self.state.registry.with(id, |slot| {
-            if let Some(journal) = journal {
-                self.journal_event(
-                    journal,
-                    &SessionEvent::Finished {
-                        session: id.to_string(),
-                    },
-                )?;
+        self.state.apply(
+            event,
+            |event| journal.map_or(Ok(()), |journal| self.journal_event(journal, event)),
+            |applied| self.respond(applied),
+        )
+    }
+
+    /// The response body for each kind of applied event; a finish also
+    /// records how long its streaming fold took.
+    fn respond(&self, applied: Applied<'_>) -> Response {
+        match applied {
+            Applied::Started(session) => ok_json(201, &session_started_body(session)),
+            Applied::AdaptiveStarted(sitting) => ok_json(201, &adaptive_started_body(sitting)),
+            Applied::Session(session) => ok_json(200, &session_status_body(session)),
+            Applied::Paused(checkpoint) => ok_json(200, checkpoint),
+            Applied::Stepped(sitting) => ok_json(200, &adaptive_status_body(sitting)),
+            Applied::Finished { record, fold } => {
+                self.state.metrics.streaming_update_us.observe(fold);
+                ok_json(200, record)
             }
-            let record = slot.session.finish().map_err(ApiError::from)?;
-            Ok::<_, ApiError>((slot.session.exam_id().as_str().to_string(), record))
-        })??;
-        // The sitting is over: file the record, fold it into the
-        // streaming statistics, and free the slot. Filing and folding
-        // happen under the engine's per-exam lock so the finished store
-        // and the engine always agree on the row set (two racing
-        // finishes of the same student cannot land in opposite orders).
-        self.state.stream.with_exam(&exam_id, |stream| {
-            self.state.finished.push(&exam_id, record.clone());
-            let update_started = Instant::now();
-            stream.apply(&record);
-            self.state
-                .metrics
-                .streaming_update_us
-                .observe(update_started.elapsed());
-        });
-        let _ = self.state.registry.remove(id);
-        self.state.metrics.sessions_finished.inc();
-        Ok(ok_json(200, &record))
+        }
     }
 
     /// `GET /exams/{id}/analysis`: the full §4 report. Served from the
@@ -1104,9 +1196,7 @@ impl Router {
                 "no finished sittings for exam {exam_id}"
             )));
         }
-        let parsed = exam_id
-            .parse()
-            .map_err(|err| ApiError::bad_request(format!("bad exam id: {err}")))?;
+        let parsed = parse_exam_id(exam_id)?;
         let started = Instant::now();
         // Read before the bank is resolved: an edit racing this read can
         // only make the stored body look older than it is.
@@ -1246,6 +1336,17 @@ fn parse_body(request: &Request) -> Result<Value, ApiError> {
     serde_json::from_str(text).map_err(|err| ApiError::bad_request(format!("bad JSON body: {err}")))
 }
 
+fn parse_exam_id(exam: &str) -> Result<ExamId, ApiError> {
+    exam.parse()
+        .map_err(|err| ApiError::bad_request(format!("bad exam id: {err}")))
+}
+
+fn parse_student_id(student: &str) -> Result<mine_core::StudentId, ApiError> {
+    student
+        .parse()
+        .map_err(|err| ApiError::bad_request(format!("bad student id: {err}")))
+}
+
 fn require_str<'a>(body: &'a Value, field: &str) -> Result<&'a str, ApiError> {
     body.get(field)
         .and_then(Value::as_str)
@@ -1291,14 +1392,12 @@ fn optional_bool(body: &Value, field: &str) -> Result<Option<bool>, ApiError> {
 
 /// The `POST /sessions` response: identity, presentation order, and a
 /// problem summary rich enough for a client to form valid answers.
-fn session_started_body(session: &ExamSession, problems: &[Problem]) -> Value {
-    let by_id: std::collections::BTreeMap<&str, &Problem> =
-        problems.iter().map(|p| (p.id().as_str(), p)).collect();
+fn session_started_body(session: &ExamSession) -> Value {
     let summaries = session
         .order()
         .iter()
-        .filter_map(|id| by_id.get(id.as_str()))
-        .map(|problem| problem_summary(problem))
+        .filter_map(|id| session.problem(id))
+        .map(problem_summary)
         .collect();
     Value::Object(vec![
         (
@@ -1719,6 +1818,23 @@ mod tests {
             .contains("mine_streaming_update_seconds_count 8"));
         assert!(scrape.body.contains("mine_pool_workers"));
         assert!(scrape.body.contains("mine_pool_steals_total"));
+    }
+
+    #[test]
+    fn a_finished_sitting_is_gone_and_its_seed_starts_afresh() {
+        let router = Router::new(repository());
+        let session = start(&router);
+        let finish = Request::new("POST", &format!("/sessions/{session}/finish"), "");
+        assert_eq!(router.handle(&finish).status, 200);
+        for request in [
+            Request::new("GET", &format!("/sessions/{session}"), ""),
+            finish.clone(),
+        ] {
+            let response = router.handle(&request);
+            assert_eq!(response.status, 404, "{}", response.body);
+        }
+        assert_eq!(start(&router), session, "same seed, same id");
+        assert_eq!(router.state().registry.len(), 1);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use serde::{Number, Value};
 use mine_core::OptionKey;
 use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
 use mine_server::http::Request;
-use mine_server::{open_journaled_state, HttpClient, Router, ServeOptions, Server};
-use mine_store::StoreOptions;
+use mine_server::{open_journaled_state, HttpClient, Router, ServeOptions, Server, ServerImage};
+use mine_store::{StoreOptions, SyncPolicy};
 
 /// A bank of `n` calibrated two-option problems ("answer A is right")
 /// with difficulties spread over [-2, 2], collected into exam `cat`.
@@ -152,15 +152,16 @@ fn adaptive_sitting_runs_over_http_and_files_into_analysis() {
         8
     );
 
-    // The slot is a tombstone now: status and answers answer 410.
+    // A finished sitting leaves nothing behind: status and answers
+    // answer 404, like any unknown id.
     let gone = client
         .get(&format!("/sessions/{session}"))
         .expect("status after finish");
-    assert_eq!(gone.status, 410, "{}", gone.body);
+    assert_eq!(gone.status, 404, "{}", gone.body);
     let dead_answer = client
         .post(&format!("/sessions/{session}/answers"), &answer_body(true))
         .expect("answer after finish");
-    assert_eq!(dead_answer.status, 410, "{}", dead_answer.body);
+    assert_eq!(dead_answer.status, 404, "{}", dead_answer.body);
 
     // File a fixed-form sitting alongside (the §4 analysis needs more
     // than one student to form high/low score groups), then check the
@@ -327,6 +328,86 @@ fn adaptive_sittings_refuse_pause_and_duplicate_starts() {
     // The same (exam, student, seed) cannot sit twice.
     let duplicate = router.handle(&Request::new("POST", "/sessions", start_body));
     assert_eq!(duplicate.status, 409, "{}", duplicate.body);
+}
+
+/// Two racing finishes of one adaptive sitting, a racing answer and a
+/// same-seed re-sit started right behind them: whichever order they land
+/// in, the journal replays to the sittings and records the live node
+/// holds, with no replay note. A request that found the sitting before a
+/// finish freed it must not touch the re-sit.
+#[test]
+fn racing_finishes_and_a_same_seed_resit_replay_identically() {
+    let dir = std::env::temp_dir().join(format!("mine-adaptive-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = || StoreOptions {
+        sync: SyncPolicy::Never,
+        ..StoreOptions::default()
+    };
+    let (state, _) =
+        open_journaled_state(calibrated_repository(8), &dir, options(), 1_000_000).expect("open");
+    let router = Router::with_state(state);
+    let start_body = "{\"exam\":\"cat\",\"student\":\"rr\",\"seed\":3,\"mode\":\"adaptive\"}";
+    let start = || router.handle(&Request::new("POST", "/sessions", start_body));
+    let started = start();
+    assert_eq!(started.status, 201, "{}", started.body);
+    let status: Value = serde_json::from_str(&started.body).unwrap();
+    let session = as_str(&status, "session").to_string();
+    let finish = format!("/sessions/{session}/finish");
+    let answer = format!("/sessions/{session}/answers");
+
+    for _ in 0..150 {
+        let barrier = std::sync::Barrier::new(4);
+        let statuses: Vec<u16> = std::thread::scope(|scope| {
+            let racers = [
+                scope.spawn(|| {
+                    barrier.wait();
+                    router.handle(&Request::new("POST", &finish, "")).status
+                }),
+                scope.spawn(|| {
+                    barrier.wait();
+                    router.handle(&Request::new("POST", &finish, "")).status
+                }),
+                scope.spawn(|| {
+                    barrier.wait();
+                    router
+                        .handle(&Request::new("POST", &answer, answer_body(true).as_str()))
+                        .status
+                }),
+                scope.spawn(|| {
+                    barrier.wait();
+                    start().status
+                }),
+            ];
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(
+            statuses.iter().all(|s| [200, 201, 404, 409].contains(s)),
+            "{statuses:?}"
+        );
+        // Leave a live sitting for the next round.
+        let again = start();
+        assert!([201, 409].contains(&again.status), "{}", again.body);
+    }
+    let live = serde_json::to_string(&ServerImage::capture(
+        &router.state().registry,
+        &router.state().finished,
+        &router.state().adaptive,
+    ))
+    .unwrap();
+    drop(router);
+
+    let (state, report) =
+        open_journaled_state(calibrated_repository(8), &dir, options(), 1_000_000)
+            .expect("recover");
+    assert!(report.notes.is_empty(), "replay notes: {:?}", report.notes);
+    let replayed = serde_json::to_string(&ServerImage::capture(
+        &state.registry,
+        &state.finished,
+        &state.adaptive,
+    ))
+    .unwrap();
+    assert_eq!(replayed, live, "replay must reproduce the live image");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -391,12 +391,16 @@ fn drain_mid_storm_loses_no_finished_sitting_and_analysis_survives_restart() {
     // Every sitting that was mid-flight at the drain came back paused
     // (the journaled `Paused` event), ready to resume.
     assert_eq!(recovered.state().registry.len(), live_sessions);
-    for (session, _) in recovered.state().registry.capture() {
+    for (id, state) in recovered
+        .state()
+        .registry
+        .capture(|slot| (slot.session.id().clone(), slot.session.state()))
+    {
         assert_eq!(
-            session.state(),
+            state,
             mine_delivery::SessionState::Paused,
             "session {} not paused",
-            session.id().as_str()
+            id.as_str()
         );
     }
 

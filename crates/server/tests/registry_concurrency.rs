@@ -13,7 +13,7 @@ use serde::Serialize;
 use mine_core::{Answer, OptionKey, StudentRecord};
 use mine_delivery::{DeliveryOptions, ExamSession, SessionState};
 use mine_itembank::{ChoiceOption, Exam, Problem, Repository};
-use mine_server::SessionRegistry;
+use mine_server::{SessionRegistry, SessionSlot};
 
 /// One student's scripted sitting: what they answer and how long each
 /// item takes.
@@ -95,6 +95,13 @@ fn start_session(repo: &Repository, index: usize) -> ExamSession {
     .unwrap()
 }
 
+/// Registers a session, returning its id.
+fn register(registry: &SessionRegistry, session: ExamSession) -> String {
+    let id = session.id().as_str().to_string();
+    registry.insert(SessionSlot::new(session)).unwrap();
+    id
+}
+
 /// The scripted answer for a problem id.
 fn scripted_answer(problem: &str, script: &Script) -> Answer {
     match problem {
@@ -143,11 +150,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(index, _)| {
-                registry
-                    .insert(start_session(&repo, index))
-                    .unwrap()
-                    .as_str()
-                    .to_string()
+                register(&registry, start_session(&repo, index))
             })
             .collect();
         let results = Arc::new(Mutex::new(vec![None; scripts.len()]));
@@ -217,11 +220,7 @@ fn pause_resume_under_contention_stays_coherent() {
 
     let repo = repository();
     let registry = Arc::new(SessionRegistry::new(2));
-    let id = registry
-        .insert(start_session(&repo, 0))
-        .unwrap()
-        .as_str()
-        .to_string();
+    let id = register(&registry, start_session(&repo, 0));
 
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {

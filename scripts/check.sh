@@ -9,14 +9,8 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# One -p per workspace member: `--workspace` also documents vendored
-# shims (rayon, proptest), which this gate does not cover.
 echo "==> cargo doc -D warnings"
-doc_packages=(-p mine-assessment)
-for manifest in crates/*/Cargo.toml; do
-    doc_packages+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
-done
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline "${doc_packages[@]}"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Also runs the server loopback, registry-concurrency and crash-recovery
 # suites and the store fault-injection suite; they are not repeated below.

@@ -6,7 +6,8 @@
 //!
 //! A seeded script sends the same request stream to a journaled
 //! *subject* that compacts every few events and to a *reference* that
-//! never compacts. At many cut points the subject's data directory is
+//! never compacts. Some starts re-sit a finished sitting with the same
+//! seed, so its id comes back after an image may have dropped it. At many cut points the subject's data directory is
 //! copied without draining (a simulated kill -9) and reopened; the
 //! reopened node must hold a byte-identical server image and serve
 //! byte-identical analysis bodies (streaming, `?indices=alt`,
@@ -165,7 +166,12 @@ impl Script {
                     break student;
                 }
             };
-            self.attempts[student] += 1;
+            // One start in four re-sits with the student's previous
+            // seed: the id of a sitting that has finished, fixed or
+            // adaptive, which must start afresh.
+            if self.attempts[student] == 0 || self.rng.below(4) != 0 {
+                self.attempts[student] += 1;
+            }
             let adaptive = self.rng.below(10) < 3;
             let mode = if adaptive {
                 r#","mode":"adaptive","max_items":4"#
