@@ -8,7 +8,7 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, JsonWriter, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 use crate::error::CoreError;
 
@@ -36,10 +36,6 @@ macro_rules! string_id {
         // Serializes as the bare string, written without a clone (ids
         // are the most frequent strings in reports and snapshots).
         impl Serialize for $name {
-            fn to_value(&self) -> Value {
-                Value::String(self.0.clone())
-            }
-
             fn serialize_into(&self, out: &mut JsonWriter) {
                 out.str(&self.0);
             }

@@ -8,7 +8,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use serde::{Deserialize, JsonWriter, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 use crate::error::CoreError;
 use crate::id::{ExamId, ProblemId, StudentId};
@@ -33,10 +33,6 @@ pub struct OptionKey(u8);
 
 // Serializes as its letter (`"B"`), written without allocating.
 impl Serialize for OptionKey {
-    fn to_value(&self) -> Value {
-        Value::String(self.letter().to_string())
-    }
-
     fn serialize_into(&self, out: &mut JsonWriter) {
         self.letter().serialize_into(out);
     }

@@ -478,8 +478,8 @@ mod tests {
         assert_eq!(restored.step_count(), sitting.step_count());
         assert_eq!(restored.current(), sitting.current());
         assert_eq!(
-            restored.finish().unwrap().to_value(),
-            sitting.finish().unwrap().to_value()
+            serde_json::to_string(&restored.finish().unwrap()).unwrap(),
+            serde_json::to_string(&sitting.finish().unwrap()).unwrap()
         );
     }
 }

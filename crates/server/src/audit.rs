@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use mine_itembank::Repository;
 use mine_store::{EventStore, StoreOptions, INITIAL_EPOCH};
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 
 use crate::journal::{decode_payload, open_journaled_state, ServerImage, SessionEvent};
 
@@ -99,45 +99,6 @@ impl AuditReport {
         all
     }
 
-    /// The machine-readable form of the report (`mine audit --json`):
-    /// the overall verdict, per-node head positions and repairs, and
-    /// every violation family.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        let nodes = Value::Array(
-            self.nodes
-                .iter()
-                .map(|node| {
-                    Value::Object(vec![
-                        (
-                            "dir".to_string(),
-                            Value::String(node.dir.display().to_string()),
-                        ),
-                        ("epoch".to_string(), node.epoch.to_value()),
-                        ("snapshot_seq".to_string(), node.snapshot_seq.to_value()),
-                        ("head_seq".to_string(), node.head_seq.to_value()),
-                        ("events".to_string(), (node.events as u64).to_value()),
-                        ("repairs".to_string(), string_array(&node.repairs)),
-                        ("violations".to_string(), string_array(&node.violations)),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("clean".to_string(), Value::Bool(self.is_clean())),
-            ("nodes".to_string(), nodes),
-            (
-                "cross_violations".to_string(),
-                string_array(&self.cross_violations),
-            ),
-            (
-                "replay_violations".to_string(),
-                string_array(&self.replay_violations),
-            ),
-            ("violations".to_string(), string_array(&self.violations())),
-        ])
-    }
-
     /// Human-readable report: one block per node, then the verdict.
     #[must_use]
     pub fn render(&self) -> String {
@@ -176,14 +137,33 @@ impl AuditReport {
     }
 }
 
-/// Renders a list of messages as a JSON string array.
-fn string_array(items: &[String]) -> Value {
-    Value::Array(
-        items
-            .iter()
-            .map(|item| Value::String(item.clone()))
-            .collect(),
-    )
+/// The machine-readable form of the report (`mine audit --json`): the
+/// overall verdict, per-node head positions and repairs, and every
+/// violation family.
+impl Serialize for AuditReport {
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let mut report = out.object();
+        report.field("clean", &self.is_clean());
+        report.field("nodes", &self.nodes);
+        report.field("cross_violations", &self.cross_violations);
+        report.field("replay_violations", &self.replay_violations);
+        report.field("violations", &self.violations());
+        report.end();
+    }
+}
+
+impl Serialize for NodeAudit {
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let mut node = out.object();
+        node.field("dir", &self.dir.display().to_string());
+        node.field("epoch", &self.epoch);
+        node.field("snapshot_seq", &self.snapshot_seq);
+        node.field("head_seq", &self.head_seq);
+        node.field("events", &self.events);
+        node.field("repairs", &self.repairs);
+        node.field("violations", &self.violations);
+        node.end();
+    }
 }
 
 /// Copies the regular files of a flat journal directory into `scratch`
@@ -415,6 +395,7 @@ mod tests {
     use super::*;
     use crate::journal::Journal;
     use mine_itembank::{Exam, Problem};
+    use serde::{Deserialize, Value};
     use std::io::Write;
 
     fn repository() -> Repository {
@@ -475,14 +456,14 @@ mod tests {
         assert_eq!(report.nodes.len(), 2);
         assert_eq!(report.nodes[0].head_seq, 2);
         assert!(report.render().contains("audit: clean"));
-        let value = report.to_value();
+        let value: Value = serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
         assert_eq!(value.get("clean"), Some(&Value::Bool(true)));
         assert_eq!(
             value.get("nodes").and_then(Value::as_array).map(<[_]>::len),
             Some(2)
         );
         let first = &value.get("nodes").and_then(Value::as_array).unwrap()[0];
-        assert_eq!(first.get("head_seq"), Some(&2u64.to_value()));
+        assert_eq!(u64::from_value(first.get("head_seq").unwrap()), Ok(2));
         let _ = std::fs::remove_dir_all(&a);
         let _ = std::fs::remove_dir_all(&b);
     }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Number, Serialize, Value};
+use serde::{JsonWriter, Number, Value};
 
 use mine_core::{Answer, OptionKey};
 use mine_itembank::{ProblemBody, Repository};
@@ -347,14 +347,7 @@ fn run_client(
         }
         let answer = sample_answer(&mut rng, summary)?;
         let time_spent = rng.gen_range(2.0_f64..20.0);
-        let body_value = Value::Object(vec![
-            ("answer".to_string(), answer.to_value()),
-            (
-                "time_spent_secs".to_string(),
-                Value::Number(Number::Float(time_spent)),
-            ),
-        ]);
-        let body = serde_json::to_string(&body_value).map_err(|err| err.to_string())?;
+        let body = answer_body(&answer, time_spent);
         requests.fetch_add(1, Ordering::Relaxed);
         let answered = client
             .post(&format!("/sessions/{session}/answers"), &body)
@@ -433,14 +426,7 @@ fn run_adaptive_client(
             .answer_for(&item, is_correct)
             .ok_or_else(|| format!("no answer key entry for served item {item:?}"))?;
         let time_spent = rng.gen_range(2.0_f64..20.0);
-        let body_value = Value::Object(vec![
-            ("answer".to_string(), answer.to_value()),
-            (
-                "time_spent_secs".to_string(),
-                Value::Number(Number::Float(time_spent)),
-            ),
-        ]);
-        let body = serde_json::to_string(&body_value).map_err(|err| err.to_string())?;
+        let body = answer_body(&answer, time_spent);
         requests.fetch_add(1, Ordering::Relaxed);
         let answered = client
             .post(&format!("/sessions/{session}/answers"), &body)
@@ -460,6 +446,16 @@ fn run_adaptive_client(
         return Err(format!("adaptive finish failed: {}", finished.body));
     }
     Ok(())
+}
+
+/// The `POST /sessions/{id}/answers` body.
+fn answer_body(answer: &Answer, time_spent_secs: f64) -> String {
+    let mut out = JsonWriter::new();
+    let mut body = out.object();
+    body.field("answer", answer);
+    body.field("time_spent_secs", &time_spent_secs);
+    body.end();
+    out.into_string()
 }
 
 /// Builds an answer of the right kind for one problem summary.

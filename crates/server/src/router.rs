@@ -10,7 +10,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Number, ObjectWriter, Serialize, Value};
 
 use mine_adaptive::AdaptiveOptions;
 use mine_analysis::{AnalysisConfig, BatchAnalyzer};
@@ -29,6 +29,7 @@ use crate::registry::{
     FinishedStore, Keyed, Registry, RegistryError, SessionRegistry, SessionSlot,
 };
 use crate::repl::{ReplState, Role};
+use crate::scrub::write_range_hashes;
 
 /// Retry-After advertised on writes shed while storage is degraded:
 /// long enough that clients back off, short enough that a healed node
@@ -748,19 +749,13 @@ impl Router {
         } else {
             "ok"
         };
-        Ok(ok_json(
-            status,
-            &Value::Object(vec![
-                (
-                    "status".to_string(),
-                    Value::String(state.label().to_string()),
-                ),
-                ("role".to_string(), Value::String(role.label().to_string())),
-                ("epoch".to_string(), epoch.to_value()),
-                ("last_applied_seq".to_string(), last_applied.to_value()),
-                ("storage".to_string(), Value::String(storage.to_string())),
-            ]),
-        ))
+        Ok(json_object(status, |body| {
+            body.field("status", state.label());
+            body.field("role", role.label());
+            body.field("epoch", &epoch);
+            body.field("last_applied_seq", &last_applied);
+            body.field("storage", storage);
+        }))
     }
 
     /// `GET /metrics` serves the Prometheus text exposition format;
@@ -876,17 +871,11 @@ impl Router {
             }
         })?;
         let journal = self.state.journal.as_ref().expect("checked above");
-        Ok(ok_json(
-            200,
-            &Value::Object(vec![
-                ("role".to_string(), Value::String("primary".to_string())),
-                ("epoch".to_string(), epoch.to_value()),
-                (
-                    "last_applied_seq".to_string(),
-                    journal.applied_seq().to_value(),
-                ),
-            ]),
-        ))
+        Ok(json_object(200, |body| {
+            body.field("role", "primary");
+            body.field("epoch", &epoch);
+            body.field("last_applied_seq", &journal.applied_seq());
+        }))
     }
 
     /// `POST /admin/demote`: stand down behind a newer epoch. Sent by a
@@ -932,13 +921,10 @@ impl Router {
         }
         // The new leader just spoke to us; re-arm the failure detector.
         repl.note_leader_contact();
-        Ok(ok_json(
-            200,
-            &Value::Object(vec![
-                ("role".to_string(), Value::String("follower".to_string())),
-                ("epoch".to_string(), epoch.to_value()),
-            ]),
-        ))
+        Ok(json_object(200, |body| {
+            body.field("role", "follower");
+            body.field("epoch", &epoch);
+        }))
     }
 
     /// `GET /admin/ranges`: the anti-entropy integrity table — the
@@ -966,7 +952,13 @@ impl Router {
             .repl
             .as_ref()
             .map_or(Role::Primary, |repl| repl.role());
-        Ok(ok_json(200, &ranges_body(&report, store, role)))
+        Ok(json_object(200, |body| {
+            body.field("role", role.label());
+            body.field("epoch", &store.epoch());
+            body.field("head_seq", &(store.next_seq() - 1));
+            body.field("corrupt_segments", &report.corrupt_segments().len());
+            write_range_hashes(body.key("ranges"), &report.ranges);
+        }))
     }
 
     /// The 421 answer a follower gives every write: the client should
@@ -978,18 +970,13 @@ impl Router {
             .as_ref()
             .and_then(|repl| repl.leader_addr())
             .unwrap_or_default();
-        Ok(ok_json(
-            421,
-            &Value::Object(vec![
-                (
-                    "error".to_string(),
-                    Value::String(
-                        "this node is a read replica; writes go to the leader".to_string(),
-                    ),
-                ),
-                ("leader".to_string(), Value::String(leader)),
-            ]),
-        ))
+        Ok(json_object(421, |body| {
+            body.field(
+                "error",
+                "this node is a read replica; writes go to the leader",
+            );
+            body.field("leader", &leader);
+        }))
     }
 
     /// `POST /sessions` — dispatches on the optional `"mode"` field:
@@ -1070,7 +1057,7 @@ impl Router {
                 .registry
                 .with(id, |slot| session_status_body(&slot.session))?
         };
-        Ok(ok_json(200, &status))
+        Ok(Response::json(200, status))
     }
 
     /// `POST /sessions/{id}/answers`: a fixed-form answer, or one
@@ -1165,11 +1152,13 @@ impl Router {
     /// records how long its streaming fold took.
     fn respond(&self, applied: Applied<'_>) -> Response {
         match applied {
-            Applied::Started(session) => ok_json(201, &session_started_body(session)),
-            Applied::AdaptiveStarted(sitting) => ok_json(201, &adaptive_started_body(sitting)),
-            Applied::Session(session) => ok_json(200, &session_status_body(session)),
+            Applied::Started(session) => Response::json(201, session_started_body(session)),
+            Applied::AdaptiveStarted(sitting) => {
+                Response::json(201, adaptive_started_body(sitting))
+            }
+            Applied::Session(session) => Response::json(200, session_status_body(session)),
             Applied::Paused(checkpoint) => ok_json(200, checkpoint),
-            Applied::Stepped(sitting) => ok_json(200, &adaptive_status_body(sitting)),
+            Applied::Stepped(sitting) => Response::json(200, adaptive_status_body(sitting)),
             Applied::Finished { record, fold } => {
                 self.state.metrics.streaming_update_us.observe(fold);
                 ok_json(200, record)
@@ -1280,45 +1269,13 @@ fn respond_with_report(report: &mine_analysis::BatchReport, wants_alt: bool) -> 
         .map_err(|err| ApiError::new(500, format!("serialization failed: {err}")))
 }
 
-/// The `GET /admin/ranges` body: fencing coordinates plus the range
-/// hashes a peer compares against its own.
-fn ranges_body(
-    report: &mine_store::ScrubReport,
-    store: &mine_store::EventStore,
-    role: Role,
-) -> Value {
-    let ranges = report
-        .ranges
-        .iter()
-        .map(|range| {
-            Value::Object(vec![
-                ("first_seq".to_string(), range.first_seq.to_value()),
-                ("last_seq".to_string(), range.last_seq.to_value()),
-                ("count".to_string(), range.count.to_value()),
-                ("hash".to_string(), range.hash.to_value()),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("role".to_string(), Value::String(role.label().to_string())),
-        ("epoch".to_string(), store.epoch().to_value()),
-        ("head_seq".to_string(), (store.next_seq() - 1).to_value()),
-        (
-            "corrupt_segments".to_string(),
-            (report.corrupt_segments().len() as u64).to_value(),
-        ),
-        ("ranges".to_string(), Value::Array(ranges)),
-    ])
-}
-
 /// The body of every error response: `{"error":"…"}`.
 #[derive(Serialize)]
 struct ErrorBody {
     error: String,
 }
 
-/// Serializes a typed value (or a hand-built [`Value`] tree) straight
-/// into a JSON response body.
+/// Serializes a typed value straight into a JSON response body.
 fn ok_json<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
     Response::json(
         status,
@@ -1326,13 +1283,25 @@ fn ok_json<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
     )
 }
 
+/// A JSON response whose one object gets its fields from `fields`.
+fn json_object(status: u16, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> Response {
+    Response::json(status, object_body(fields))
+}
+
+/// One JSON object, its fields written by `fields` in order.
+fn object_body(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = JsonWriter::new();
+    let mut object = out.object();
+    fields(&mut object);
+    object.end();
+    out.into_string()
+}
+
 fn parse_body(request: &Request) -> Result<Value, ApiError> {
     let text = request
         .body_str()
         .ok_or_else(|| ApiError::bad_request("body is not UTF-8"))?;
-    if text.trim().is_empty() {
-        return Ok(Value::Object(Vec::new()));
-    }
+    let text = if text.trim().is_empty() { "{}" } else { text };
     serde_json::from_str(text).map_err(|err| ApiError::bad_request(format!("bad JSON body: {err}")))
 }
 
@@ -1392,108 +1361,75 @@ fn optional_bool(body: &Value, field: &str) -> Result<Option<bool>, ApiError> {
 
 /// The `POST /sessions` response: identity, presentation order, and a
 /// problem summary rich enough for a client to form valid answers.
-fn session_started_body(session: &ExamSession) -> Value {
-    let summaries = session
+fn session_started_body(session: &ExamSession) -> String {
+    let summaries: Vec<ProblemSummary<'_>> = session
         .order()
         .iter()
         .filter_map(|id| session.problem(id))
-        .map(problem_summary)
+        .map(ProblemSummary)
         .collect();
-    Value::Object(vec![
-        (
-            "session".to_string(),
-            Value::String(session.id().as_str().to_string()),
-        ),
-        (
-            "exam".to_string(),
-            Value::String(session.exam_id().as_str().to_string()),
-        ),
-        (
-            "student".to_string(),
-            Value::String(session.student().as_str().to_string()),
-        ),
-        ("state".to_string(), state_value(session.state())),
-        (
-            "questions".to_string(),
-            (session.order().len() as u64).to_value(),
-        ),
-        ("problems".to_string(), Value::Array(summaries)),
-        ("remaining_secs".to_string(), remaining_value(session)),
-    ])
+    object_body(|body| {
+        body.field("session", session.id());
+        body.field("exam", session.exam_id());
+        body.field("student", session.student());
+        body.field("state", state_label(session.state()));
+        body.field("questions", &session.order().len());
+        body.field("problems", &summaries);
+        body.field("remaining_secs", &remaining_secs(session));
+    })
 }
 
 /// What a client needs to know to answer a problem with the right
 /// answer *kind* (option counts, blank counts, pair counts).
-fn problem_summary(problem: &Problem) -> Value {
-    let mut fields = vec![
-        (
-            "id".to_string(),
-            Value::String(problem.id().as_str().to_string()),
-        ),
-        (
-            "style".to_string(),
-            Value::String(problem.style().keyword().to_string()),
-        ),
-    ];
-    match problem.body() {
-        ProblemBody::MultipleChoice { options, .. }
-        | ProblemBody::Questionnaire { options, .. } => {
-            fields.push(("options".to_string(), (options.len() as u64).to_value()));
+struct ProblemSummary<'a>(&'a Problem);
+
+impl Serialize for ProblemSummary<'_> {
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let problem = self.0;
+        let mut summary = out.object();
+        summary.field("id", problem.id());
+        summary.field("style", problem.style().keyword());
+        match problem.body() {
+            ProblemBody::MultipleChoice { options, .. }
+            | ProblemBody::Questionnaire { options, .. } => {
+                summary.field("options", &options.len());
+            }
+            ProblemBody::Completion { blanks, .. } => summary.field("blanks", &blanks.len()),
+            ProblemBody::Match(pairs) => {
+                summary.field("pairs", &pairs.correct.len());
+                summary.field("right", &pairs.right.len());
+            }
+            ProblemBody::TrueFalse { .. } | ProblemBody::Essay { .. } => {}
         }
-        ProblemBody::Completion { blanks, .. } => {
-            fields.push(("blanks".to_string(), (blanks.len() as u64).to_value()));
-        }
-        ProblemBody::Match(pairs) => {
-            fields.push(("pairs".to_string(), (pairs.correct.len() as u64).to_value()));
-            fields.push(("right".to_string(), (pairs.right.len() as u64).to_value()));
-        }
-        ProblemBody::TrueFalse { .. } | ProblemBody::Essay { .. } => {}
+        summary.end();
     }
-    Value::Object(fields)
 }
 
-fn state_value(state: SessionState) -> Value {
-    Value::String(
-        match state {
-            SessionState::Active => "active",
-            SessionState::Paused => "paused",
-            SessionState::Finished => "finished",
-        }
-        .to_string(),
-    )
+fn state_label(state: SessionState) -> &'static str {
+    match state {
+        SessionState::Active => "active",
+        SessionState::Paused => "paused",
+        SessionState::Finished => "finished",
+    }
 }
 
-fn remaining_value(session: &ExamSession) -> Value {
+fn remaining_secs(session: &ExamSession) -> Option<f64> {
     session
         .remaining_time()
-        .map_or(Value::Null, |remaining| remaining.as_secs_f64().to_value())
+        .map(|remaining| remaining.as_secs_f64())
 }
 
 /// The common session status body (`GET /sessions/{id}` and answer
 /// responses).
-fn session_status_body(session: &ExamSession) -> Value {
-    Value::Object(vec![
-        (
-            "session".to_string(),
-            Value::String(session.id().as_str().to_string()),
-        ),
-        ("state".to_string(), state_value(session.state())),
-        (
-            "answered".to_string(),
-            (session.answered_count() as u64).to_value(),
-        ),
-        (
-            "elapsed_secs".to_string(),
-            session.elapsed().as_secs_f64().to_value(),
-        ),
-        ("remaining_secs".to_string(), remaining_value(session)),
-        (
-            "current".to_string(),
-            session.current().map_or(Value::Null, |problem| {
-                Value::String(problem.id().as_str().to_string())
-            }),
-        ),
-    ])
+fn session_status_body(session: &ExamSession) -> String {
+    object_body(|body| {
+        body.field("session", session.id());
+        body.field("state", state_label(session.state()));
+        body.field("answered", &session.answered_count());
+        body.field("elapsed_secs", &session.elapsed().as_secs_f64());
+        body.field("remaining_secs", &remaining_secs(session));
+        body.field("current", &session.current().map(Problem::id));
+    })
 }
 
 /// The `422` response for a rejected adaptive start, naming the
@@ -1503,88 +1439,49 @@ fn adaptive_rejection(err: &AdaptiveStartError) -> Response {
         AdaptiveStartError::InvalidOptions(inner) => inner.field,
         AdaptiveStartError::Uncalibrated { .. } => "item_bank",
     };
-    ok_json(
-        422,
-        &Value::Object(vec![
-            ("error".to_string(), Value::String(err.to_string())),
-            ("field".to_string(), Value::String(field.to_string())),
-        ]),
-    )
+    json_object(422, |body| {
+        body.field("error", &err.to_string());
+        body.field("field", field);
+    })
 }
 
 /// The shared tail of every adaptive response body: ability estimate,
 /// SE, step count, stop state, and the pending item's summary.
-fn adaptive_progress_fields(sitting: &mut AdaptiveSitting) -> Vec<(String, Value)> {
+fn adaptive_progress_fields(body: &mut ObjectWriter<'_>, sitting: &mut AdaptiveSitting) {
     let estimate = sitting.estimate();
     let done = sitting.is_done();
-    vec![
-        (
-            "state".to_string(),
-            Value::String(if done { "complete" } else { "active" }.to_string()),
-        ),
-        (
-            "steps".to_string(),
-            (sitting.step_count() as u64).to_value(),
-        ),
-        ("theta".to_string(), estimate.theta.to_value()),
-        ("se".to_string(), estimate.se.to_value()),
-        (
-            "elapsed_secs".to_string(),
-            sitting.elapsed().as_secs_f64().to_value(),
-        ),
-        ("done".to_string(), Value::Bool(done)),
-        (
-            "current".to_string(),
-            sitting
-                .current_problem()
-                .map_or(Value::Null, problem_summary),
-        ),
-    ]
+    body.field("state", if done { "complete" } else { "active" });
+    body.field("steps", &sitting.step_count());
+    body.field("theta", &estimate.theta);
+    body.field("se", &estimate.se);
+    body.field("elapsed_secs", &sitting.elapsed().as_secs_f64());
+    body.field("done", &done);
+    body.field("current", &sitting.current_problem().map(ProblemSummary));
 }
 
 /// The adaptive `GET /sessions/{id}` / answer-response body.
-fn adaptive_status_body(sitting: &mut AdaptiveSitting) -> Value {
-    let mut fields = vec![
-        (
-            "session".to_string(),
-            Value::String(sitting.id().to_string()),
-        ),
-        ("mode".to_string(), Value::String("adaptive".to_string())),
-    ];
-    fields.extend(adaptive_progress_fields(sitting));
-    Value::Object(fields)
+fn adaptive_status_body(sitting: &mut AdaptiveSitting) -> String {
+    object_body(|body| {
+        body.field("session", sitting.id());
+        body.field("mode", "adaptive");
+        adaptive_progress_fields(body, sitting);
+    })
 }
 
 /// The adaptive `POST /sessions` response: identity, stop rule, and
 /// the first item.
-fn adaptive_started_body(sitting: &mut AdaptiveSitting) -> Value {
+fn adaptive_started_body(sitting: &mut AdaptiveSitting) -> String {
     let options = sitting.options();
-    let mut fields = vec![
-        (
-            "session".to_string(),
-            Value::String(sitting.id().to_string()),
-        ),
-        (
-            "exam".to_string(),
-            Value::String(sitting.exam().as_str().to_string()),
-        ),
-        (
-            "student".to_string(),
-            Value::String(sitting.student().as_str().to_string()),
-        ),
-        ("mode".to_string(), Value::String("adaptive".to_string())),
-        (
-            "min_items".to_string(),
-            (options.min_items as u64).to_value(),
-        ),
-        (
-            "max_items".to_string(),
-            (options.max_items as u64).to_value(),
-        ),
-        ("se_threshold".to_string(), options.se_threshold.to_value()),
-    ];
-    fields.extend(adaptive_progress_fields(sitting));
-    Value::Object(fields)
+    object_body(|body| {
+        body.field("session", sitting.id());
+        body.field("exam", sitting.exam());
+        body.field("student", sitting.student());
+        body.field("mode", "adaptive");
+        body.field("min_items", &options.min_items);
+        body.field("max_items", &options.max_items);
+        body.field("se_threshold", &options.se_threshold);
+        adaptive_progress_fields(body, sitting);
+    })
 }
 
 #[cfg(test)]
@@ -1645,11 +1542,9 @@ mod tests {
         // Without replication configured, a node reports itself as the
         // primary at the initial epoch.
         assert_eq!(value.get("role").unwrap().as_str(), Some("primary"));
-        assert_eq!(
-            value.get("epoch"),
-            Some(&mine_store::INITIAL_EPOCH.to_value())
-        );
-        assert_eq!(value.get("last_applied_seq"), Some(&0u64.to_value()));
+        let number = |field: &str| u64::from_value(value.get(field).unwrap());
+        assert_eq!(number("epoch"), Ok(mine_store::INITIAL_EPOCH));
+        assert_eq!(number("last_applied_seq"), Ok(0));
     }
 
     /// Sits one student through the whole lifecycle in-process; student
@@ -2064,8 +1959,8 @@ mod tests {
         let body: Value = serde_json::from_str(&promoted.body).unwrap();
         assert_eq!(body.get("role").unwrap().as_str(), Some("primary"));
         assert_eq!(
-            body.get("epoch"),
-            Some(&(mine_store::INITIAL_EPOCH + 1).to_value())
+            u64::from_value(body.get("epoch").unwrap()),
+            Ok(mine_store::INITIAL_EPOCH + 1)
         );
         // The bump is durable, not just in-memory.
         assert_eq!(

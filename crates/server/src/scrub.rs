@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::{Number, Value};
+use serde::{JsonWriter, Number, Value};
 
 use mine_store::{
     diverging_windows, inject_bitrot, scrub_dir, RangeHash, ScrubReport, RANGE_WINDOW,
@@ -279,6 +279,25 @@ struct RemoteRanges {
     epoch: u64,
     head_seq: u64,
     ranges: Vec<RangeHash>,
+}
+
+/// Writes range hashes as `/admin/ranges` and `mine scrub --json`
+/// carry them: `[{"first_seq":…,"last_seq":…,"count":…,"hash":…},…]`.
+/// The scrubber reads the same shape back from a peer (`fetch_ranges`).
+pub fn write_range_hashes(out: &mut JsonWriter, ranges: &[RangeHash]) {
+    out.raw("[");
+    for (i, range) in ranges.iter().enumerate() {
+        if i > 0 {
+            out.raw(",");
+        }
+        let mut entry = out.object();
+        entry.field("first_seq", &range.first_seq);
+        entry.field("last_seq", &range.last_seq);
+        entry.field("count", &range.count);
+        entry.field("hash", &range.hash);
+        entry.end();
+    }
+    out.raw("]");
 }
 
 /// Fetches and decodes a peer's integrity table. `None` when the peer

@@ -473,7 +473,9 @@ fn bitrot_on_follower_is_quarantined_and_repaired_online() {
         report.render()
     );
     assert_eq!(
-        report.to_value().get("clean"),
+        serde_json::from_str::<Value>(&serde_json::to_string(&report).unwrap())
+            .unwrap()
+            .get("clean"),
         Some(&Value::Bool(true)),
         "the JSON report must carry the same verdict"
     );

@@ -358,13 +358,7 @@ fn drain_mid_storm_loses_no_finished_sitting_and_analysis_survives_restart() {
     let _ = storm.join().expect("storm thread");
 
     // Ground truth: what the drained server itself acknowledged.
-    let acked: Vec<Value> = router
-        .state()
-        .finished
-        .records("final")
-        .iter()
-        .map(serde::Serialize::to_value)
-        .collect();
+    let acked = serde_json::to_string(&router.state().finished.records("final")).unwrap();
     let live_sessions = router.state().registry.len();
 
     // Restart from the journal directory.
@@ -375,16 +369,9 @@ fn drain_mid_storm_loses_no_finished_sitting_and_analysis_survives_restart() {
 
     // Zero lost finished sittings: the recovered records are exactly
     // the acknowledged ones, byte for byte.
-    let replayed: Vec<Value> = recovered
-        .state()
-        .finished
-        .records("final")
-        .iter()
-        .map(serde::Serialize::to_value)
-        .collect();
+    let replayed = serde_json::to_string(&recovered.state().finished.records("final")).unwrap();
     assert_eq!(
-        serde_json::to_string(&Value::Array(replayed)).unwrap(),
-        serde_json::to_string(&Value::Array(acked)).unwrap(),
+        replayed, acked,
         "finished sittings diverged across drain + restart"
     );
 

@@ -8,7 +8,6 @@ use std::thread;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use serde::Serialize;
 
 use mine_core::{Answer, OptionKey, StudentRecord};
 use mine_delivery::{DeliveryOptions, ExamSession, SessionState};
@@ -203,8 +202,8 @@ proptest! {
             // Byte-identical, not merely equal: the serialized forms
             // (what the wire and the analysis cache see) must match.
             prop_assert_eq!(
-                serde_json::to_string(&actual.to_value()).unwrap(),
-                serde_json::to_string(&expected_record.to_value()).unwrap()
+                serde_json::to_string(&actual).unwrap(),
+                serde_json::to_string(&expected_record).unwrap()
             );
         }
     }

@@ -17,6 +17,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+# vendor/ is outside the workspace; run the JSON shim's own unit tests.
+echo "==> cargo test -p serde_json (vendored JSON shim)"
+cargo test --offline -q -p serde_json
+
 echo "==> recovery smoke (kill -9 with base + delta snapshots on disk, byte-identical analysis, mine audit)"
 timeout 120 scripts/smoke_recover.sh
 

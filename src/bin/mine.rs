@@ -70,16 +70,17 @@ use mine_assessment::itembank::{
 };
 use mine_assessment::scorm::ContentPackage;
 use mine_assessment::server::{
-    audit_dirs, decode_events, open_journaled_state, run_loadgen, start_follower, AckMode,
-    AnswerKey, FailoverConfig, HttpClient, LoadGenOptions, LoadMode, RateLimit, ReplListener,
-    ReplState, Role, Router, Scrubber, ServeOptions, Server, DEFAULT_FAILOVER_TIMEOUT,
-    DEFAULT_SCRUB_INTERVAL,
+    audit_dirs, decode_events, open_journaled_state, run_loadgen, start_follower,
+    write_range_hashes, AckMode, AnswerKey, FailoverConfig, HttpClient, LoadGenOptions, LoadMode,
+    RateLimit, ReplListener, ReplState, Role, Router, Scrubber, ServeOptions, Server,
+    DEFAULT_FAILOVER_TIMEOUT, DEFAULT_SCRUB_INTERVAL,
 };
 use mine_assessment::simulator::{CohortSpec, Simulation};
 use mine_assessment::store::{
-    scrub_dir, EventStore, FaultPlan, ScrubReport, SnapshotReport, StoreOptions, SyncPolicy,
+    scrub_dir, EventStore, FaultPlan, ScrubReport, SegmentReport, SnapshotReport, StoreOptions,
+    SyncPolicy,
 };
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -843,7 +844,7 @@ fn audit(args: &[String]) -> CliResult {
         None => audit_dirs(&dirs, None)?,
     };
     if json.is_some() {
-        let rendered = serde_json::to_string(&report.to_value()).map_err(|err| err.to_string())?;
+        let rendered = serde_json::to_string(&report).map_err(|err| err.to_string())?;
         print_block(&format!("{rendered}\n"));
     } else {
         print_block(&report.render());
@@ -881,9 +882,7 @@ fn scrub(args: &[String]) -> CliResult {
     // the newest segment lives inside `scrub_dir`.
     let report = scrub_dir(path, None).map_err(|err| format!("scrubbing {dir}: {err}"))?;
     if json.is_some() {
-        let rendered =
-            serde_json::to_string(&scrub_value(&report)).map_err(|err| err.to_string())?;
-        print_block(&format!("{rendered}\n"));
+        print_block(&format!("{}\n", scrub_json(&report)));
     } else {
         print_block(&render_scrub(&report));
     }
@@ -942,58 +941,49 @@ fn render_scrub(report: &ScrubReport) -> String {
 }
 
 /// The machine-readable form of a scrub report (`mine scrub --json`).
-fn scrub_value(report: &ScrubReport) -> Value {
-    let optional_reason = |reason: &Option<String>| {
-        reason
-            .as_ref()
-            .map_or(Value::Null, |reason| Value::String(reason.clone()))
-    };
-    let segments = Value::Array(
-        report
-            .segments
-            .iter()
-            .map(|segment| {
-                Value::Object(vec![
-                    ("file".to_string(), Value::String(segment.file.clone())),
-                    ("first_seq".to_string(), segment.first_seq.to_value()),
-                    ("records".to_string(), segment.records.to_value()),
-                    ("bytes".to_string(), segment.bytes.to_value()),
-                    ("corrupt".to_string(), optional_reason(&segment.corrupt)),
-                ])
-            })
-            .collect(),
-    );
-    let ranges = Value::Array(
-        report
-            .ranges
-            .iter()
-            .map(|range| {
-                Value::Object(vec![
-                    ("first_seq".to_string(), range.first_seq.to_value()),
-                    ("last_seq".to_string(), range.last_seq.to_value()),
-                    ("count".to_string(), range.count.to_value()),
-                    ("hash".to_string(), range.hash.to_value()),
-                ])
-            })
-            .collect(),
-    );
-    let image = |image: &SnapshotReport| {
-        Value::Object(vec![
-            ("file".to_string(), Value::String(image.file.clone())),
-            ("last_seq".to_string(), image.last_seq.to_value()),
-            ("bytes".to_string(), image.bytes.to_value()),
-            ("corrupt".to_string(), optional_reason(&image.corrupt)),
-        ])
-    };
-    let snapshot = report.snapshot.as_ref().map_or(Value::Null, image);
-    let deltas = Value::Array(report.deltas.iter().map(image).collect());
-    Value::Object(vec![
-        ("clean".to_string(), Value::Bool(report.is_clean())),
-        ("segments".to_string(), segments),
-        ("ranges".to_string(), ranges),
-        ("snapshot".to_string(), snapshot),
-        ("deltas".to_string(), deltas),
-    ])
+fn scrub_json(report: &ScrubReport) -> String {
+    let segments: Vec<SegmentJson<'_>> = report.segments.iter().map(SegmentJson).collect();
+    let deltas: Vec<ImageJson<'_>> = report.deltas.iter().map(ImageJson).collect();
+    let mut out = JsonWriter::new();
+    let mut body = out.object();
+    body.field("clean", &report.is_clean());
+    body.field("segments", &segments);
+    write_range_hashes(body.key("ranges"), &report.ranges);
+    body.field("snapshot", &report.snapshot.as_ref().map(ImageJson));
+    body.field("deltas", &deltas);
+    body.end();
+    out.into_string()
+}
+
+/// One WAL segment's verdict in `mine scrub --json`.
+struct SegmentJson<'a>(&'a SegmentReport);
+
+impl Serialize for SegmentJson<'_> {
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let segment = self.0;
+        let mut entry = out.object();
+        entry.field("file", &segment.file);
+        entry.field("first_seq", &segment.first_seq);
+        entry.field("records", &segment.records);
+        entry.field("bytes", &segment.bytes);
+        entry.field("corrupt", &segment.corrupt);
+        entry.end();
+    }
+}
+
+/// One image's (base snapshot or delta) verdict in `mine scrub --json`.
+struct ImageJson<'a>(&'a SnapshotReport);
+
+impl Serialize for ImageJson<'_> {
+    fn serialize_into(&self, out: &mut JsonWriter) {
+        let image = self.0;
+        let mut entry = out.object();
+        entry.field("file", &image.file);
+        entry.field("last_seq", &image.last_seq);
+        entry.field("bytes", &image.bytes);
+        entry.field("corrupt", &image.corrupt);
+        entry.end();
+    }
 }
 
 /// Attaches 3PL item parameters to one problem, or (`--auto`) sweeps

@@ -5,10 +5,10 @@
 //! across streaming, batch, replay and promotion, and journals written
 //! by older builds must still audit clean. These strings pin the exact
 //! bytes of each leaf form (numbers, strings, empty containers, sorted
-//! hash collections, every derive shape) so a change to the writer
-//! cannot drift them silently.
+//! hash maps, every derive shape) so a change to the writer cannot
+//! drift them silently.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,8 +77,6 @@ fn cases() -> Vec<(&'static str, String, &'static str)> {
     }
     let numeric_keys: HashMap<u32, bool> =
         [(10, true), (9, false), (100, true)].into_iter().collect();
-    let number_set: HashSet<u32> = [10, 9, 100].into_iter().collect();
-    let string_set: HashSet<String> = ["b", "a", "c"].into_iter().map(String::from).collect();
     let mut btree: BTreeMap<i32, &str> = BTreeMap::new();
     btree.insert(-5, "neg");
     btree.insert(3, "pos");
@@ -145,8 +143,6 @@ fn cases() -> Vec<(&'static str, String, &'static str)> {
             json(&numeric_keys),
             r#"{"10":true,"100":true,"9":false}"#,
         ),
-        ("hash set of numbers", json(&number_set), "[10,100,9]"),
-        ("hash set of strings", json(&string_set), r#"["a","b","c"]"#),
         ("btree map signed keys", json(&btree), r#"{"-5":"neg","3":"pos"}"#),
         (
             "duration",
