@@ -3,8 +3,8 @@
 //! A term's worth of assessment produces dozens of sittings — the same
 //! mid-term across class sections, weekly quizzes, pre/post pairs for
 //! the §3.4-III sensitivity index. [`BatchAnalyzer`] runs
-//! [`ExamAnalysis::analyze`] over a whole batch with a work-stealing
-//! thread pool and aggregates the per-exam results into a
+//! [`ExamAnalysis::analyze`] over a whole batch on the shared
+//! `mine-pool` thread pool and aggregates the per-exam results into a
 //! [`BatchReport`] with cross-exam reliability and signal summaries.
 //! The analysis is a pure function of its inputs and is recomputed on
 //! every call; repeat reads of a live class are served by the
@@ -177,9 +177,9 @@ impl BatchAnalyzer {
             self.threads
         };
         // One budget for the whole batch. The outer per-exam map and the
-        // per-question maps inside `analyze` feed the same work-stealing
-        // pool, so a single-exam batch still spreads its questions over
-        // every worker — no nested pools, no `install(1)` pinning.
+        // per-question maps inside `analyze` feed the same run queue, so
+        // a single-exam batch still spreads its questions over every
+        // worker — no nested pools, no `install(1)` pinning.
         let pool = ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()

@@ -1,24 +1,24 @@
-//! `mine-pool` — the persistent work-stealing thread pool behind every
-//! parallel operation in the workspace.
+//! `mine-pool` — the persistent thread pool behind every parallel
+//! operation in the workspace.
 //!
 //! # Architecture
 //!
-//! One process-wide registry holds a fixed array of worker slots. Each
-//! slot owns a fixed-capacity Chase–Lev deque (`deque`): the worker
-//! pushes and pops its own deque LIFO, every other worker steals from
-//! it FIFO. Threads are spawned lazily — the first operation that asks
-//! for `n`-way parallelism spawns up to `n − 1` long-lived workers, and
-//! later operations reuse them. External (non-worker) threads submit
-//! through a shared injector queue.
+//! One process-wide registry holds one run queue and up to
+//! `MAX_WORKERS` worker threads. Threads are spawned lazily — the
+//! first operation that asks for `n`-way parallelism spawns up to
+//! `n − 1` long-lived workers, and later operations reuse them. Every
+//! thread, worker or not, submits to the same queue; idle workers take
+//! from it FIFO and park on a condvar when it stays empty.
 //!
 //! A parallel map is represented by one heap-allocated *operation*
 //! descriptor holding an atomic chunk cursor over the input. The thread
 //! that starts the operation (the *creator*) claims and executes chunks
-//! until the cursor is exhausted; the participation tokens it publishes
-//! to the deques/injector merely invite other workers to claim chunks
-//! from the same cursor. Because the creator can always finish the
-//! operation alone, no operation ever waits on a thread that might not
-//! exist — there is no deadlock, whatever the nesting.
+//! until the cursor is exhausted; the participation tokens it queues
+//! merely invite other workers to claim chunks from the same cursor.
+//! The cursor, not the queue, balances the load. Because the creator
+//! can always finish the operation alone, no operation ever waits on a
+//! thread that might not exist — there is no deadlock, whatever the
+//! nesting.
 //!
 //! Results are written into pre-sized slots by input index, so output
 //! order — and therefore every byte the analysis pipeline serializes —
@@ -33,7 +33,7 @@
 //! count even across nested parallel maps. Nested `install`s simply
 //! shadow the outer budget, which is why the analysis pipeline needs no
 //! "inner single-thread pool" workaround: an operation started inside a
-//! pooled task inherits the budget and feeds the same deques.
+//! pooled task inherits the budget and feeds the same queue.
 
 #![warn(missing_docs)]
 
@@ -46,11 +46,6 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-mod deque;
-
-use deque::{Deque, Steal};
 
 /// Hard ceiling on an explicitly requested thread count; guards the CLI
 /// against `--threads 0`-style underflow typos turning into
@@ -62,14 +57,8 @@ pub const MAX_THREADS: usize = 1024;
 /// available workers plus the creator.
 const MAX_WORKERS: usize = 64;
 
-/// Per-worker deque capacity; overflow diverts to the injector.
-const DEQUE_CAPACITY: usize = 256;
-
-/// How long a worker sleeps before re-scanning on its own, as a
-/// backstop against a lost wake-up.
-const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Fruitless scan rounds (with `yield_now`) before a worker parks.
+/// Fruitless polls of the run queue (with `yield_now`) before a worker
+/// parks.
 const SPIN_ROUNDS: u32 = 3;
 
 // ---------------------------------------------------------------------
@@ -365,9 +354,7 @@ impl OpShared {
                     self.panicked.store(true, Ordering::Release);
                 }
                 if let Some(index) = WORKER_INDEX.with(Cell::get) {
-                    registry().slots[index]
-                        .executed
-                        .fetch_add(1, Ordering::Relaxed);
+                    registry().executed[index].fetch_add(1, Ordering::Relaxed);
                 }
             }
             if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.chunks {
@@ -395,45 +382,40 @@ impl OpShared {
 // The registry and its workers
 // ---------------------------------------------------------------------
 
-struct WorkerSlot {
-    deque: Deque,
-    executed: AtomicU64,
+/// An invitation to join `op`, tagged with the worker that queued it
+/// (`None` for a non-worker thread).
+struct Token {
+    op: Arc<OpShared>,
+    from: Option<usize>,
 }
 
 struct Registry {
-    slots: Box<[WorkerSlot]>,
+    /// Chunks executed per worker slot, indexed by worker.
+    executed: Box<[AtomicU64]>,
     /// Workers actually spawned so far; grows monotonically.
     spawned: AtomicUsize,
-    injector: Mutex<VecDeque<usize>>,
-    /// Lock-free emptiness hint for the injector.
-    injector_len: AtomicUsize,
-    sleep_lock: Mutex<()>,
+    /// The one run queue every thread submits to and every worker
+    /// takes from, FIFO. Idle workers park on `wake` under this lock.
+    queue: Mutex<VecDeque<Token>>,
+    /// Lock-free emptiness hint for `queue`, read while spinning.
+    queued: AtomicUsize,
     wake: Condvar,
     steals: AtomicU64,
     ops: AtomicU64,
     spawn_lock: Mutex<()>,
 }
 
-fn registry() -> &'static Arc<Registry> {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let slots = (0..MAX_WORKERS)
-            .map(|_| WorkerSlot {
-                deque: Deque::new(DEQUE_CAPACITY),
-                executed: AtomicU64::new(0),
-            })
-            .collect();
-        Arc::new(Registry {
-            slots,
-            spawned: AtomicUsize::new(0),
-            injector: Mutex::new(VecDeque::new()),
-            injector_len: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            wake: Condvar::new(),
-            steals: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            spawn_lock: Mutex::new(()),
-        })
+fn registry() -> &'static Registry {
+    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+    GLOBAL.get_or_init(|| Registry {
+        executed: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
+        spawned: AtomicUsize::new(0),
+        queue: Mutex::new(VecDeque::new()),
+        queued: AtomicUsize::new(0),
+        wake: Condvar::new(),
+        steals: AtomicU64::new(0),
+        ops: AtomicU64::new(0),
+        spawn_lock: Mutex::new(()),
     })
 }
 
@@ -441,18 +423,17 @@ impl Registry {
     /// Spawns workers until at least `target` exist (capped at
     /// [`MAX_WORKERS`]). Workers are never torn down; the analysis
     /// server and CLI both want a warm pool for their whole lifetime.
-    fn ensure_workers(self: &Arc<Self>, target: usize) {
-        let target = target.min(self.slots.len());
+    fn ensure_workers(&self, target: usize) {
+        let target = target.min(self.executed.len());
         if self.spawned.load(Ordering::Acquire) >= target {
             return;
         }
         let _guard = self.spawn_lock.lock().expect("spawn lock");
         let current = self.spawned.load(Ordering::Acquire);
         for index in current..target {
-            let registry = Arc::clone(self);
             let spawned = std::thread::Builder::new()
                 .name(format!("mine-pool-{index}"))
-                .spawn(move || worker_main(&registry, index));
+                .spawn(move || worker_main(index));
             if spawned.is_err() {
                 // Out of threads: the pool still works, just narrower —
                 // creators always complete their own operations.
@@ -462,100 +443,56 @@ impl Registry {
         }
     }
 
-    /// Publishes one participation token. Worker threads push their own
-    /// deque (LIFO); external threads go through the injector.
+    /// Publishes one participation token and wakes one parked worker.
     fn submit(&self, op: &Arc<OpShared>) {
-        let token = Arc::into_raw(Arc::clone(op)) as usize;
-        let local = WORKER_INDEX.with(Cell::get);
-        let token = match local {
-            Some(index) => self.slots[index].deque.push(token).err(),
-            None => Some(token),
+        let token = Token {
+            op: Arc::clone(op),
+            from: WORKER_INDEX.with(Cell::get),
         };
-        if let Some(token) = token {
-            let mut injector = self.injector.lock().expect("injector");
-            injector.push_back(token);
-            self.injector_len.store(injector.len(), Ordering::Release);
-        }
-        // Pair with the sleeper's re-check under `sleep_lock`: once we
-        // hold the lock, any parked worker either saw the token above
-        // or is waiting on the condvar and gets the notification.
-        drop(self.sleep_lock.lock().expect("sleep lock"));
-        self.wake.notify_all();
+        let mut queue = self.queue.lock().expect("run queue");
+        queue.push_back(token);
+        self.queued.store(queue.len(), Ordering::Release);
+        drop(queue);
+        self.wake.notify_one();
     }
 
-    /// A worker's hunt for one token: own deque first (LIFO), then the
-    /// injector, then stealing FIFO from siblings.
-    fn find_token(&self, index: usize) -> Option<usize> {
-        if let Some(token) = self.slots[index].deque.pop() {
-            return Some(token);
-        }
-        if self.injector_len.load(Ordering::Acquire) > 0 {
-            let mut injector = self.injector.lock().expect("injector");
-            if let Some(token) = injector.pop_front() {
-                self.injector_len.store(injector.len(), Ordering::Release);
-                return Some(token);
-            }
-        }
-        let spawned = self.spawned.load(Ordering::Acquire);
-        for offset in 1..spawned {
-            let victim = (index + offset) % spawned;
-            loop {
-                match self.slots[victim].deque.steal() {
-                    Steal::Success(token) => {
-                        self.steals.fetch_add(1, Ordering::Relaxed);
-                        return Some(token);
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
+    fn pop(&self, queue: &mut VecDeque<Token>) -> Option<Token> {
+        let token = queue.pop_front();
+        self.queued.store(queue.len(), Ordering::Release);
+        token
+    }
+
+    /// A worker's wait for its next token: a few yielding polls of the
+    /// hint, then park. Parking re-checks under the queue lock that
+    /// `submit` pushes under, so no wake-up is lost.
+    fn next_token(&self) -> Token {
+        for _ in 0..SPIN_ROUNDS {
+            if self.queued.load(Ordering::Acquire) > 0 {
+                if let Some(token) = self.pop(&mut self.queue.lock().expect("run queue")) {
+                    return token;
                 }
             }
+            std::thread::yield_now();
         }
-        None
-    }
-
-    fn has_visible_work(&self) -> bool {
-        if self.injector_len.load(Ordering::Acquire) > 0 {
-            return true;
+        let mut queue = self.queue.lock().expect("run queue");
+        loop {
+            if let Some(token) = self.pop(&mut queue) {
+                return token;
+            }
+            queue = self.wake.wait(queue).expect("run queue");
         }
-        let spawned = self.spawned.load(Ordering::Acquire);
-        self.slots[..spawned]
-            .iter()
-            .any(|slot| slot.deque.has_work())
     }
 }
 
-fn worker_main(registry: &Arc<Registry>, index: usize) {
+fn worker_main(index: usize) {
     WORKER_INDEX.with(|cell| cell.set(Some(index)));
-    let mut idle_rounds = 0u32;
+    let registry = registry();
     loop {
-        match registry.find_token(index) {
-            Some(token) => {
-                idle_rounds = 0;
-                // Safety: the token is an `Arc<OpShared>` published by
-                // `submit` via `into_raw`; each token is consumed
-                // exactly once (deque/injector semantics).
-                let op = unsafe { Arc::from_raw(token as *const OpShared) };
-                op.participate(true);
-            }
-            None if idle_rounds < SPIN_ROUNDS => {
-                idle_rounds += 1;
-                std::thread::yield_now();
-            }
-            None => {
-                idle_rounds = 0;
-                let guard = registry.sleep_lock.lock().expect("sleep lock");
-                if registry.has_visible_work() {
-                    continue;
-                }
-                // Timeout is a lost-wakeup backstop only; `submit`
-                // holds `sleep_lock` before notifying, closing the
-                // check-then-sleep race.
-                let _ = registry
-                    .wake
-                    .wait_timeout(guard, PARK_TIMEOUT)
-                    .expect("sleep lock");
-            }
+        let token = registry.next_token();
+        if token.from.is_some_and(|from| from != index) {
+            registry.steals.fetch_add(1, Ordering::Relaxed);
         }
+        token.op.participate(true);
     }
 }
 
@@ -651,7 +588,8 @@ where
 pub struct PoolStats {
     /// Worker threads spawned so far (excludes creators).
     pub workers: usize,
-    /// Tokens taken from a sibling's deque since process start.
+    /// Tokens run by a worker other than the one that queued them,
+    /// since process start.
     pub steals: u64,
     /// Parallel operations dispatched to the pool.
     pub ops: u64,
@@ -682,9 +620,9 @@ pub fn stats() -> PoolStats {
         workers,
         steals: registry.steals.load(Ordering::Relaxed),
         ops: registry.ops.load(Ordering::Relaxed),
-        executed_per_worker: registry.slots[..workers]
+        executed_per_worker: registry.executed[..workers]
             .iter()
-            .map(|slot| slot.executed.load(Ordering::Relaxed))
+            .map(|executed| executed.load(Ordering::Relaxed))
             .collect(),
     }
 }

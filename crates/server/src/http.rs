@@ -10,6 +10,8 @@
 
 use std::io::{BufRead, Write};
 
+use serde::{JsonWriter, ObjectWriter};
+
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
@@ -133,11 +135,17 @@ impl Response {
         self
     }
 
+    /// The body of every error response: `{"error":"…"}`.
+    #[must_use]
+    pub fn error(status: u16, message: &str) -> Self {
+        Self::json(status, object_body(|body| body.field("error", message)))
+    }
+
     /// The standard shed response: `503 + Retry-After`, connection to
     /// be closed by the caller.
     #[must_use]
     pub fn shed(reason: &str, retry_after_secs: u64) -> Self {
-        Self::json(503, format!("{{\"error\":{reason:?}}}")).with_retry_after(retry_after_secs)
+        Self::error(503, reason).with_retry_after(retry_after_secs)
     }
 
     /// The standard reason phrase for the status code.
@@ -398,6 +406,15 @@ fn read_head_line<R: BufRead>(
             Err(err) => return Err(ParseError::from_read("read failed", &err)),
         }
     }
+}
+
+/// One JSON object, its fields written by `fields` in order.
+pub(crate) fn object_body(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = JsonWriter::new();
+    let mut object = out.object();
+    fields(&mut object);
+    object.end();
+    out.into_string()
 }
 
 #[cfg(test)]

@@ -89,5 +89,5 @@ pub use repl::{
     DEFAULT_FAILOVER_TIMEOUT,
 };
 pub use router::{ApiError, Router, ServerState, StorageHealth};
-pub use scrub::{scrub_pass, write_range_hashes, IntegrityTable, Scrubber, DEFAULT_SCRUB_INTERVAL};
+pub use scrub::{scrub_pass, write_range_hashes, Scrubber, DEFAULT_SCRUB_INTERVAL};
 pub use serve::{ServeOptions, Server};

@@ -26,6 +26,7 @@ use mine_itembank::{ProblemBody, Repository};
 use mine_simulator::irt::ItemParams;
 
 use crate::client::{ResilientClient, RetryPolicy};
+use crate::http::object_body;
 
 /// Which sitting style the load drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -298,10 +299,11 @@ fn run_client(
     let mut rng = StdRng::seed_from_u64(options.seed.wrapping_add(index as u64));
     let seed = options.seed.wrapping_add(index as u64);
 
-    let start_body = format!(
-        "{{\"exam\":{:?},\"student\":\"load-{index:04}\",\"seed\":{seed}}}",
-        options.exam
-    );
+    let start_body = object_body(|body| {
+        body.field("exam", &options.exam);
+        body.field("student", &format!("load-{index:04}"));
+        body.field("seed", &seed);
+    });
     requests.fetch_add(1, Ordering::Relaxed);
     let started = client
         .post("/sessions", &start_body)
@@ -389,10 +391,12 @@ fn run_adaptive_client(
     let u2: f64 = rng.gen_range(0.0..1.0);
     let theta = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
 
-    let start_body = format!(
-        "{{\"exam\":{:?},\"student\":\"cat-{index:04}\",\"seed\":{seed},\"mode\":\"adaptive\"}}",
-        options.exam
-    );
+    let start_body = object_body(|body| {
+        body.field("exam", &options.exam);
+        body.field("student", &format!("cat-{index:04}"));
+        body.field("seed", &seed);
+        body.field("mode", "adaptive");
+    });
     requests.fetch_add(1, Ordering::Relaxed);
     let started = client
         .post("/sessions", &start_body)

@@ -67,6 +67,7 @@ use mine_store::{FaultPlan, NetAction, ReplError, StreamCursor};
 use mine_streamstats::StreamEngine;
 
 use crate::client::{backoff_delay, HttpClient, RetryPolicy};
+use crate::http::object_body;
 use crate::journal::{decode_payload, Journal, ServerImage, SessionEvent};
 use crate::metrics::Metrics;
 use crate::registry::{FinishedStore, Registry, SessionRegistry};
@@ -632,11 +633,8 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream.try_clone()?);
 
-    let (follower_epoch, _follower_applied) = match read_message(&mut reader)? {
-        Message::Hello {
-            epoch,
-            last_applied,
-        } => (epoch, last_applied),
+    let follower_epoch = match read_message(&mut reader)? {
+        Message::Hello { epoch, .. } => epoch,
         other => {
             return Err(ReplError::Frame {
                 reason: format!("expected Hello, got {other:?}"),
@@ -710,7 +708,7 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
     // under the same exclusive gate, so no record journaled after the
     // capture can miss this follower's queue — the stream continues at
     // exactly `last_seq + 1`.
-    let (snapshot_frame, last_seq, receiver, acked, id) = {
+    let (snapshot_frame, receiver, acked, id) = {
         let _gate = journal.gate_write();
         let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
         let payload = serde_json::to_string(&image)
@@ -723,7 +721,7 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
         let acked = Arc::new(AtomicU64::new(last_seq));
         let id = repl.hub().register(sender, Arc::clone(&acked));
         let frame = Message::Snapshot { last_seq, payload }.encode();
-        (frame, last_seq, receiver, acked, id)
+        (frame, receiver, acked, id)
     };
     let outcome = ship(
         router,
@@ -732,7 +730,6 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
         &mut writer,
         &receiver,
         &acked,
-        last_seq,
         snapshot_frame,
     );
     repl.hub().deregister(id);
@@ -750,7 +747,6 @@ fn ship(
     writer: &mut BufWriter<TcpStream>,
     receiver: &channel::Receiver<Vec<u8>>,
     acked: &Arc<AtomicU64>,
-    last_seq: u64,
     snapshot_frame: Vec<u8>,
 ) -> Result<(), ReplError> {
     let state = router.state();
@@ -790,7 +786,6 @@ fn ship(
         (handle, done)
     };
 
-    let mut streamed = last_seq;
     let result = loop {
         if repl.role() != Role::Primary {
             break Ok(()); // deposed mid-stream: stop shipping
@@ -806,8 +801,6 @@ fn ship(
                 if let Err(err) = faulty_write(plan, writer, &frame) {
                     break Err(ReplError::Io(err));
                 }
-                // Frames carry monotonically increasing records.
-                streamed += 1;
             }
             Err(channel::RecvTimeoutError::Timeout) => {
                 let heartbeat = Message::Heartbeat {
@@ -822,7 +815,6 @@ fn ship(
             Err(channel::RecvTimeoutError::Disconnected) => break Ok(()),
         }
     };
-    let _ = streamed;
     ack_thread.1.store(true, Ordering::Release);
     let _ = stream.shutdown(std::net::Shutdown::Both);
     let _ = ack_thread.0.join();
@@ -1277,7 +1269,10 @@ fn demote_peer(peer: &str, epoch: u64, leader: &str) {
     let Ok(mut client) = HttpClient::with_timeout(peer, PROBE_TIMEOUT) else {
         return;
     };
-    let body = format!("{{\"epoch\":{epoch},\"leader\":\"{leader}\"}}");
+    let body = object_body(|body| {
+        body.field("epoch", &epoch);
+        body.field("leader", leader);
+    });
     let _ = client.post("/admin/demote", &body);
 }
 

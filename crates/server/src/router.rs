@@ -22,7 +22,7 @@ use mine_streamstats::StreamEngine;
 use crate::adaptive::{AdaptiveAnswerError, AdaptiveSitting, AdaptiveStartError};
 use crate::analysis_bodies::AnalysisBodies;
 use crate::drain::Lifecycle;
-use crate::http::{Request, Response};
+use crate::http::{object_body, Request, Response};
 use crate::journal::{Journal, SessionEvent};
 use crate::metrics::{Metrics, Route};
 use crate::registry::{
@@ -133,9 +133,6 @@ pub struct ServerState {
     /// Whether the WAL currently accepts writes; degraded sheds writes
     /// (read-only) until the healer clears it.
     pub storage: StorageHealth,
-    /// The scrubber's most recent pass (per-window range hashes and
-    /// segment verdicts).
-    pub integrity: crate::scrub::IntegrityTable,
     /// Serializes starts: the duplicate check, the commit of the start
     /// event and the registry insert happen as one step, so a start is
     /// logged only if it applies and always precedes its sitting's
@@ -162,7 +159,6 @@ impl ServerState {
             repl: None,
             lifecycle: Lifecycle::new(),
             storage: StorageHealth::default(),
-            integrity: crate::scrub::IntegrityTable::default(),
             create_lock: parking_lot::Mutex::new(()),
         }
     }
@@ -536,7 +532,7 @@ impl Router {
             // write shed at dispatch.
             let retry_after = (err.status == 503 && self.state.storage.is_degraded())
                 .then_some(DEGRADED_RETRY_SECS);
-            let mut response = ok_json(err.status, &ErrorBody { error: err.message });
+            let mut response = Response::error(err.status, &err.message);
             if let Some(secs) = retry_after {
                 response = response.with_retry_after(secs);
             }
@@ -1269,12 +1265,6 @@ fn respond_with_report(report: &mine_analysis::BatchReport, wants_alt: bool) -> 
         .map_err(|err| ApiError::new(500, format!("serialization failed: {err}")))
 }
 
-/// The body of every error response: `{"error":"…"}`.
-#[derive(Serialize)]
-struct ErrorBody {
-    error: String,
-}
-
 /// Serializes a typed value straight into a JSON response body.
 fn ok_json<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
     Response::json(
@@ -1286,15 +1276,6 @@ fn ok_json<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
 /// A JSON response whose one object gets its fields from `fields`.
 fn json_object(status: u16, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> Response {
     Response::json(status, object_body(fields))
-}
-
-/// One JSON object, its fields written by `fields` in order.
-fn object_body(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
-    let mut out = JsonWriter::new();
-    let mut object = out.object();
-    fields(&mut object);
-    object.end();
-    out.into_string()
 }
 
 fn parse_body(request: &Request) -> Result<Value, ApiError> {

@@ -3,9 +3,7 @@
 //!
 //! Every [`Scrubber`] pass re-verifies the CRCs and framing of the
 //! sealed WAL segments and the latest snapshot
-//! ([`mine_store::scrub_dir`]), publishes the per-window range hashes
-//! into the node's in-memory [`IntegrityTable`], and acts on what it
-//! finds:
+//! ([`mine_store::scrub_dir`]) and acts on what it finds:
 //!
 //! - **Local rot** (a sealed segment whose CRCs or sequence run no
 //!   longer verify): the segment is quarantined — renamed to
@@ -22,6 +20,9 @@
 //!   `/admin/ranges` carries an older epoch is a deposed primary, and
 //!   its hashes are ignored so repair can never resurrect a divergent
 //!   suffix.
+//!
+//! A pass keeps nothing once it is done: peers read a node's range
+//! hashes from `GET /admin/ranges`, which rescans the directory itself.
 //!
 //! The scrubber is also the **injection seam** for scheduled bit rot
 //! (`MINE_FAULT_PLAN=disk.bitrot@SEQ:BYTES`): scheduled flips are
@@ -50,26 +51,6 @@ pub const DEFAULT_SCRUB_INTERVAL: Duration = Duration::from_secs(5);
 
 /// I/O timeout for one `/admin/ranges` fetch from the leader.
 const RANGES_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// The most recent scrub pass's findings, shared so `/healthz`
-/// consumers, tests, and the repair path read one consistent view.
-#[derive(Debug, Default)]
-pub struct IntegrityTable {
-    latest: parking_lot::Mutex<Option<ScrubReport>>,
-}
-
-impl IntegrityTable {
-    /// Publishes a completed pass.
-    pub fn publish(&self, report: ScrubReport) {
-        *self.latest.lock() = Some(report);
-    }
-
-    /// The most recent pass, if one has completed.
-    #[must_use]
-    pub fn latest(&self) -> Option<ScrubReport> {
-        self.latest.lock().clone()
-    }
-}
 
 /// A running background scrubber.
 #[derive(Debug)]
@@ -237,8 +218,6 @@ pub fn scrub_pass(router: &Router) {
             repair(router, journal, quarantined);
         }
     }
-
-    state.integrity.publish(report);
 }
 
 /// Repairs `quarantined` segments: a follower asks its puller to break
@@ -334,14 +313,14 @@ fn as_u64(value: &Value) -> Option<u64> {
     }
 }
 
-/// Maps diverging window indices back to the sealed segments whose
-/// records fall inside them (a window can span segments and vice
+/// Maps diverging windows, given by their first sequence numbers as
+/// [`diverging_windows`] returns them, back to the sealed segments
+/// whose records fall inside them (a window can span segments and vice
 /// versa). Returns the segments' first sequence numbers.
 fn segments_for_windows(report: &ScrubReport, windows: &[u64]) -> Vec<u64> {
     let mut hits = BTreeSet::new();
-    for window in windows {
-        let window_first = window * RANGE_WINDOW + 1;
-        let window_last = (window + 1) * RANGE_WINDOW;
+    for &window_first in windows {
+        let window_last = window_first + RANGE_WINDOW - 1;
         for segment in &report.segments {
             if segment.records == 0 {
                 continue;
@@ -360,14 +339,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn integrity_table_publishes_latest_pass() {
-        let table = IntegrityTable::default();
-        assert!(table.latest().is_none());
-        table.publish(ScrubReport::default());
-        assert!(table.latest().is_some());
-    }
-
-    #[test]
     fn windows_map_back_to_overlapping_segments() {
         let segment = |first_seq: u64, records: u64| mine_store::SegmentReport {
             file: format!("wal-{first_seq:020}.log"),
@@ -377,16 +348,58 @@ mod tests {
             corrupt: None,
         };
         let report = ScrubReport {
-            // Window 0 covers seqs 1..=1024; window 1 covers 1025..=2048.
+            // Window 1 covers seqs 1..=1024; window 1025 covers 1025..=2048.
             segments: vec![segment(1, 1000), segment(1001, 500), segment(1501, 1000)],
             ..ScrubReport::default()
         };
-        // Window 0 overlaps the first two segments.
-        assert_eq!(segments_for_windows(&report, &[0]), vec![1, 1001]);
-        // Window 1 overlaps the last two.
-        assert_eq!(segments_for_windows(&report, &[1]), vec![1001, 1501]);
+        // Window 1 overlaps the first two segments.
+        assert_eq!(segments_for_windows(&report, &[1]), vec![1, 1001]);
+        // Window 1025 overlaps the last two.
+        assert_eq!(segments_for_windows(&report, &[1025]), vec![1001, 1501]);
         // Both windows: all three, deduplicated.
-        assert_eq!(segments_for_windows(&report, &[0, 1]), vec![1, 1001, 1501]);
+        assert_eq!(
+            segments_for_windows(&report, &[1, 1025]),
+            vec![1, 1001, 1501]
+        );
+    }
+
+    #[test]
+    fn a_diverging_payload_maps_to_the_segment_that_holds_it() {
+        // Two journals, small segments, byte-equal except the payload at
+        // seq 5 (same length, so every frame and CRC stays valid).
+        let open = |tag: &str, divergent: bool| {
+            let dir = std::env::temp_dir()
+                .join(format!("mine-scrub-windows-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let options = mine_store::StoreOptions {
+                max_segment_bytes: 64,
+                ..mine_store::StoreOptions::default()
+            };
+            let (store, _) = mine_store::EventStore::open(&dir, options).unwrap();
+            for i in 0..10 {
+                let payload = if divergent && i == 4 {
+                    "recorD-4".to_string()
+                } else {
+                    format!("record-{i}")
+                };
+                store.append(payload.as_bytes()).unwrap();
+            }
+            drop(store);
+            let report = scrub_dir(&dir, None).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            report
+        };
+        let leader = open("leader", false);
+        let follower = open("follower", true);
+        let windows = diverging_windows(&follower.ranges, &leader.ranges, 10);
+        let holding_seq_5 = follower
+            .segments
+            .iter()
+            .find(|s| s.first_seq <= 5 && 5 < s.first_seq + s.records)
+            .expect("a sealed segment holds seq 5")
+            .first_seq;
+        let hits = segments_for_windows(&follower, &windows);
+        assert!(hits.contains(&holding_seq_5), "{windows:?} -> {hits:?}");
     }
 
     #[test]

@@ -376,8 +376,8 @@ fn serve_connection(router: &Router, stream: TcpStream, options: &ConnOptions) {
             Err(parse_error) => {
                 // 400/408/413 are answered properly before closing —
                 // never a silent drop.
-                let body = format!("{{\"error\":{:?}}}", parse_error.message);
-                let _ = Response::json(parse_error.status, body).write_to(&mut writer, false);
+                let _ = Response::error(parse_error.status, &parse_error.message)
+                    .write_to(&mut writer, false);
                 return;
             }
         }

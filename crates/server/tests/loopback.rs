@@ -257,3 +257,24 @@ fn keep_alive_connection_serves_many_requests_and_rejects_garbage() {
 
     server.shutdown();
 }
+
+#[test]
+fn a_control_byte_in_the_request_line_gets_a_json_400_body() {
+    use std::io::{Read, Write};
+    let server =
+        Server::start(Router::new(repository()), &ServeOptions::default()).expect("bind loopback");
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    raw.write_all(b"GET / HTTQ\x01\r\n\r\n")
+        .expect("write request");
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).expect("read reply");
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    let (_, body) = reply.split_once("\r\n\r\n").expect("head and body");
+    let body: Value = serde_json::from_str(body).expect("the 400 body is JSON");
+    assert_eq!(
+        body.get("error").and_then(Value::as_str),
+        Some("unsupported version HTTQ\u{1}"),
+        "{body:?}"
+    );
+    server.shutdown();
+}

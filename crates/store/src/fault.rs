@@ -108,7 +108,7 @@ pub struct FaultPlan {
     /// real bit rot strikes data at rest. The schedule is immutable so
     /// [`fmt::Display`] stays canonical; claims are tracked separately.
     bitrot: BTreeMap<u64, usize>,
-    fsync_err_calls: BTreeMap<u64, ()>,
+    fsync_err_calls: BTreeSet<u64>,
     snapshot_err_calls: BTreeSet<u64>,
     net: BTreeMap<u64, NetFault>,
     fsync_calls: AtomicU64,
@@ -142,7 +142,7 @@ impl FaultPlan {
             seed,
             disk: BTreeMap::new(),
             bitrot: BTreeMap::new(),
-            fsync_err_calls: BTreeMap::new(),
+            fsync_err_calls: BTreeSet::new(),
             snapshot_err_calls: BTreeSet::new(),
             net: BTreeMap::new(),
             fsync_calls: AtomicU64::new(0),
@@ -279,7 +279,7 @@ impl FaultPlan {
                 self.bitrot.insert(at, bytes);
             }
             "disk.fsync_err" => {
-                self.fsync_err_calls.insert(at, ());
+                self.fsync_err_calls.insert(at);
             }
             "disk.snapshot_err" => {
                 self.snapshot_err_calls.insert(at);
@@ -356,7 +356,7 @@ impl FaultPlan {
     /// scheduled to fail. Calls are numbered from 1.
     pub fn fsync_fails(&self) -> bool {
         let call = self.fsync_calls.fetch_add(1, Ordering::SeqCst) + 1;
-        self.fsync_err_calls.contains_key(&call)
+        self.fsync_err_calls.contains(&call)
     }
 
     /// Counts one image write (base, delta or installed bootstrap) and
@@ -421,7 +421,7 @@ impl fmt::Display for FaultPlan {
         for (seq, bytes) in &self.bitrot {
             parts.push(format!("disk.bitrot@{seq}:{bytes}"));
         }
-        for call in self.fsync_err_calls.keys() {
+        for call in &self.fsync_err_calls {
             parts.push(format!("disk.fsync_err@{call}"));
         }
         for call in &self.snapshot_err_calls {

@@ -190,11 +190,44 @@ pub(crate) fn delta_name(last_seq: u64) -> String {
     format!("delta-{last_seq:020}.snap")
 }
 
-pub(crate) fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?
         .strip_suffix(suffix)?
         .parse()
         .ok()
+}
+
+/// The sequence numbers a store directory's file names carry, by kind,
+/// each list sorted ascending. Every reader of the directory lists it
+/// through here.
+#[derive(Debug, Default)]
+pub(crate) struct StoreFiles {
+    /// First seqs of the `wal-{N}.log` segments.
+    pub(crate) segments: Vec<u64>,
+    /// Last seqs of the `snapshot-{N}.snap` base images.
+    pub(crate) bases: Vec<u64>,
+    /// Last seqs of the `delta-{N}.snap` delta images.
+    pub(crate) deltas: Vec<u64>,
+}
+
+impl StoreFiles {
+    pub(crate) fn list(dir: &Path) -> std::io::Result<Self> {
+        let mut files = Self::default();
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name().to_string_lossy().into_owned();
+            if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
+                files.segments.push(seq);
+            } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
+                files.bases.push(seq);
+            } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
+                files.deltas.push(seq);
+            }
+        }
+        files.segments.sort_unstable();
+        files.bases.sort_unstable();
+        files.deltas.sort_unstable();
+        Ok(files)
+    }
 }
 
 /// Flushes directory metadata (new/renamed/deleted entries) to disk.
@@ -256,22 +289,11 @@ impl EventStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
 
-        let mut segment_seqs = Vec::new();
-        let mut snapshot_seqs = Vec::new();
-        let mut delta_seqs = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let name = entry?.file_name().to_string_lossy().into_owned();
-            if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
-                segment_seqs.push(seq);
-            } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
-                snapshot_seqs.push(seq);
-            } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
-                delta_seqs.push(seq);
-            }
-        }
-        segment_seqs.sort_unstable();
-        snapshot_seqs.sort_unstable();
-        delta_seqs.sort_unstable();
+        let StoreFiles {
+            segments: segment_seqs,
+            bases: snapshot_seqs,
+            deltas: delta_seqs,
+        } = StoreFiles::list(&dir)?;
 
         // Newest base wins; older bases, and deltas at or below it, are
         // leftovers of a crash between a base write and its cleanup.
@@ -784,10 +806,7 @@ impl EventStore {
         // The base is durable: drop everything it covers. Deltas go
         // first, so a crash part-way leaves only deltas at or below the
         // base, which recovery discards.
-        self.remove_covered(|name| {
-            parse_numbered(name, "delta-", ".snap").is_some()
-                || parse_numbered(name, "snapshot-", ".snap").is_some_and(|seq| seq < last_seq)
-        })?;
+        self.remove_covered(true, |seq| seq < last_seq)?;
         inner.base_bytes = payload.len() as u64;
         inner.delta_bytes = 0;
         let next_seq = inner.next_seq;
@@ -814,7 +833,7 @@ impl EventStore {
         Self::refuse_poisoned(&inner)?;
         let last_seq = inner.next_seq - 1;
         self.write_image(&delta_name(last_seq), payload)?;
-        self.remove_covered(|_| false)?;
+        self.remove_covered(false, |_| false)?;
         inner.delta_bytes += payload.len() as u64;
         let next_seq = inner.next_seq;
         self.restart_log(&mut inner, next_seq)
@@ -843,10 +862,7 @@ impl EventStore {
         // The installed snapshot supersedes every local artifact:
         // deltas, segments (whatever their seqs meant locally) and any
         // snapshot not named exactly `last_seq`.
-        self.remove_covered(|name| {
-            parse_numbered(name, "delta-", ".snap").is_some()
-                || parse_numbered(name, "snapshot-", ".snap").is_some_and(|seq| seq != last_seq)
-        })?;
+        self.remove_covered(true, |seq| seq != last_seq)?;
         inner.base_bytes = payload.len() as u64;
         inner.delta_bytes = 0;
         self.restart_log(&mut inner, last_seq + 1)
@@ -886,20 +902,29 @@ impl EventStore {
         result.map_err(Into::into)
     }
 
-    /// Best-effort removal of every image file `stale_image` selects,
-    /// then of every segment: the image just written covers them all.
-    fn remove_covered(&self, stale_image: impl Fn(&str) -> bool) -> Result<(), StoreError> {
-        let mut segments = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name().to_string_lossy().into_owned();
-            if parse_numbered(&name, "wal-", ".log").is_some() {
-                segments.push(name);
-            } else if stale_image(&name) {
-                let _ = std::fs::remove_file(self.dir.join(&name));
-            }
+    /// Best-effort removal of the stale images — every delta when
+    /// `stale_deltas`, every base `stale_base` selects — then of every
+    /// segment: the image just written covers them all.
+    fn remove_covered(
+        &self,
+        stale_deltas: bool,
+        stale_base: impl Fn(u64) -> bool,
+    ) -> Result<(), StoreError> {
+        let files = StoreFiles::list(&self.dir)?;
+        let mut stale = Vec::new();
+        if stale_deltas {
+            stale.extend(files.deltas.iter().map(|&seq| delta_name(seq)));
         }
-        for name in segments {
-            let _ = std::fs::remove_file(self.dir.join(&name));
+        stale.extend(
+            files
+                .bases
+                .into_iter()
+                .filter(|&seq| stale_base(seq))
+                .map(snapshot_name),
+        );
+        stale.extend(files.segments.into_iter().map(segment_name));
+        for name in stale {
+            let _ = std::fs::remove_file(self.dir.join(name));
         }
         Ok(())
     }

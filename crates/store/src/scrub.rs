@@ -32,7 +32,7 @@ use std::path::Path;
 use crate::error::StoreError;
 use crate::fault::FaultPlan;
 use crate::frame::{self, ScanEnd};
-use crate::log::{parse_numbered, segment_name};
+use crate::log::{segment_name, StoreFiles};
 
 /// Records per range-hash window. Window `w` covers sequence numbers
 /// `[w·WINDOW + 1, (w+1)·WINDOW]`, so windows computed independently on
@@ -155,22 +155,11 @@ impl ScrubReport {
 /// per-file damage is reported in the result, and files that vanish
 /// mid-pass (compaction won the race) are skipped.
 pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, StoreError> {
-    let mut segment_seqs = Vec::new();
-    let mut snapshot_seqs = Vec::new();
-    let mut delta_seqs = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
-            segment_seqs.push(seq);
-        } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
-            snapshot_seqs.push(seq);
-        } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
-            delta_seqs.push(seq);
-        }
-    }
-    segment_seqs.sort_unstable();
-    snapshot_seqs.sort_unstable();
-    delta_seqs.sort_unstable();
+    let StoreFiles {
+        segments: segment_seqs,
+        bases: snapshot_seqs,
+        deltas: delta_seqs,
+    } = StoreFiles::list(dir)?;
 
     let mut report = ScrubReport::default();
     let mut windows: BTreeMap<u64, RangeHash> = BTreeMap::new();
@@ -306,16 +295,8 @@ pub fn inject_bitrot(
     if faults.is_empty() {
         return Ok(Vec::new());
     }
-    let mut segment_seqs = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
-            segment_seqs.push(seq);
-        }
-    }
-    segment_seqs.sort_unstable();
     let mut struck = Vec::new();
-    for &first_seq in &segment_seqs {
+    for first_seq in StoreFiles::list(dir)?.segments {
         let path = dir.join(segment_name(first_seq));
         if active.is_some_and(|a| a == path) {
             continue;
