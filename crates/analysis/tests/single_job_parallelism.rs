@@ -6,8 +6,9 @@
 //! sequential loop and, on the parallel path, pinned each job's inner
 //! per-question map to an `install(1)` pool — so the common "one big
 //! sitting" case never used more than one thread. Since the rework both
-//! layers feed the same work-stealing deques, so the questions of a
-//! lone job are stolen by idle workers.
+//! layers feed the pool's one run queue, so idle workers take the
+//! invitations a lone job's per-question map queues and claim its
+//! questions.
 
 use mine_analysis::{AnalysisConfig, BatchAnalyzer};
 use mine_core::{CognitionLevel, OptionKey};
@@ -46,7 +47,7 @@ fn single_job_batch_spreads_questions_over_workers() {
     // Workers race the submitting thread for chunks, so on a loaded or
     // single-core machine any one round may be swallowed whole by the
     // creator. Accumulate over rounds: the bug under test is *structural*
-    // (worker deques never see single-job work at all), so with the fix
+    // (pool workers never see single-job work at all), so with the fix
     // two distinct workers execute chunks almost immediately, while the
     // bugged code never passes no matter how long it retries.
     let mut busy_workers = std::collections::HashSet::new();

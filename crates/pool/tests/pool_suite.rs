@@ -111,8 +111,8 @@ fn nested_installs_and_maps_compose() {
     let out = install(4, || {
         map_slice(&outer, |&o| {
             // The nested map inherits the enclosing budget and feeds
-            // the same deques — the old code needed an install(1) here
-            // to avoid spawning a pool per item.
+            // the same run queue — the old code needed an install(1)
+            // here to avoid spawning a pool per item.
             assert_eq!(current_num_threads(), 4);
             map_slice(&inner, |&i| spin_work(o * 1_000 + i))
                 .into_iter()

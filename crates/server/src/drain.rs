@@ -152,13 +152,14 @@ pub struct DrainReport {
 /// Pauses every still-active session through the journaled `Paused`
 /// event and writes a final compacting snapshot.
 ///
-/// Pausing goes through `ServerState::apply`, the method the `POST
-/// /sessions/{id}/pause` handler uses — WAL-first append, then the
-/// in-memory mutation under the session's own lock — so a recovered
-/// server cannot tell a drain-pause from a learner-pause. Non-resumable
-/// sessions refuse to pause; that is recorded as a note and the session
-/// is still captured live in the snapshot (recovery restores it
-/// mid-flight, exactly like a crash).
+/// Pausing goes through `ServerState::apply` and commits through
+/// `ServerState::journal_event`, as the `POST /sessions/{id}/pause`
+/// handler does — WAL-first append shipped to followers, then the
+/// in-memory mutation under the session's own lock — so neither a
+/// recovered server nor a promoted follower can tell a drain-pause from
+/// a learner-pause. Non-resumable sessions refuse to pause; that is
+/// recorded as a note and the session is still captured live in the
+/// snapshot (recovery restores it mid-flight, exactly like a crash).
 pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
     let mut report = DrainReport {
         drained_cleanly: true,
@@ -171,13 +172,6 @@ pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
     // consistent with the log even when the drain deadline expired with
     // work running.
     let _gate = journal.map(Journal::gate_write);
-    let commit = |event: &SessionEvent| match journal {
-        Some(journal) => journal
-            .append(event)
-            .map(drop)
-            .map_err(|err| format!("journal append failed: {err}")),
-        None => Ok(()),
-    };
 
     for (id, session_state) in state
         .registry
@@ -194,8 +188,11 @@ pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
         let pause = SessionEvent::Paused {
             session: id.clone(),
         };
-        match state.apply(&pause, commit, |_| ()) {
+        match state.apply(&pause, |event| state.journal_event(event), |_| ()) {
             Ok(()) => report.sessions_paused += 1,
+            Err(Rejected::Commit(err)) => report
+                .notes
+                .push(format!("session {id}: journal append failed: {err}")),
             // Without a journal there is no gate: a straggling handler
             // paused or finished the session since the capture.
             Err(Rejected::Delivery(DeliveryError::WrongState { .. })) => {}

@@ -264,7 +264,7 @@ fn file_records(exams: Vec<ExamRecords>, finished: &FinishedStore, stream: &Stre
     }
 }
 
-fn to_payload<T: Serialize>(value: &T, what: &str) -> Result<String, StoreError> {
+pub(crate) fn to_payload<T: Serialize>(value: &T, what: &str) -> Result<String, StoreError> {
     serde_json::to_string(value).map_err(|err| {
         StoreError::Io(std::io::Error::other(format!(
             "{what} failed to serialize: {err}"

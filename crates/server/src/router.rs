@@ -17,13 +17,14 @@ use mine_analysis::{AnalysisConfig, BatchAnalyzer};
 use mine_core::{Answer, ExamId, ExamRecord, StudentRecord};
 use mine_delivery::{DeliveryError, DeliveryOptions, ExamSession, SessionCheckpoint, SessionState};
 use mine_itembank::{BankError, Problem, ProblemBody, Repository};
+use mine_store::StoreError;
 use mine_streamstats::StreamEngine;
 
 use crate::adaptive::{AdaptiveAnswerError, AdaptiveSitting, AdaptiveStartError};
 use crate::analysis_bodies::AnalysisBodies;
 use crate::drain::Lifecycle;
 use crate::http::{object_body, Request, Response};
-use crate::journal::{Journal, SessionEvent};
+use crate::journal::{to_payload, Journal, SessionEvent};
 use crate::metrics::{Metrics, Route};
 use crate::registry::{
     FinishedStore, Keyed, Registry, RegistryError, SessionRegistry, SessionSlot,
@@ -163,6 +164,33 @@ impl ServerState {
         }
     }
 
+    /// Journals one event, ships it to connected followers and marks it
+    /// applied — the commit of every event this node originates, from
+    /// the router's handlers and from the drain pass alike. Under
+    /// `ack=quorum` this blocks (bounded) until a follower confirms
+    /// durability; the record is already in the local WAL either way.
+    /// Without a journal there is nothing to commit.
+    ///
+    /// # Errors
+    ///
+    /// The [`StoreError`] of a failed append; nothing was journaled or
+    /// shipped.
+    pub(crate) fn journal_event(&self, event: &SessionEvent) -> Result<(), StoreError> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let payload = to_payload(event, "event")?;
+        let seq = match &self.repl {
+            Some(repl) => repl.append_and_publish(journal, payload.as_bytes(), &self.metrics)?,
+            None => journal.append_raw(payload.as_bytes())?,
+        };
+        // `apply` mutates next, still holding the session and the write
+        // gate (read or exclusive); a request's reply goes out only
+        // after it.
+        journal.mark_applied(seq);
+        Ok(())
+    }
+
     /// Applies one [`SessionEvent`]. This is the only code that changes
     /// sittings: the router's handlers, crash recovery, the replication
     /// follower and the drain pass all come through here, which is what
@@ -175,9 +203,9 @@ impl ServerState {
     /// If it fails, memory is untouched.
     /// Once it has run, the mutation is attempted and a rejection (an
     /// answer after expiry, say) is returned as one — replay meets the
-    /// same rejection deterministically. The router journals and ships
-    /// the event; recovery and the follower, replaying an event already
-    /// in the log, commit nothing.
+    /// same rejection deterministically. The router and the drain pass
+    /// commit through [`Self::journal_event`]; recovery and the
+    /// follower, replaying an event already in the log, commit nothing.
     ///
     /// `render` sees what the mutation left behind and builds the
     /// caller's response; replay renders nothing.
@@ -582,7 +610,7 @@ impl Router {
     /// background healer gets the WAL to accept a truncate + flush
     /// again. A disk that fills up no longer takes the node down with
     /// it; reads, `/metrics`, and `/healthz` stay live throughout.
-    fn journal_failed(&self, err: &mine_store::StoreError) -> ApiError {
+    fn journal_failed(&self, err: &StoreError) -> ApiError {
         let reason = format!("journal append failed: {err}");
         if self.state.storage.degrade(reason.clone()) {
             self.state.metrics.storage_degraded.set(1);
@@ -625,23 +653,6 @@ impl Router {
             }
             break;
         });
-    }
-
-    /// Journals one event and ships it to connected followers. Under
-    /// `ack=quorum` this blocks (bounded) until a follower confirms
-    /// durability; the record is already in the local WAL either way.
-    fn journal_event(&self, journal: &Journal, event: &SessionEvent) -> Result<(), ApiError> {
-        let payload = serde_json::to_string(event)
-            .map_err(|err| ApiError::new(500, format!("event failed to serialize: {err}")))?;
-        let seq = match &self.state.repl {
-            Some(repl) => repl.append_and_publish(journal, payload.as_bytes(), &self.state.metrics),
-            None => journal.append_raw(payload.as_bytes()),
-        }
-        .map_err(|err| self.journal_failed(&err))?;
-        // `ServerState::apply` mutates next, still holding the session
-        // and the read gate, and the reply goes out only after it.
-        journal.mark_applied(seq);
-        Ok(())
     }
 
     /// Whether this node must redirect writes elsewhere.
@@ -1132,14 +1143,18 @@ impl Router {
     }
 
     /// Applies `event` for a request: under the journal's read gate,
-    /// journaled and shipped by [`Self::journal_event`] as the commit,
-    /// rendered by [`Self::respond`].
+    /// committed by [`ServerState::journal_event`] (a failed append
+    /// degrades the node, see [`Self::journal_failed`]), rendered by
+    /// [`Self::respond`].
     fn apply(&self, event: &SessionEvent) -> Result<Response, Rejected<ApiError>> {
-        let journal = self.state.journal.as_ref();
-        let _gate = journal.map(Journal::gate_read);
+        let _gate = self.state.journal.as_ref().map(Journal::gate_read);
         self.state.apply(
             event,
-            |event| journal.map_or(Ok(()), |journal| self.journal_event(journal, event)),
+            |event| {
+                self.state
+                    .journal_event(event)
+                    .map_err(|err| self.journal_failed(&err))
+            },
             |applied| self.respond(applied),
         )
     }

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use serde::{Number, Value};
 
 use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
+use mine_server::drain::pause_and_snapshot;
 use mine_server::http::Request;
 use mine_server::{
     open_journaled_state, start_follower, AckMode, HttpClient, ReplListener, ReplState, Role,
@@ -617,6 +618,61 @@ fn healthz_head_never_runs_ahead_of_a_bootstrap_restore() {
         conflicts.len(),
         conflicts.first()
     );
+    drop((primary, follower));
+    std::fs::remove_dir_all(&primary_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
+
+/// Regression: the drain pass journaled its `Paused` events without
+/// shipping them or advancing the primary's head, so a follower
+/// promoted after a planned drain still served those sittings as
+/// active.
+#[test]
+fn drain_pauses_reach_the_follower() {
+    let primary_dir = temp_dir("drain-primary");
+    let follower_dir = temp_dir("drain-follower");
+    let (primary, _) = in_process_node(&primary_dir, Role::Primary);
+    let listener = ReplListener::start("127.0.0.1:0", primary.clone()).expect("bind repl");
+    let (follower, follower_repl) = in_process_node(&follower_dir, Role::Follower);
+    let puller = start_follower(listener.local_addr().to_string(), follower.clone());
+    let head = |router: &Router| router.state().journal.as_ref().unwrap().applied_seq();
+    let catch_up = |what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while head(&follower) < head(&primary) {
+            assert!(Instant::now() < deadline, "follower never caught up {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(head(&follower), head(&primary), "{what}");
+    };
+
+    let started = handle_ok(
+        &primary,
+        "POST",
+        "/sessions",
+        "{\"exam\":\"final\",\"student\":\"d01\",\"seed\":1}",
+    );
+    let session = started.get("session").and_then(Value::as_str).unwrap();
+    catch_up("with the start");
+    let before = head(&primary);
+
+    let report = pause_and_snapshot(primary.state());
+    assert_eq!(report.sessions_paused, 1, "{:?}", report.notes);
+    assert!(report.notes.is_empty(), "{:?}", report.notes);
+    assert!(
+        head(&primary) > before,
+        "the drain's pause left the primary's head at {before}"
+    );
+    catch_up("with the drain");
+    let read = handle_ok(&follower, "GET", &format!("/sessions/{session}"), "");
+    assert_eq!(
+        read.get("state").and_then(Value::as_str),
+        Some("paused"),
+        "{read:?}"
+    );
+
+    follower_repl.stop_puller();
+    puller.join();
+    listener.shutdown();
     drop((primary, follower));
     std::fs::remove_dir_all(&primary_dir).unwrap();
     std::fs::remove_dir_all(&follower_dir).unwrap();

@@ -3,13 +3,16 @@
 //!
 //! # What is maintained incrementally
 //!
-//! * the [`Ranking`] (Fenwick order-statistic tree + per-bucket sets)
-//!   over the analysis total order (score descending, id ascending),
+//! * the ranked set: one `BTreeSet` of every rankable row's key in the
+//!   analysis total order (score descending, id ascending),
 //! * the high/low group membership sets, repaired after every change so
 //!   `high` is always exactly the first `k` ranked students and `low`
-//!   the last `k` (`k = fraction.group_size(n)`), with each membership
-//!   transition applying ±1 to that student's per-question per-option
-//!   counters — the "O(1 + re-assignments)" work per finish,
+//!   the last `k` (`k = fraction.group_size(n)`). Each group moves one
+//!   neighbour at a time — the successor of `high`'s last key, the
+//!   predecessor of `low`'s first — an O(log n) range query on the
+//!   ranked set, and each membership transition applies ±1 to that
+//!   student's per-question per-option counters — the "O(1 +
+//!   re-assignments)" work per finish,
 //! * per-question correct counts and option tallies for both groups,
 //! * order-independent whole-class aggregates: total sitting time,
 //!   attempted-response count, and the `answered_at` / `total_time`
@@ -19,7 +22,7 @@
 //!
 //! Every piece of engine state is a *pure function of the current set of
 //! finished rows*: counters always equal "sum over current members",
-//! membership always equals "first/last k of the ranking", multisets are
+//! membership always equals "first/last k of the ranked set", multisets are
 //! order-independent. A resit replaces its previous row (remove then
 //! insert), matching the server's `FinishedStore` semantics. So the
 //! live finish path, a WAL replay after kill -9, and a promoted
@@ -41,6 +44,7 @@
 //! its exact error) from the raw rows.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +56,7 @@ use mine_core::{ProblemId, StudentId, StudentRecord};
 use mine_itembank::Problem;
 
 use crate::assemble;
-use crate::ranking::{RankKey, Ranking};
+use crate::ranking::RankKey;
 use crate::Unstreamable;
 
 /// Options per question the engine tallies: `OptionKey` indices are
@@ -180,11 +184,11 @@ pub struct ExamStream {
     /// `FinishedStore`, which the order-sensitive read-time folds rely
     /// on.
     pub(crate) rows: BTreeMap<StudentId, StudentRow>,
-    /// The order-statistic ranking of every rankable row.
-    pub(crate) ranking: Ranking,
-    /// Current high group = first `k` of the ranking.
+    /// Every rankable row's key, in the analysis total order.
+    pub(crate) ranked: BTreeSet<RankKey>,
+    /// Current high group = first `k` of `ranked`.
     pub(crate) high: BTreeSet<RankKey>,
-    /// Current low group = last `k` of the ranking.
+    /// Current low group = last `k` of `ranked`.
     pub(crate) low: BTreeSet<RankKey>,
     /// Per-question group tallies, indexed by intern index.
     pub(crate) qstats: Vec<QStat>,
@@ -233,8 +237,6 @@ pub struct ExamStream {
     pub(crate) scatter_arena: Vec<u32>,
     /// Orphaned entries in `scatter_arena`.
     scatter_garbage: usize,
-    /// Membership re-assignments performed by the last `apply`.
-    last_reassignments: usize,
 }
 
 impl ExamStream {
@@ -246,7 +248,7 @@ impl ExamStream {
             intern: HashMap::new(),
             problem_ids: Vec::new(),
             rows: BTreeMap::new(),
-            ranking: Ranking::new(),
+            ranked: BTreeSet::new(),
             high: BTreeSet::new(),
             low: BTreeSet::new(),
             qstats: Vec::new(),
@@ -267,7 +269,6 @@ impl ExamStream {
             scatter_rows: Vec::new(),
             scatter_arena: Vec::new(),
             scatter_garbage: 0,
-            last_reassignments: 0,
         }
     }
 
@@ -275,22 +276,6 @@ impl ExamStream {
     #[must_use]
     pub fn sittings(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Group membership changes (each applying one row's counters) made
-    /// by the most recent [`Self::apply`] — the "re-assignments" of the
-    /// per-finish cost bound.
-    #[must_use]
-    pub fn last_reassignments(&self) -> usize {
-        self.last_reassignments
-    }
-
-    /// Whether the stream can currently produce a report identical to
-    /// the batch pipeline's (shape-uniform, duplicate-free, all scores
-    /// finite, groups disjoint).
-    #[must_use]
-    pub fn streamable(&self) -> bool {
-        self.anomaly().is_none()
     }
 
     pub(crate) fn anomaly(&self) -> Option<&'static str> {
@@ -312,7 +297,7 @@ impl ExamStream {
         if self.rows.len() > EXACT_ROWS {
             return Some("class too large for exact moment folds");
         }
-        let n = self.ranking.len();
+        let n = self.ranked.len();
         let k = self.config.group_fraction.group_size(n);
         if 2 * k > n {
             return Some("class too small for disjoint high/low groups");
@@ -324,7 +309,6 @@ impl ExamStream {
     /// streamed replaces the previous row (resit semantics, matching
     /// the server's finished store).
     pub fn apply(&mut self, record: &StudentRecord) {
-        self.last_reassignments = 0;
         self.remove(&record.student);
 
         let mut cells = Vec::with_capacity(record.responses.len());
@@ -420,16 +404,16 @@ impl ExamStream {
         self.rows.insert(record.student.clone(), row);
         match rank {
             Some(key) => {
-                self.ranking.insert(key.clone());
+                self.ranked.insert(key.clone());
                 // A newcomer landing inside the current high prefix (or
                 // low suffix) joins it immediately, keeping the
                 // prefix/suffix invariant; `repair` then restores the
                 // size.
-                let inside_high = self.high.iter().next_back().is_some_and(|last| key < *last);
+                let inside_high = self.high.last().is_some_and(|last| key < *last);
                 if inside_high {
                     self.member_add(Side::High, key.clone());
                 }
-                let inside_low = self.low.iter().next().is_some_and(|first| key > *first);
+                let inside_low = self.low.first().is_some_and(|first| key > *first);
                 if inside_low {
                     self.member_add(Side::Low, key);
                 }
@@ -466,7 +450,7 @@ impl ExamStream {
                 if self.low.remove(key) {
                     self.tally(&row, Side::Low, false);
                 }
-                self.ranking.remove(key);
+                self.ranked.remove(key);
             }
             None => self.unrankable -= 1,
         }
@@ -565,38 +549,40 @@ impl ExamStream {
         self.rows.values().next()
     }
 
-    /// Restores `high` = first `k` and `low` = last `k` of the ranking
+    /// Restores `high` = first `k` and `low` = last `k` of `ranked`
     /// after any insertion/removal, applying counter deltas for every
-    /// membership change.
+    /// membership change. Each group grows by its neighbour in `ranked`:
+    /// `high` by the successor of its last key, `low` by the predecessor
+    /// of its first.
     fn repair(&mut self) {
-        let n = self.ranking.len();
+        let n = self.ranked.len();
         let k = if n == 0 {
             0
         } else {
             self.config.group_fraction.group_size(n)
         };
         while self.high.len() > k {
-            let worst = self.high.iter().next_back().expect("len > k >= 0").clone();
+            let worst = self.high.last().expect("len > k >= 0").clone();
             self.member_drop(Side::High, &worst);
         }
         while self.high.len() < k {
-            let next = self
-                .ranking
-                .select(self.high.len())
-                .expect("k <= n")
-                .clone();
+            let next = match self.high.last() {
+                Some(last) => self.ranked.range((Excluded(last), Unbounded)).next(),
+                None => self.ranked.first(),
+            };
+            let next = next.expect("k <= n").clone();
             self.member_add(Side::High, next);
         }
         while self.low.len() > k {
-            let best = self.low.iter().next().expect("len > k >= 0").clone();
+            let best = self.low.first().expect("len > k >= 0").clone();
             self.member_drop(Side::Low, &best);
         }
         while self.low.len() < k {
-            let next = self
-                .ranking
-                .select(n - 1 - self.low.len())
-                .expect("k <= n")
-                .clone();
+            let next = match self.low.first() {
+                Some(first) => self.ranked.range(..first).next_back(),
+                None => self.ranked.last(),
+            };
+            let next = next.expect("k <= n").clone();
             self.member_add(Side::Low, next);
         }
     }
@@ -608,7 +594,6 @@ impl ExamStream {
             .expect("ranked students have rows");
         let qstats = &mut self.qstats;
         Self::tally_into(qstats, row, side, true);
-        self.last_reassignments += 1;
         match side {
             Side::High => self.high.insert(key),
             Side::Low => self.low.insert(key),
@@ -625,7 +610,6 @@ impl ExamStream {
             .get(key.student())
             .expect("ranked students have rows");
         Self::tally_into(&mut self.qstats, row, side, false);
-        self.last_reassignments += 1;
     }
 
     fn tally(&mut self, row: &StudentRow, side: Side, add: bool) {
@@ -828,7 +812,8 @@ impl StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mine_core::{Answer, ItemResponse};
+    use mine_core::{Answer, GroupFraction, ItemResponse};
+    use proptest::prelude::*;
 
     fn record(student: &str, points: &[f64]) -> StudentRecord {
         let responses = points
@@ -848,22 +833,45 @@ mod tests {
         rec
     }
 
-    #[test]
-    fn groups_track_the_first_and_last_k() {
-        let mut stream = ExamStream::new(AnalysisConfig::default());
-        for i in 0..8 {
-            let points: Vec<f64> = (0..4).map(|q| if q < i % 5 { 1.0 } else { 0.0 }).collect();
-            stream.apply(&record(&format!("s{i}"), &points));
-        }
-        let n = stream.ranking.len();
-        let k = stream.config.group_fraction.group_size(n);
-        assert_eq!(stream.high.len(), k);
-        assert_eq!(stream.low.len(), k);
-        for rank in 0..k {
-            assert!(stream.high.contains(stream.ranking.select(rank).unwrap()));
-            assert!(stream
-                .low
-                .contains(stream.ranking.select(n - 1 - rank).unwrap()));
+    proptest! {
+        /// After every finish or re-sit, `ranked` is the rows sorted by
+        /// score descending then id ascending, `high`/`low` are its first
+        /// and last `k`, and the group counters sum over exactly those
+        /// members. Scores 0..=4 over a pool of 12 students make ties
+        /// and re-sits common.
+        #[test]
+        fn groups_track_the_first_and_last_k(
+            fraction in prop_oneof![
+                Just(GroupFraction::PAPER),
+                Just(GroupFraction::KELLY_OPTIMAL),
+                Just(GroupFraction::ACCEPTABLE_MAX),
+            ],
+            finishes in proptest::collection::vec((0..12usize, 0..=4u8), 1..60),
+        ) {
+            let config = AnalysisConfig::default().with_group_fraction(fraction);
+            let mut stream = ExamStream::new(config);
+            for (student, score) in finishes {
+                stream.apply(&record(&format!("s{student:02}"), &[f64::from(score)]));
+
+                let mut oracle: Vec<(&StudentId, f64)> =
+                    stream.rows.iter().map(|(id, row)| (id, row.score)).collect();
+                oracle.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+                let ranked: Vec<&StudentId> = stream.ranked.iter().map(RankKey::student).collect();
+                let sorted: Vec<&StudentId> = oracle.iter().map(|&(id, _)| id).collect();
+                prop_assert_eq!(ranked, sorted);
+
+                let k = fraction.group_size(stream.ranked.len());
+                let first: BTreeSet<RankKey> = stream.ranked.iter().take(k).cloned().collect();
+                let last: BTreeSet<RankKey> = stream.ranked.iter().rev().take(k).cloned().collect();
+                prop_assert_eq!(&stream.high, &first);
+                prop_assert_eq!(&stream.low, &last);
+
+                let correct = |group: &BTreeSet<RankKey>| {
+                    group.iter().filter(|key| stream.rows[key.student()].score > 0.0).count() as u64
+                };
+                prop_assert_eq!(stream.qstats[0].high_correct, correct(&stream.high));
+                prop_assert_eq!(stream.qstats[0].low_correct, correct(&stream.low));
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //! per request, paid again whenever one more student finishes. This
 //! crate maintains *running sufficient statistics* per exam instead:
 //!
-//! * a Fenwick-tree order-statistic ranking over total scores (the
-//!   moving 25 %-group boundary),
+//! * one ordered set of every student under the analysis total order
+//!   (score descending, id ascending); the moving 25 %-group boundary
+//!   moves by neighbour queries on it,
 //! * per-question per-option counters for the current high/low groups,
 //!   incrementally re-assigned as the boundary shifts,
 //! * order-independent whole-class accumulators (time multisets,
@@ -33,13 +34,10 @@ use std::fmt;
 pub mod alt;
 mod assemble;
 pub mod engine;
-pub mod fenwick;
-pub mod ranking;
+mod ranking;
 
 pub use alt::{alt_indices, AltIndices, AltOption, AltQuestion};
 pub use engine::{ExamStream, StreamEngine};
-pub use fenwick::Fenwick;
-pub use ranking::{RankKey, Ranking, BUCKETS};
 
 /// Why a stream cannot currently reproduce the batch report exactly.
 ///

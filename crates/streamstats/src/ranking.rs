@@ -1,22 +1,8 @@
-//! The order-statistic ranking: every finished student under the
-//! analysis total order (score descending, student id ascending), with
-//! `O(log n)`-ish rank selection for the moving group boundary.
-//!
-//! Scores are mapped to monotone integer keys ([`RankKey`]) and spread
-//! over [`BUCKETS`] Fenwick-counted buckets by their top bits; the k-th
-//! ranked student is found by a Fenwick binary descent to the right
-//! bucket followed by an in-order walk of that bucket's set. Real score
-//! distributions span many buckets, so the walk is short; adversarially
-//! identical scores degrade to a linear walk of one bucket but stay
-//! correct (and the per-finish repair only ever selects ranks adjacent
-//! to the group boundaries).
+//! The analysis total order as a key: score descending, student id
+//! ascending. The engine keeps every ranked student's [`RankKey`] in one
+//! `BTreeSet`, so the moving group boundary is a neighbour query.
 
 use mine_core::StudentId;
-
-use crate::fenwick::Fenwick;
-
-/// Number of score buckets backing the Fenwick tree.
-pub const BUCKETS: usize = 1024;
 
 /// A student's position in the analysis total order.
 ///
@@ -64,95 +50,13 @@ impl RankKey {
     pub fn student(&self) -> &StudentId {
         &self.student
     }
-
-    /// The Fenwick bucket this key counts under.
-    #[must_use]
-    pub fn bucket(&self) -> usize {
-        (self.ibits >> 54) as usize
-    }
-}
-
-/// The full ranking: Fenwick counts per bucket plus ordered per-bucket
-/// sets resolving exact order within a bucket.
-#[derive(Debug)]
-pub struct Ranking {
-    counts: Fenwick,
-    buckets: Vec<std::collections::BTreeSet<RankKey>>,
-}
-
-impl Default for Ranking {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Ranking {
-    /// An empty ranking.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            counts: Fenwick::new(BUCKETS),
-            buckets: vec![std::collections::BTreeSet::new(); BUCKETS],
-        }
-    }
-
-    /// Ranked students.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.total() as usize
-    }
-
-    /// Whether nobody is ranked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Inserts a key. Returns `false` when it was already present.
-    pub fn insert(&mut self, key: RankKey) -> bool {
-        let bucket = key.bucket();
-        let fresh = self.buckets[bucket].insert(key);
-        if fresh {
-            self.counts.add(bucket);
-        }
-        fresh
-    }
-
-    /// Removes a key. Returns `false` when it was not present.
-    pub fn remove(&mut self, key: &RankKey) -> bool {
-        let bucket = key.bucket();
-        let present = self.buckets[bucket].remove(key);
-        if present {
-            self.counts.remove(bucket);
-        }
-        present
-    }
-
-    /// The 0-based `rank`-th key (rank 0 = best score, ties by id).
-    #[must_use]
-    pub fn select(&self, rank: usize) -> Option<&RankKey> {
-        let (bucket, offset) = self.counts.select(rank as u64)?;
-        self.buckets[bucket].iter().nth(offset as usize)
-    }
-
-    /// The per-bucket occupancy histogram `(bucket, count)` for
-    /// non-empty buckets — the engine's score-histogram backing state,
-    /// exposed for observability.
-    #[must_use]
-    pub fn bucket_histogram(&self) -> Vec<(usize, u64)> {
-        (0..BUCKETS)
-            .filter_map(|b| {
-                let count = self.counts.count(b);
-                (count > 0).then_some((b, count))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn sid(s: &str) -> StudentId {
         s.parse().unwrap()
@@ -160,23 +64,23 @@ mod tests {
 
     #[test]
     fn rank_order_is_score_descending_then_id_ascending() {
-        let mut ranking = Ranking::new();
-        ranking.insert(RankKey::new(5.0, sid("carol")).unwrap());
-        ranking.insert(RankKey::new(9.0, sid("bob")).unwrap());
-        ranking.insert(RankKey::new(5.0, sid("alice")).unwrap());
-        ranking.insert(RankKey::new(-2.0, sid("dan")).unwrap());
-        let order: Vec<&str> = (0..4)
-            .map(|r| ranking.select(r).unwrap().student().as_str())
-            .collect();
+        let ranked: BTreeSet<RankKey> =
+            [(5.0, "carol"), (9.0, "bob"), (5.0, "alice"), (-2.0, "dan")]
+                .into_iter()
+                .map(|(score, id)| RankKey::new(score, sid(id)).unwrap())
+                .collect();
+        let order: Vec<&str> = ranked.iter().map(|key| key.student().as_str()).collect();
         assert_eq!(order, ["bob", "alice", "carol", "dan"]);
-        assert_eq!(ranking.select(4), None);
     }
 
     #[test]
     fn negative_zero_ties_with_positive_zero() {
+        assert_eq!(
+            RankKey::new(0.0, sid("a")).unwrap(),
+            RankKey::new(-0.0, sid("a")).unwrap()
+        );
         let a = RankKey::new(0.0, sid("a")).unwrap();
         let b = RankKey::new(-0.0, sid("b")).unwrap();
-        assert_eq!(a.bucket(), b.bucket());
         assert!(a < b, "tie resolves by id");
     }
 
@@ -188,19 +92,19 @@ mod tests {
     }
 
     proptest! {
-        /// The ranking's select agrees with sorting (score desc, id asc)
-        /// the way `ScoreGroups::split` does.
+        /// Iterating a `BTreeSet<RankKey>` agrees with sorting (score
+        /// desc, id asc) the way `ScoreGroups::split` does.
         #[test]
-        fn select_matches_full_sort(
+        fn key_order_matches_full_sort(
             scores in proptest::collection::vec(-1000.0f64..1000.0, 1..60)
         ) {
-            let mut ranking = Ranking::new();
+            let mut ranked = BTreeSet::new();
             let mut oracle: Vec<(StudentId, f64)> = Vec::new();
             for (i, &score) in scores.iter().enumerate() {
-                // Duplicate every third score to force bucket ties.
+                // Truncate every third score to force ties.
                 let score = if i % 3 == 0 { score.trunc() } else { score };
                 let student = sid(&format!("s{i:03}"));
-                ranking.insert(RankKey::new(score, student.clone()).unwrap());
+                ranked.insert(RankKey::new(score, student.clone()).unwrap());
                 oracle.push((student, score));
             }
             oracle.sort_by(|a, b| {
@@ -208,9 +112,9 @@ mod tests {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| a.0.cmp(&b.0))
             });
-            for (rank, (student, _)) in oracle.iter().enumerate() {
-                prop_assert_eq!(ranking.select(rank).unwrap().student(), student);
-            }
+            let order: Vec<&StudentId> = ranked.iter().map(RankKey::student).collect();
+            let expected: Vec<&StudentId> = oracle.iter().map(|(student, _)| student).collect();
+            prop_assert_eq!(order, expected);
         }
     }
 }
