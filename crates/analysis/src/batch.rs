@@ -303,6 +303,8 @@ fn summarize(analyses: &[ExamAnalysis]) -> BatchSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mine_itembank::Exam;
     use mine_simulator::{CohortSpec, Simulation};
 
@@ -436,7 +438,7 @@ mod tests {
     fn error_reporting_matches_sequential_order() {
         let (mut records, problems) = records(3, 4, 20);
         // Break the second record: drop a response from one student.
-        records[1].students[0].responses.pop();
+        Arc::make_mut(&mut records[1].students[0]).responses.pop();
         let analyzer = BatchAnalyzer::new(AnalysisConfig::default()).with_threads(4);
         let sequential: Vec<Result<ExamAnalysis, AnalysisError>> = records
             .iter()

@@ -73,7 +73,7 @@ pub fn score_histogram(record: &ExamRecord, buckets: usize) -> Vec<(f64, usize)>
     let max_score = record
         .students
         .iter()
-        .map(mine_core::StudentRecord::max_score)
+        .map(|s| s.max_score())
         .fold(0.0f64, f64::max);
     if max_score <= 0.0 {
         return Vec::new();
@@ -93,6 +93,12 @@ pub fn score_histogram(record: &ExamRecord, buckets: usize) -> Vec<(f64, usize)>
 
 /// Figure (1): average cumulative answered count sampled at `samples`
 /// evenly spaced times across the longest sitting.
+///
+/// Sample `i` counts the answers with `answered_at <= t_i`. The sample
+/// times never decrease, so one pass files each answer under the first
+/// sample that covers it (a binary search of the times) and a running
+/// sum turns those buckets into the per-sample counts: the same
+/// integers, and so the same `f64`s, as counting afresh per sample.
 #[must_use]
 pub fn time_answered_series(record: &ExamRecord, samples: usize) -> Vec<FigurePoint> {
     let max_time = record
@@ -104,19 +110,23 @@ pub fn time_answered_series(record: &ExamRecord, samples: usize) -> Vec<FigurePo
     if record.students.is_empty() || samples == 0 || max_time.is_zero() {
         return Vec::new();
     }
-    (1..=samples)
-        .map(|i| {
-            let t = max_time.mul_f64(i as f64 / samples as f64);
-            let total_answered: usize = record
-                .students
-                .iter()
-                .map(|s| {
-                    s.responses
-                        .iter()
-                        .filter(|r| r.answered_at.is_some_and(|at| at <= t))
-                        .count()
-                })
-                .sum();
+    let times: Vec<Duration> = (1..=samples)
+        .map(|i| max_time.mul_f64(i as f64 / samples as f64))
+        .collect();
+    // `first_covering[k]`: answers first counted at sample `k`; the
+    // last slot collects answers later than every sample.
+    let mut first_covering = vec![0usize; samples + 1];
+    for response in record.students.iter().flat_map(|s| &s.responses) {
+        if let Some(at) = response.answered_at {
+            first_covering[times.partition_point(|&t| t < at)] += 1;
+        }
+    }
+    let mut total_answered = 0usize;
+    times
+        .iter()
+        .zip(first_covering)
+        .map(|(t, newly)| {
+            total_answered += newly;
             FigurePoint {
                 x: t.as_secs_f64(),
                 y: total_answered as f64 / record.students.len() as f64,
@@ -232,8 +242,11 @@ pub fn render_ascii(points: &[FigurePoint], width: usize, height: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mine_core::{Answer, ExamId, ItemResponse, ProblemId, StudentRecord};
     use mine_metadata::{DifficultyIndex, DiscriminationIndex};
+    use proptest::prelude::*;
 
     fn pid(s: &str) -> ProblemId {
         s.parse().unwrap()
@@ -298,6 +311,109 @@ mod tests {
         assert!(time_answered_series(&record(), 0).is_empty());
     }
 
+    /// The series counted afresh at every sample: one pass over all
+    /// responses per sample.
+    fn time_answered_by_sample(record: &ExamRecord, samples: usize) -> Vec<FigurePoint> {
+        let max_time = record
+            .students
+            .iter()
+            .map(|s| s.total_time)
+            .max()
+            .unwrap_or(Duration::ZERO);
+        if record.students.is_empty() || samples == 0 || max_time.is_zero() {
+            return Vec::new();
+        }
+        (1..=samples)
+            .map(|i| {
+                let t = max_time.mul_f64(i as f64 / samples as f64);
+                let total_answered: usize = record
+                    .students
+                    .iter()
+                    .map(|s| {
+                        s.responses
+                            .iter()
+                            .filter(|r| r.answered_at.is_some_and(|at| at <= t))
+                            .count()
+                    })
+                    .sum();
+                FigurePoint {
+                    x: t.as_secs_f64(),
+                    y: total_answered as f64 / record.students.len() as f64,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The one-pass series equals the per-sample count bit for bit.
+        /// Answers may be missing, land exactly on a sample time, or come
+        /// after the longest sitting; one case in eight has every
+        /// sitting last 0 s.
+        #[test]
+        fn time_series_matches_counting_per_sample(
+            samples in 0..=25usize,
+            zero_case in 0..8u8,
+            rows in proptest::collection::vec(
+                (
+                    0..5_000_000_000u64,
+                    proptest::collection::vec(
+                        (
+                            proptest::option::of(0..6_000_000_000u64),
+                            0..=25usize,
+                            any::<bool>(),
+                        ),
+                        0..6,
+                    ),
+                ),
+                0..8,
+            ),
+        ) {
+            let total = |nanos: u64| Duration::from_nanos(if zero_case == 0 { 0 } else { nanos });
+            let max_time = total(rows.iter().map(|(nanos, _)| *nanos).max().unwrap_or(0));
+            let sample_time = |k: usize| {
+                let samples = samples.max(1);
+                max_time.mul_f64((k % samples + 1) as f64 / samples as f64)
+            };
+            let students = rows
+                .iter()
+                .enumerate()
+                .map(|(row, (nanos, answers))| {
+                    let responses = answers
+                        .iter()
+                        .enumerate()
+                        .map(|(q, &(at, k, on_sample))| {
+                            let mut r = ItemResponse::correct(
+                                pid(&format!("q{q}")),
+                                Answer::TrueFalse(true),
+                                1.0,
+                            );
+                            r.answered_at = at.map(|at| {
+                                if on_sample {
+                                    sample_time(k)
+                                } else {
+                                    Duration::from_nanos(at)
+                                }
+                            });
+                            r
+                        })
+                        .collect();
+                    let mut record =
+                        StudentRecord::new(format!("s{row}").parse().unwrap(), responses);
+                    record.total_time = total(*nanos);
+                    record
+                })
+                .collect();
+            let record = ExamRecord::new(ExamId::new("e").unwrap(), students);
+            let bits = |series: Vec<FigurePoint>| -> Vec<(u64, u64)> {
+                series.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                bits(time_answered_series(&record, samples)),
+                bits(time_answered_by_sample(&record, samples))
+            );
+        }
+    }
+
     #[test]
     fn score_difficulty_one_point_per_scoring_student() {
         let scatter = score_difficulty_scatter(&record(), &indices());
@@ -313,7 +429,7 @@ mod tests {
     #[test]
     fn zero_scorers_are_omitted() {
         let mut rec = record();
-        for response in &mut rec.students[1].responses {
+        for response in &mut Arc::make_mut(&mut rec.students[1]).responses {
             response.is_correct = false;
         }
         let scatter = score_difficulty_scatter(&rec, &indices());

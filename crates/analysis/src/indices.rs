@@ -118,6 +118,8 @@ impl QuestionIndices {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mine_core::{Answer, ExamId, GroupFraction, ItemResponse, OptionKey, StudentRecord};
 
     /// Builds the §4.1.2 worked example: 44 students, question no. 2 with
@@ -226,7 +228,7 @@ mod tests {
     fn all_correct_question_has_zero_discrimination() {
         let (mut record, problem) = paper_record();
         for student in &mut record.students {
-            for response in &mut student.responses {
+            for response in &mut Arc::make_mut(student).responses {
                 if response.problem == problem {
                     response.is_correct = true;
                 }
@@ -261,7 +263,9 @@ mod tests {
             .iter_mut()
             .find(|s| s.student.as_str() == "l00")
             .unwrap();
-        victim.responses.retain(|r| r.problem.as_str() != "no2");
+        Arc::make_mut(victim)
+            .responses
+            .retain(|r| r.problem.as_str() != "no2");
         // Record is now inconsistent, which the split itself reports.
         let err = ScoreGroups::split(&record, GroupFraction::PAPER).unwrap_err();
         assert!(matches!(err, AnalysisError::Core(_)));

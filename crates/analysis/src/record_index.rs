@@ -162,6 +162,8 @@ impl<'a> RecordIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mine_core::{Answer, ExamId, GroupFraction, ItemResponse, StudentRecord};
 
     fn pid(s: &str) -> ProblemId {
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn missing_response_is_none() {
         let mut record = record();
-        record.students[3].responses.pop();
+        Arc::make_mut(&mut record.students[3]).responses.pop();
         let problems = vec![problem("q0"), problem("q1")];
         // The record is now inconsistent, so bypass split validation by
         // building groups from the valid prefix record.

@@ -192,7 +192,7 @@ fn statistics(record: &ExamRecord, config: &AnalysisConfig) -> ExamStatistics {
     let max_score = record
         .students
         .first()
-        .map(mine_core::StudentRecord::max_score)
+        .map(|s| s.max_score())
         .unwrap_or(0.0);
     let pass_line = max_score * config.pass_mark;
     let pass_rate = scores.iter().filter(|&&s| s >= pass_line).count() as f64 / n as f64;

@@ -6,6 +6,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, JsonWriter, Serialize};
@@ -305,18 +306,28 @@ impl StudentRecord {
 
 /// The whole class's records for one exam — the unit the analysis model
 /// consumes.
+///
+/// Rows are shared (`Arc`), so a class assembled from records another
+/// owner keeps — the server's finished store — copies pointers, not
+/// responses. A row serializes exactly like the record it points to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExamRecord {
     /// Which exam was sat.
     pub exam: ExamId,
     /// One record per learner.
-    pub students: Vec<StudentRecord>,
+    pub students: Vec<Arc<StudentRecord>>,
 }
 
 impl ExamRecord {
-    /// Creates an exam record.
+    /// Creates an exam record from owned rows.
     #[must_use]
     pub fn new(exam: ExamId, students: Vec<StudentRecord>) -> Self {
+        Self::shared(exam, students.into_iter().map(Arc::new).collect())
+    }
+
+    /// Creates an exam record over rows shared with another owner.
+    #[must_use]
+    pub fn shared(exam: ExamId, students: Vec<Arc<StudentRecord>>) -> Self {
         Self { exam, students }
     }
 
@@ -345,12 +356,21 @@ impl ExamRecord {
         }
         if let Some(first) = self.students.first() {
             let reference: Vec<_> = first.responses.iter().map(|r| &r.problem).collect();
+            let mut sorted_reference = reference.clone();
+            sorted_reference.sort();
             for record in &self.students[1..] {
+                let in_order = record.responses.len() == reference.len()
+                    && record
+                        .responses
+                        .iter()
+                        .zip(&reference)
+                        .all(|(r, &expect)| &r.problem == expect);
+                if in_order {
+                    continue;
+                }
                 let mut problems: Vec<_> = record.responses.iter().map(|r| &r.problem).collect();
-                let mut expect = reference.clone();
                 problems.sort();
-                expect.sort();
-                if problems != expect {
+                if problems != sorted_reference {
                     return Err(CoreError::InconsistentRecord(format!(
                         "student {} answered a different problem set",
                         record.student
@@ -538,6 +558,80 @@ mod tests {
         assert!(record.validate().is_ok());
         assert_eq!(record.problems(), vec![pid("q1"), pid("q2")]);
         assert_eq!(record.class_size(), 2);
+    }
+
+    fn answering(name: &str, problems: &[&str]) -> StudentRecord {
+        StudentRecord::new(
+            sid(name),
+            problems
+                .iter()
+                .map(|p| ItemResponse::correct(pid(p), Answer::TrueFalse(true), 1.0))
+                .collect(),
+        )
+    }
+
+    fn inconsistency(record: &ExamRecord) -> String {
+        match record.validate() {
+            Err(CoreError::InconsistentRecord(message)) => message,
+            other => panic!("expected an inconsistent record, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_accepts_rows_in_order_and_reordered() {
+        let record = ExamRecord::new(
+            ExamId::new("e").unwrap(),
+            vec![
+                answering("a", &["q1", "q2", "q3"]),
+                answering("b", &["q1", "q2", "q3"]),
+                answering("c", &["q3", "q1", "q2"]),
+                answering("d", &["q1", "q2", "q3"]),
+            ],
+        );
+        assert!(record.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_same_length_row_with_other_problems() {
+        for row in [
+            &["q1", "q2", "q4"][..],
+            &["q2", "q4", "q1"],
+            &["q1", "q1", "q2"],
+        ] {
+            let record = ExamRecord::new(
+                ExamId::new("e").unwrap(),
+                vec![
+                    answering("a", &["q1", "q2", "q3"]),
+                    answering("b", &["q3", "q2", "q1"]),
+                    answering("c", row),
+                ],
+            );
+            assert_eq!(
+                inconsistency(&record),
+                "student c answered a different problem set"
+            );
+        }
+        let shorter = ExamRecord::new(
+            ExamId::new("e").unwrap(),
+            vec![answering("a", &["q1", "q2"]), answering("b", &["q1"])],
+        );
+        assert_eq!(
+            inconsistency(&shorter),
+            "student b answered a different problem set"
+        );
+    }
+
+    #[test]
+    fn validate_reports_a_duplicate_student_before_a_mismatched_row() {
+        let record = ExamRecord::new(
+            ExamId::new("e").unwrap(),
+            vec![
+                answering("a", &["q1", "q2"]),
+                answering("b", &["q3"]),
+                answering("a", &["q1", "q2"]),
+            ],
+        );
+        assert_eq!(inconsistency(&record), "duplicate student a");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -156,8 +157,9 @@ pub struct SlotImage {
 pub struct ExamRecords {
     /// The exam id.
     pub exam: String,
-    /// Finished records in student-id order.
-    pub records: Vec<StudentRecord>,
+    /// Finished records in student-id order, shared with the finished
+    /// store they were captured from.
+    pub records: Vec<Arc<StudentRecord>>,
 }
 
 /// Everything the registry and finished store hold, in deterministic
@@ -203,10 +205,7 @@ impl ServerImage {
             finished: finished
                 .filed_since(tick)
                 .into_iter()
-                .map(|(exam, records)| ExamRecords {
-                    exam,
-                    records: records.iter().map(|record| (**record).clone()).collect(),
-                })
+                .map(|(exam, records)| ExamRecords { exam, records })
                 .collect(),
             adaptive: Some(adaptive.capture(AdaptiveSitting::image)),
         }
@@ -326,13 +325,11 @@ impl Journal {
         &self.store
     }
 
-    /// Appends one event (WAL-first: call before applying the
-    /// mutation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] from the underlying append.
-    pub fn append(&self, event: &SessionEvent) -> Result<u64, StoreError> {
+    /// Appends one event without shipping it to followers or marking it
+    /// applied, so only tests may call it: the server journals through
+    /// `ServerState::journal_event`.
+    #[cfg(test)]
+    pub(crate) fn append(&self, event: &SessionEvent) -> Result<u64, StoreError> {
         self.append_raw(to_payload(event, "event")?.as_bytes())
     }
 

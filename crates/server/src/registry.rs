@@ -285,10 +285,11 @@ impl Registry<SessionSlot> {
 /// assembled class record — and therefore the live analysis report —
 /// deterministic no matter which order concurrent clients finished in.
 ///
-/// Records are held behind `Arc`s so that readers ([`Self::records`],
-/// [`Self::capture`]) copy only pointers under the read lock and
-/// deep-clone after releasing it: a finish's [`Self::push`] then never
-/// waits behind a whole class being cloned.
+/// Records are held behind `Arc`s, and readers ([`Self::shared`],
+/// [`Self::filed_since`]) copy only those pointers under the read lock:
+/// a finish's [`Self::push`] never waits behind a whole class being
+/// cloned, and the batch analysis and snapshots read the filed records
+/// in place.
 ///
 /// Every filed record carries a *tick* from a counter bumped under the
 /// write lock, so [`Self::filed_since`] can hand the journal exactly
@@ -318,11 +319,11 @@ impl FinishedStore {
         Self::default()
     }
 
-    /// Files a finished record under its exam. A student re-sitting the
-    /// same exam replaces their earlier record.
-    pub fn push(&self, exam: &str, record: StudentRecord) {
+    /// Files a finished record (owned or already shared) under its exam.
+    /// A student re-sitting the same exam replaces their earlier record.
+    pub fn push(&self, exam: &str, record: impl Into<Arc<StudentRecord>>) {
+        let record = record.into();
         let key = record.student.as_str().to_string();
-        let record = Arc::new(record);
         let mut shelves = self.shelves.write();
         shelves.tick += 1;
         let tick = shelves.tick;
@@ -333,17 +334,26 @@ impl FinishedStore {
             .insert(key, Filed { tick, record });
     }
 
-    /// All records for an exam, in student-id order.
+    /// All records for an exam, in student-id order, shared with the
+    /// store.
     #[must_use]
-    pub fn records(&self, exam: &str) -> Vec<StudentRecord> {
-        let shared: Vec<Arc<StudentRecord>> = self
-            .shelves
+    pub fn shared(&self, exam: &str) -> Vec<Arc<StudentRecord>> {
+        self.shelves
             .read()
             .by_exam
             .get(exam)
             .map(|records| records.values().map(|f| Arc::clone(&f.record)).collect())
-            .unwrap_or_default();
-        deep_clone(&shared)
+            .unwrap_or_default()
+    }
+
+    /// Owned copies of [`Self::shared`], cloned after the lock is
+    /// released.
+    #[must_use]
+    pub fn records(&self, exam: &str) -> Vec<StudentRecord> {
+        self.shared(exam)
+            .iter()
+            .map(|record| StudentRecord::clone(record))
+            .collect()
     }
 
     /// Number of finished sittings filed for an exam.
@@ -365,8 +375,10 @@ impl FinishedStore {
     }
 
     /// The records filed after `tick` and still current (a resit since
-    /// then counts, a record it replaced does not), grouped and sorted
-    /// like [`Self::capture`]. Exams with no such record are left out.
+    /// then counts, a record it replaced does not), grouped by exam in
+    /// exam-id order, each group in student-id order. Exams with no such
+    /// record are left out; `filed_since(0)` is every filed record, the
+    /// deterministic basis of a durability snapshot.
     #[must_use]
     pub fn filed_since(&self, tick: u64) -> Vec<(String, Vec<Arc<StudentRecord>>)> {
         let mut shared: Vec<(String, Vec<Arc<StudentRecord>>)> = self
@@ -388,17 +400,6 @@ impl FinishedStore {
         shared
     }
 
-    /// Clones out every exam's records, sorted by exam id (records are
-    /// already in student order) — the deterministic basis of a
-    /// durability snapshot.
-    #[must_use]
-    pub fn capture(&self) -> Vec<(String, Vec<StudentRecord>)> {
-        self.filed_since(0)
-            .into_iter()
-            .map(|(exam, records)| (exam, deep_clone(&records)))
-            .collect()
-    }
-
     /// Takes over `fresh`'s records in one step, so a reader sees either
     /// the old records or the new ones, never an empty store in between
     /// (a replication bootstrap restores into a fresh store, then swaps
@@ -409,10 +410,6 @@ impl FinishedStore {
         shelves.by_exam = fresh.by_exam;
         shelves.tick = shelves.tick.max(fresh.tick);
     }
-}
-
-fn deep_clone(records: &[Arc<StudentRecord>]) -> Vec<StudentRecord> {
-    records.iter().map(|record| (**record).clone()).collect()
 }
 
 #[cfg(test)]
@@ -614,7 +611,7 @@ mod tests {
         assert_eq!(store.count("other"), 0);
         assert!(store.records("other").is_empty());
         store.push("alpha", make("bob"));
-        let captured = store.capture();
+        let captured = store.filed_since(0);
         assert_eq!(captured.len(), 2);
         assert_eq!(captured[0].0, "alpha");
         assert_eq!(captured[1].0, "quiz");

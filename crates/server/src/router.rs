@@ -360,8 +360,9 @@ impl ServerState {
         let record = registry
             .take_if(id, |value| {
                 let (exam, record) = close(value)?;
+                let record = Arc::new(record);
                 self.stream.with_exam(&exam, |stream| {
-                    self.finished.push(&exam, record.clone());
+                    self.finished.push(&exam, Arc::clone(&record));
                     let started = Instant::now();
                     stream.apply(&record);
                     fold = started.elapsed();
@@ -1234,13 +1235,13 @@ impl Router {
             // problems, non-finite scores, class too small): the batch
             // pipeline below reproduces the exact report or error.
         }
-        let records = self.state.finished.records(exam_id);
+        let records = self.state.finished.shared(exam_id);
         if records.is_empty() {
             return Err(ApiError::conflict(format!(
                 "no finished sittings for exam {exam_id}"
             )));
         }
-        let class = ExamRecord::new(parsed, records);
+        let class = ExamRecord::shared(parsed, records);
         let started = std::time::Instant::now();
         let report = self
             .state

@@ -625,7 +625,8 @@ mod tests {
             .unwrap();
         // Count high-vs-low preference for option C manually using the
         // top/bottom quartiles by score.
-        let mut ranked: Vec<&mine_core::StudentRecord> = record.students.iter().collect();
+        let mut ranked: Vec<&mine_core::StudentRecord> =
+            record.students.iter().map(std::sync::Arc::as_ref).collect();
         ranked.sort_by(|a, b| b.score().partial_cmp(&a.score()).unwrap());
         let q1: ProblemId = "q1".parse().unwrap();
         let count_c = |group: &[&mine_core::StudentRecord]| {

@@ -3,6 +3,8 @@
 //! finish in, including resits; inputs the counters cannot reproduce
 //! exactly refuse to stream instead of approximating.
 
+use std::sync::Arc;
+
 use mine_analysis::{AnalysisConfig, BatchAnalyzer};
 use mine_core::{ExamId, ExamRecord, OptionKey, StudentRecord};
 use mine_itembank::{ChoiceOption, Exam, Problem};
@@ -61,13 +63,13 @@ fn simulated(questions: usize, class: usize, seed: u64) -> (Vec<Problem>, ExamRe
 
 /// The batch answer over the final row set: last record per student,
 /// rows in ascending student order (the finished store's ordering).
-fn batch_json(applied: &[StudentRecord], problems: &[Problem]) -> String {
-    let mut rows: std::collections::BTreeMap<String, StudentRecord> =
+fn batch_json(applied: &[Arc<StudentRecord>], problems: &[Problem]) -> String {
+    let mut rows: std::collections::BTreeMap<String, Arc<StudentRecord>> =
         std::collections::BTreeMap::new();
     for record in applied {
         rows.insert(record.student.to_string(), record.clone());
     }
-    let class = ExamRecord::new(ExamId::new("quiz").unwrap(), rows.into_values().collect());
+    let class = ExamRecord::shared(ExamId::new("quiz").unwrap(), rows.into_values().collect());
     let analyzer = BatchAnalyzer::new(AnalysisConfig::default());
     let report = analyzer
         .analyze_records(std::slice::from_ref(&class), problems)
@@ -75,7 +77,7 @@ fn batch_json(applied: &[StudentRecord], problems: &[Problem]) -> String {
     serde_json::to_string(&report).unwrap()
 }
 
-fn stream_json(applied: &[StudentRecord], problems: &[Problem]) -> String {
+fn stream_json(applied: &[Arc<StudentRecord>], problems: &[Problem]) -> String {
     let mut stream = ExamStream::new(AnalysisConfig::default());
     for record in applied {
         stream.apply(record);
@@ -95,7 +97,7 @@ fn streaming_matches_batch_in_finish_order() {
 #[test]
 fn streaming_matches_batch_in_reverse_order() {
     let (problems, record) = simulated(8, 44, 7);
-    let reversed: Vec<StudentRecord> = record.students.iter().rev().cloned().collect();
+    let reversed: Vec<Arc<StudentRecord>> = record.students.iter().rev().cloned().collect();
     assert_eq!(
         stream_json(&reversed, &problems),
         batch_json(&record.students, &problems)
@@ -111,7 +113,7 @@ fn resits_replace_prior_rows() {
     // seed-4 outcomes; the final row per student is their last finish.
     let mut applied = record.students.clone();
     applied.extend(retaken.students.iter().take(10).cloned());
-    let mut finals: Vec<StudentRecord> = retaken.students[..10].to_vec();
+    let mut finals: Vec<Arc<StudentRecord>> = retaken.students[..10].to_vec();
     finals.extend(record.students[10..].iter().cloned());
     assert_eq!(
         stream_json(&applied, &problems),
@@ -190,7 +192,7 @@ proptest! {
         // Shuffle the first-finish order with the random keys.
         let mut order: Vec<usize> = (0..24).collect();
         order.sort_by_key(|&i| (order_keys[i], i));
-        let mut applied: Vec<StudentRecord> =
+        let mut applied: Vec<Arc<StudentRecord>> =
             order.iter().map(|&i| first.students[i].clone()).collect();
         // Then some students resit with their seed+1000 outcome.
         for &i in &resits {
@@ -198,12 +200,12 @@ proptest! {
         }
 
         // Final row per student: the last applied record.
-        let mut finals: std::collections::BTreeMap<String, StudentRecord> =
+        let mut finals: std::collections::BTreeMap<String, Arc<StudentRecord>> =
             std::collections::BTreeMap::new();
         for record in &applied {
             finals.insert(record.student.to_string(), record.clone());
         }
-        let finals: Vec<StudentRecord> = finals.into_values().collect();
+        let finals: Vec<Arc<StudentRecord>> = finals.into_values().collect();
 
         let streamed = stream_json(&applied, &problems);
         let batch = batch_json(&finals, &problems);

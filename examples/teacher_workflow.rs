@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let record = Simulation::new(exam, problems.clone())
         .cohort(CohortSpec::new(44).seed(2024))
         .run()?;
-    let record = ExamRecord::new("final".parse()?, record.students);
+    let record = ExamRecord::shared("final".parse()?, record.students);
 
     // --- read the full report -----------------------------------------
     let analysis = ExamAnalysis::analyze(&record, &problems, &AnalysisConfig::default())?;

@@ -60,7 +60,7 @@ timeout 60 scripts/smoke_scrub.sh
 echo "==> analysis perf smoke (pooled 4t >=1.5x the frozen naive baseline; MINE_SKIP_PERF_SMOKE=1 skips)"
 timeout 120 cargo test --offline -q -p mine-bench --test perf_smoke
 
-echo "==> streaming perf smoke (counter reads >=25x cold batch at 1000 sittings; MINE_SKIP_PERF_SMOKE=1 skips)"
+echo "==> streaming perf smoke (counter reads >=250x the frozen naive baseline at 1000 sittings; MINE_SKIP_PERF_SMOKE=1 skips)"
 timeout 120 cargo test --offline -q -p mine-bench --test streaming_smoke
 
 echo "All checks passed."

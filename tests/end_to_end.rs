@@ -1,6 +1,7 @@
 //! End-to-end integration: author → package → exchange → deliver →
 //! track → analyze → write back, across every crate in the workspace.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mine_assessment::analysis::{render_signal_report, AnalysisConfig};
@@ -100,7 +101,7 @@ fn full_lifecycle_author_to_writeback() {
         .cohort(CohortSpec::new(43).seed(8))
         .run_monitored(system.monitor_hub())
         .unwrap();
-    record.students.push(manual_record);
+    record.students.push(Arc::new(manual_record));
     assert_eq!(record.class_size(), 44);
     record.validate().unwrap();
 
@@ -113,7 +114,7 @@ fn full_lifecycle_author_to_writeback() {
     assert_eq!(finishes, 44);
 
     // Analyze and write the measured indices back into the bank.
-    let record = ExamRecord::new(exam_id.clone(), record.students);
+    let record = ExamRecord::shared(exam_id.clone(), record.students);
     let analysis = system
         .analyze(&exam_id, &record, &AnalysisConfig::default())
         .unwrap();
