@@ -23,6 +23,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
+use crate::http::{read_head_line, MAX_HEAD_BYTES};
+
 /// A simple status + body pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientResponse {
@@ -77,23 +79,7 @@ impl HttpClient {
     /// Returns [`std::io::Error`] when the connection fails or the
     /// timeout is rejected (zero is invalid).
     pub fn with_timeout(addr: &str, timeout: Duration) -> std::io::Result<Self> {
-        let mut last = std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("no addresses resolved for {addr}"),
-        );
-        let mut connected = None;
-        for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, timeout) {
-                Ok(stream) => {
-                    connected = Some(stream);
-                    break;
-                }
-                Err(err) => last = err,
-            }
-        }
-        let Some(stream) = connected else {
-            return Err(last);
-        };
+        let stream = connect_timeout(addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
@@ -141,8 +127,12 @@ impl HttpClient {
         self.read_response()
     }
 
+    /// Reads one response. The head is capped at [`MAX_HEAD_BYTES`] like
+    /// a request head, and the body buffer grows only with the bytes
+    /// that actually arrive, so a peer's `content-length` alone cannot
+    /// make the caller allocate.
     fn read_response(&mut self) -> std::io::Result<ClientResponse> {
-        let status_line = self.read_line()?;
+        let status_line = self.head_line(0)?;
         let status = status_line
             .split(' ')
             .nth(1)
@@ -153,13 +143,15 @@ impl HttpClient {
                     format!("bad status line {status_line:?}"),
                 )
             })?;
-        let mut content_length = 0_usize;
+        let mut head_bytes = status_line.len();
+        let mut content_length = 0_u64;
         let mut retry_after = None;
         loop {
-            let line = self.read_line()?;
+            let line = self.head_line(head_bytes)?;
             if line.is_empty() {
                 break;
             }
+            head_bytes += line.len();
             if let Some((name, value)) = line.split_once(':') {
                 if name.trim().eq_ignore_ascii_case("content-length") {
                     content_length = value.trim().parse().map_err(|_| {
@@ -170,8 +162,16 @@ impl HttpClient {
                 }
             }
         }
-        let mut body = vec![0_u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        let mut body = Vec::new();
+        (&mut self.reader)
+            .take(content_length)
+            .read_to_end(&mut body)?;
+        if (body.len() as u64) < content_length {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-body",
+            ));
+        }
         let body = String::from_utf8(body)
             .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
         Ok(ClientResponse {
@@ -181,31 +181,39 @@ impl HttpClient {
         })
     }
 
-    fn read_line(&mut self) -> std::io::Result<String> {
-        let mut line = Vec::new();
-        loop {
-            let mut byte = [0_u8; 1];
-            match self.reader.read(&mut byte)? {
-                0 => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-response",
-                    ))
-                }
-                _ => {
-                    if byte[0] == b'\n' {
-                        if line.last() == Some(&b'\r') {
-                            line.pop();
-                        }
-                        return String::from_utf8(line).map_err(|_| {
-                            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 line")
-                        });
-                    }
-                    line.push(byte[0]);
-                }
-            }
+    /// One response head line, `already_read` head bytes in.
+    fn head_line(&mut self, already_read: usize) -> std::io::Result<String> {
+        match read_head_line(&mut self.reader, already_read, MAX_HEAD_BYTES) {
+            Ok(Some(line)) => Ok(line),
+            Ok(None) => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response",
+            )),
+            Err(err) => Err(err.into()),
         }
     }
+}
+
+/// Resolves `addr` and connects to the first address that answers
+/// within `timeout` — a host that blackholes SYNs costs `timeout` per
+/// address, not the OS default of minutes.
+///
+/// # Errors
+///
+/// Returns the last connect error, or `InvalidInput` when `addr`
+/// resolves to nothing.
+pub(crate) fn connect_timeout(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("no addresses resolved for {addr}"),
+    );
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(err) => last = err,
+        }
+    }
+    Err(last)
 }
 
 /// How [`ResilientClient`] retries.
@@ -505,19 +513,54 @@ mod tests {
         );
     }
 
-    /// One canned HTTP exchange: accept a connection, read the request,
-    /// answer with `status` and `body`.
-    fn one_shot_server(listener: std::net::TcpListener, status_line: &'static str, body: String) {
+    /// One canned exchange: accept a connection, read the request,
+    /// write `response` verbatim, close.
+    fn raw_one_shot_server(listener: std::net::TcpListener, response: Vec<u8>) {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut buf = [0_u8; 4096];
             let _ = stream.read(&mut buf);
-            let response = format!(
-                "HTTP/1.1 {status_line}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            stream.write_all(response.as_bytes()).unwrap();
+            let _ = stream.write_all(&response);
         });
+    }
+
+    /// One canned HTTP exchange answering with `status` and `body`.
+    fn one_shot_server(listener: std::net::TcpListener, status_line: &'static str, body: String) {
+        let response = format!(
+            "HTTP/1.1 {status_line}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        raw_one_shot_server(listener, response.into_bytes());
+    }
+
+    /// The client's answer from a fake peer that sends `response`.
+    fn get_from_fake_peer(response: Vec<u8>) -> std::io::Result<ClientResponse> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        raw_one_shot_server(listener, response);
+        HttpClient::with_timeout(&addr, Duration::from_secs(5))?.get("/healthz")
+    }
+
+    #[test]
+    fn a_peers_content_length_does_not_size_the_allocation() {
+        // A terabyte claimed, three bytes sent. Allocating the claimed
+        // length up front aborts the whole process; the client must
+        // instead read what arrives and report the short body.
+        let err = get_from_fake_peer(
+            b"HTTP/1.1 200 OK\r\ncontent-length: 1099511627776\r\n\r\nabc".to_vec(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn an_over_long_response_head_line_is_refused() {
+        let mut response = b"HTTP/1.1 200 OK\r\nx-filler: ".to_vec();
+        response.resize(response.len() + 2 * MAX_HEAD_BYTES, b'a');
+        response.extend_from_slice(b"\r\ncontent-length: 0\r\n\r\n");
+        let err = get_from_fake_peer(response).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("too large"), "{err}");
     }
 
     #[test]

@@ -240,6 +240,19 @@ impl ParseError {
     }
 }
 
+/// For the client side, which reads response heads with the same
+/// bounded line reader: a `408` (read deadline) keeps its timeout kind.
+impl From<ParseError> for std::io::Error {
+    fn from(err: ParseError) -> Self {
+        let kind = if err.status == 408 {
+            std::io::ErrorKind::TimedOut
+        } else {
+            std::io::ErrorKind::InvalidData
+        };
+        Self::new(kind, err.message)
+    }
+}
+
 /// Reads one request from the transport.
 ///
 /// Returns `Ok(None)` on clean end-of-stream before any request byte
@@ -373,7 +386,7 @@ fn percent_decode(raw: &str) -> String {
 
 /// Reads one CRLF- (or LF-) terminated head line, enforcing the head
 /// size limit. `Ok(None)` means end-of-stream before any byte.
-fn read_head_line<R: BufRead>(
+pub(crate) fn read_head_line<R: BufRead>(
     reader: &mut R,
     already_read: usize,
     max_head_bytes: usize,

@@ -61,6 +61,7 @@ pub mod http;
 pub mod journal;
 pub mod loadgen;
 pub mod metrics;
+pub mod node;
 pub mod overload;
 pub mod registry;
 pub mod repl;
@@ -82,6 +83,7 @@ pub use journal::{
 };
 pub use loadgen::{run_loadgen, AnswerKey, LoadGenOptions, LoadGenReport, LoadMode};
 pub use metrics::{Metrics, MetricsSnapshot, Route};
+pub use node::{Node, NodeOptions};
 pub use overload::{OverloadOptions, PeerLimiter, RateLimit, TokenBucket};
 pub use registry::{FinishedStore, Registry, RegistryError, SessionRegistry, SessionSlot};
 pub use repl::{

@@ -51,7 +51,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,7 +66,7 @@ use mine_store::replicate::{read_message, write_message, Message};
 use mine_store::{FaultPlan, NetAction, ReplError, StreamCursor};
 use mine_streamstats::StreamEngine;
 
-use crate::client::{backoff_delay, HttpClient, RetryPolicy};
+use crate::client::{backoff_delay, connect_timeout, HttpClient, RetryPolicy};
 use crate::http::object_body;
 use crate::journal::{decode_payload, Journal, ServerImage, SessionEvent};
 use crate::metrics::Metrics;
@@ -315,10 +315,6 @@ pub struct ReplState {
     order: Mutex<()>,
     /// Tells the follower puller to exit (promotion, shutdown).
     stop: AtomicBool,
-    /// The seeded fault schedule shared with the store's disk seam; the
-    /// shipper consults it before every streamed frame. `None` in
-    /// production.
-    fault_plan: Mutex<Option<Arc<FaultPlan>>>,
     /// When the follower last heard anything from its leader (any
     /// frame counts: snapshot, record, heartbeat). The failure detector
     /// measures leader silence from here.
@@ -350,7 +346,6 @@ impl ReplState {
             hub: Hub::default(),
             order: Mutex::new(()),
             stop: AtomicBool::new(false),
-            fault_plan: Mutex::new(None),
             leader_contact: Mutex::new(None),
             failover: Mutex::new(None),
             resync: AtomicBool::new(false),
@@ -379,20 +374,6 @@ impl ReplState {
     pub fn resync_complete(&self) -> u64 {
         self.resync.store(false, Ordering::Release);
         self.repair_pending.swap(0, Ordering::AcqRel)
-    }
-
-    /// Installs a seeded fault schedule for the shipping loop to
-    /// consult (share the same plan with
-    /// [`mine_store::StoreOptions::fault_plan`] so one spec drives both
-    /// seams).
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault_plan.lock().expect("fault plan") = Some(plan);
-    }
-
-    /// The installed fault schedule, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.lock().expect("fault plan").clone()
     }
 
     /// Records that the leader was just heard from (resets the failure
@@ -752,7 +733,9 @@ fn ship(
     let state = router.state();
     let repl = state.repl.as_deref().expect("checked by caller");
     let journal = state.journal.as_ref().expect("checked by caller");
-    let plan = repl.fault_plan();
+    // The store's fault plan drives the network seam too: one seeded
+    // spec, one holder.
+    let plan = journal.store().fault_plan();
     let plan = plan.as_deref();
     faulty_write(plan, writer, &snapshot_frame)?;
 
@@ -940,20 +923,6 @@ pub fn start_follower(primary_addr: String, router: Router) -> FollowerPuller {
     }
 }
 
-fn connect(addr: &str) -> std::io::Result<TcpStream> {
-    let mut last = std::io::Error::new(
-        std::io::ErrorKind::InvalidInput,
-        format!("no addresses resolved for {addr}"),
-    );
-    for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, SOCKET_TIMEOUT) {
-            Ok(stream) => return Ok(stream),
-            Err(err) => last = err,
-        }
-    }
-    Err(last)
-}
-
 /// One full follower session: handshake, bootstrap, live stream. An
 /// `Ok` return means the puller was told to stop; any error means
 /// "reconnect after backoff".
@@ -963,7 +932,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     let journal = state.journal.as_ref().expect("follower has a journal");
     let store = journal.store();
 
-    let stream = connect(primary_addr)?;
+    let stream = connect_timeout(primary_addr, SOCKET_TIMEOUT)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;

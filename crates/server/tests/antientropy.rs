@@ -11,131 +11,31 @@
 //! Both scenarios end with the offline auditor finding every journal
 //! coherent.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+mod support;
+
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use serde::{Number, Value};
+use serde::Value;
 
-use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
-use mine_server::{
-    audit_dirs, open_journaled_state, AckMode, FailoverConfig, HttpClient, ReplListener, ReplState,
-    Role, Router, Scrubber, ServeOptions, Server,
+use mine_server::{audit_dirs, HttpClient};
+use support::{
+    healthz, healthz_u64, repository, reserve_addr, run_full_sitting, spawn_node, temp_dir,
+    wait_for, ChildNode, REPLICATED,
 };
-use mine_store::{FaultPlan, StoreOptions, SyncPolicy};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mine-antientropy-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The same exam everywhere: replication replays events against the
-/// repository, so every node and the parent must agree.
-fn repository() -> Repository {
-    let repo = Repository::new();
-    repo.insert_problem(
-        Problem::multiple_choice(
-            "q1",
-            "Pick C.",
-            [
-                ChoiceOption::new(mine_core::OptionKey::A, "alpha"),
-                ChoiceOption::new(mine_core::OptionKey::B, "beta"),
-                ChoiceOption::new(mine_core::OptionKey::C, "gamma"),
-                ChoiceOption::new(mine_core::OptionKey::D, "delta"),
-            ],
-            mine_core::OptionKey::C,
-        )
-        .unwrap()
-        .with_calibration(Calibration::new(1.1, -0.4, 0.2)),
-    )
-    .unwrap();
-    repo.insert_problem(
-        Problem::true_false("q2", "Is the sky blue?", true)
-            .unwrap()
-            .with_calibration(Calibration::new(0.9, 0.6, 0.25)),
-    )
-    .unwrap();
-    repo.insert_exam(
-        Exam::builder("final")
-            .unwrap()
-            .entry("q1".parse().unwrap())
-            .entry("q2".parse().unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    repo
-}
-
-fn answer_json(problem: &str, index: usize) -> String {
-    match problem {
-        "q1" => format!(
-            "{{\"Choice\":\"{}\"}}",
-            char::from(b'A' + (index % 4) as u8)
-        ),
-        "q2" => format!("{{\"TrueFalse\":{}}}", index.is_multiple_of(3)),
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-fn start_sitting(client: &mut HttpClient, index: usize) -> (String, Vec<String>) {
-    let started = client
-        .post(
-            "/sessions",
-            &format!("{{\"exam\":\"final\",\"student\":\"h{index:02}\",\"seed\":{index}}}"),
-        )
-        .expect("start");
-    assert_eq!(started.status, 201, "{}", started.body);
-    let started: Value = started.json().expect("start body");
-    let session = started
-        .get("session")
-        .and_then(Value::as_str)
-        .expect("session id")
-        .to_string();
-    let order = started
-        .get("problems")
-        .and_then(Value::as_array)
-        .expect("problems")
-        .iter()
-        .map(|p| p.get("id").and_then(Value::as_str).unwrap().to_string())
-        .collect();
-    (session, order)
-}
-
-fn run_full_sitting(addr: &str, index: usize) {
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let (session, order) = start_sitting(&mut client, index);
-    for problem in &order {
-        let body = format!(
-            "{{\"answer\":{},\"time_spent_secs\":{}}}",
-            answer_json(problem, index),
-            10 + index % 7
-        );
-        let answered = client
-            .post(&format!("/sessions/{session}/answers"), &body)
-            .expect("answer");
-        assert_eq!(answered.status, 200, "{}", answered.body);
-    }
-    let finished = client
-        .post(&format!("/sessions/{session}/finish"), "")
-        .expect("finish");
-    assert_eq!(finished.status, 200, "{}", finished.body);
-}
-
-fn healthz(addr: &str) -> Value {
-    let mut client = HttpClient::connect(addr).expect("connect healthz");
-    let response = client.get("/healthz").expect("healthz");
-    response.json().expect("healthz json")
-}
-
-fn healthz_u64(value: &Value, field: &str) -> u64 {
-    match value.get(field) {
-        Some(Value::Number(Number::PosInt(n))) => *n,
-        other => panic!("healthz field {field} missing or not a number: {other:?}"),
-    }
+/// A node as this suite runs it: replicating, every acked write on
+/// disk before the ack (the degraded-mode scenario injects fsync
+/// failures and the ack must never race them), and no compaction
+/// cadence (the bit-rot scenario needs its sealed segments to stay on
+/// disk until the scrubber reaches them). `envs` add to that.
+fn spawn_ae_node(dir: &Path, envs: &[(&str, &str)]) -> ChildNode {
+    let base = [
+        REPLICATED,
+        ("MINE_NODE_FSYNC", "always"),
+        ("MINE_NODE_SNAPSHOT_EVERY", "1000000"),
+    ];
+    spawn_node(dir, &[&base[..], envs].concat())
 }
 
 /// Scrapes `/metrics` and returns the value of one unlabeled series.
@@ -170,149 +70,9 @@ fn wait_metric(addr: &str, name: &str, what: &str, check: impl Fn(u64) -> bool) 
     }
 }
 
-/// Polls until `check` passes or the deadline expires, returning the
-/// last healthz body either way.
-fn wait_for(addr: &str, what: &str, check: impl Fn(&Value) -> bool) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let health = healthz(addr);
-        if check(&health) {
-            return health;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last healthz: {health:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Re-exec helper: with `MINE_AE_DIR` set this "test" becomes a
-/// replicating server wired exactly as `mine serve` wires one —
-/// `MINE_FAULT_PLAN` arms the seeded fault schedule on the store,
-/// `MINE_AE_PRIMARY` makes it a follower, `MINE_AE_SCRUB_MS` starts the
-/// background anti-entropy scrubber, `MINE_AE_SEGMENT_BYTES` shrinks
-/// segments so early records seal quickly, and `MINE_AE_FAILOVER_MS` +
-/// `MINE_AE_PEERS` arm the unsupervised failure detector. It publishes
-/// `"<http addr>\n<repl addr>"` at `<dir>/addr.txt` atomically via
-/// rename and runs until SIGKILLed.
-#[test]
-fn antientropy_child() {
-    let Some(dir) = std::env::var_os("MINE_AE_DIR") else {
-        return;
-    };
-    let dir = PathBuf::from(dir);
-    let primary = std::env::var("MINE_AE_PRIMARY").ok();
-    let http_addr = std::env::var("MINE_AE_HTTP").unwrap_or_else(|_| "127.0.0.1:0".to_string());
-    let fault_plan = FaultPlan::from_env()
-        .expect("MINE_FAULT_PLAN")
-        .map(Arc::new);
-    let max_segment_bytes = std::env::var("MINE_AE_SEGMENT_BYTES")
-        .ok()
-        .map(|bytes| bytes.parse().expect("segment bytes"))
-        .unwrap_or(8 * 1024 * 1024);
-    let options = StoreOptions {
-        // Every acked write is on disk before the ack: the degraded-mode
-        // scenario injects fsync failures and the ack must never race
-        // them.
-        sync: SyncPolicy::Always,
-        max_segment_bytes,
-        fault_plan: fault_plan.clone(),
-    };
-    // No compaction cadence: the bit-rot scenario needs its sealed
-    // segments to stay on disk until the scrubber reaches them.
-    let (mut state, _) =
-        open_journaled_state(repository(), &dir, options, 1_000_000).expect("open");
-    let role = if primary.is_some() {
-        Role::Follower
-    } else {
-        Role::Primary
-    };
-    let repl = Arc::new(ReplState::new(role, AckMode::Leader));
-    state.repl = Some(Arc::clone(&repl));
-    let router = Router::with_state(state);
-    let serve_options = ServeOptions {
-        addr: http_addr,
-        ..ServeOptions::default()
-    };
-    let server = Server::start(router.clone(), &serve_options).expect("bind http");
-    repl.set_advertise(server.local_addr().to_string());
-    if let Some(plan) = &fault_plan {
-        repl.set_fault_plan(Arc::clone(plan));
-    }
-    if let Ok(ms) = std::env::var("MINE_AE_FAILOVER_MS") {
-        let timeout = Duration::from_millis(ms.parse().expect("failover ms"));
-        let peers: Vec<String> = std::env::var("MINE_AE_PEERS")
-            .unwrap_or_default()
-            .split(',')
-            .map(str::trim)
-            .filter(|peer| !peer.is_empty())
-            .map(str::to_string)
-            .collect();
-        repl.set_auto_failover(FailoverConfig { timeout, peers });
-    }
-    let listener = ReplListener::start("127.0.0.1:0", router.clone()).expect("bind repl");
-    let _puller = primary.map(|addr| mine_server::start_follower(addr, router.clone()));
-    let _scrubber = std::env::var("MINE_AE_SCRUB_MS").ok().map(|ms| {
-        let interval = Duration::from_millis(ms.parse().expect("scrub ms"));
-        Scrubber::start(router.clone(), interval)
-    });
-    let tmp = dir.join(".addr.tmp");
-    std::fs::write(
-        &tmp,
-        format!("{}\n{}", server.local_addr(), listener.local_addr()),
-    )
-    .expect("write addr");
-    std::fs::rename(&tmp, dir.join("addr.txt")).expect("publish addr");
-    server.join();
-}
-
-struct ChildNode {
-    child: Child,
-    http: String,
-}
-
-fn spawn_node(dir: &PathBuf, envs: &[(&str, &str)]) -> (ChildNode, String) {
-    let exe = std::env::current_exe().unwrap();
-    let mut command = Command::new(exe);
-    command
-        .args(["antientropy_child", "--exact", "--nocapture"])
-        .env("MINE_AE_DIR", dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (key, value) in envs {
-        command.env(key, value);
-    }
-    let addr_path = dir.join("addr.txt");
-    let _ = std::fs::remove_file(&addr_path);
-    let child = command.spawn().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !addr_path.exists() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let published = std::fs::read_to_string(&addr_path).expect("child never came up");
-    let (http, repl) = published.split_once('\n').expect("two addresses");
-    (
-        ChildNode {
-            child,
-            http: http.to_string(),
-        },
-        repl.to_string(),
-    )
-}
-
-/// Reserves a loopback port by binding and immediately releasing it, so
-/// peers can know each other's HTTP addresses before launch.
-fn reserve_addr() -> String {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    drop(listener);
-    addr
-}
-
 /// Whether the directory holds a quarantined segment: the renamed-not-
 /// deleted evidence of a repair.
-fn has_quarantine_file(dir: &PathBuf) -> bool {
+fn has_quarantine_file(dir: &Path) -> bool {
     std::fs::read_dir(dir).unwrap().any(|entry| {
         entry
             .unwrap()
@@ -330,34 +90,34 @@ fn has_quarantine_file(dir: &PathBuf) -> bool {
 /// coherent afterwards.
 #[test]
 fn bitrot_on_follower_is_quarantined_and_repaired_online() {
-    let a_dir = temp_dir("bitrot-a");
-    let b_dir = temp_dir("bitrot-b");
-    let c_dir = temp_dir("bitrot-c");
+    let a_dir = temp_dir("antientropy-bitrot-a");
+    let b_dir = temp_dir("antientropy-bitrot-b");
+    let c_dir = temp_dir("antientropy-bitrot-c");
 
     // Tiny segments so record 3 lands in a sealed segment within the
     // first sittings; a fast scrub cadence so detection is prompt.
-    let (mut node_a, a_repl) = spawn_node(
+    let mut node_a = spawn_ae_node(
         &a_dir,
         &[
-            ("MINE_AE_SEGMENT_BYTES", "256"),
-            ("MINE_AE_SCRUB_MS", "200"),
+            ("MINE_NODE_SEGMENT_BYTES", "256"),
+            ("MINE_NODE_SCRUB_MS", "200"),
         ],
     );
-    let (mut node_b, _) = spawn_node(
+    let mut node_b = spawn_ae_node(
         &b_dir,
         &[
-            ("MINE_AE_PRIMARY", a_repl.as_str()),
-            ("MINE_AE_SEGMENT_BYTES", "256"),
-            ("MINE_AE_SCRUB_MS", "200"),
+            ("MINE_NODE_REPLICA_OF", node_a.repl.as_str()),
+            ("MINE_NODE_SEGMENT_BYTES", "256"),
+            ("MINE_NODE_SCRUB_MS", "200"),
             ("MINE_FAULT_PLAN", "disk.bitrot@3:4"),
         ],
     );
-    let (mut node_c, _) = spawn_node(
+    let mut node_c = spawn_ae_node(
         &c_dir,
         &[
-            ("MINE_AE_PRIMARY", a_repl.as_str()),
-            ("MINE_AE_SEGMENT_BYTES", "256"),
-            ("MINE_AE_SCRUB_MS", "200"),
+            ("MINE_NODE_REPLICA_OF", node_a.repl.as_str()),
+            ("MINE_NODE_SEGMENT_BYTES", "256"),
+            ("MINE_NODE_SCRUB_MS", "200"),
         ],
     );
     wait_for(&node_b.http, "b bootstraps as follower", |health| {
@@ -454,12 +214,9 @@ fn bitrot_on_follower_is_quarantined_and_repaired_online() {
         );
     }
 
-    node_a.child.kill().unwrap();
-    node_a.child.wait().unwrap();
-    node_b.child.kill().unwrap();
-    node_b.child.wait().unwrap();
-    node_c.child.kill().unwrap();
-    node_c.child.wait().unwrap();
+    node_a.kill();
+    node_b.kill();
+    node_c.kill();
 
     // The auditor must find all three journals internally sound, the
     // acked prefixes byte-identical, and replay deterministic — the
@@ -493,8 +250,8 @@ fn bitrot_on_follower_is_quarantined_and_repaired_online() {
 /// wounded node heals itself once the disk recovers.
 #[test]
 fn degraded_primary_sheds_writes_serves_reads_and_is_promoted_past() {
-    let p_dir = temp_dir("degraded-p");
-    let f_dir = temp_dir("degraded-f");
+    let p_dir = temp_dir("antientropy-degraded-p");
+    let f_dir = temp_dir("antientropy-degraded-f");
 
     // Four full sittings consume fsync calls 1..=16 (one synced append
     // per event); the failure window starts a little later so the
@@ -506,22 +263,22 @@ fn degraded_primary_sheds_writes_serves_reads_and_is_promoted_past() {
         .collect::<Vec<_>>()
         .join(";");
     let p_http = reserve_addr();
-    let (mut node_p, p_repl) = spawn_node(
+    let mut node_p = spawn_ae_node(
         &p_dir,
         &[
-            ("MINE_AE_HTTP", p_http.as_str()),
+            ("MINE_NODE_HTTP", p_http.as_str()),
             ("MINE_FAULT_PLAN", plan.as_str()),
         ],
     );
     assert_eq!(node_p.http, p_http, "primary must bind its reserved port");
-    let (mut node_f, _) = spawn_node(
+    let mut node_f = spawn_ae_node(
         &f_dir,
         &[
-            ("MINE_AE_PRIMARY", p_repl.as_str()),
-            ("MINE_AE_FAILOVER_MS", "800"),
+            ("MINE_NODE_REPLICA_OF", node_p.repl.as_str()),
+            ("MINE_NODE_FAILOVER_MS", "800"),
             // The detector surveys the primary itself: a live but
             // degraded primary must not veto the succession.
-            ("MINE_AE_PEERS", p_http.as_str()),
+            ("MINE_NODE_PEERS", p_http.as_str()),
         ],
     );
     wait_for(&node_f.http, "f bootstraps as follower", |health| {
@@ -619,10 +376,8 @@ fn degraded_primary_sheds_writes_serves_reads_and_is_promoted_past() {
     });
     assert_eq!(metric_value(&node_p.http, "mine_storage_degraded"), 0);
 
-    node_p.child.kill().unwrap();
-    node_p.child.wait().unwrap();
-    node_f.child.kill().unwrap();
-    node_f.child.wait().unwrap();
+    node_p.kill();
+    node_f.kill();
 
     // Nothing acked was lost and nothing unacked leaked into either
     // journal: the histories are coherent and replay deterministically.

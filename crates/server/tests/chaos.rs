@@ -142,6 +142,13 @@ fn overload_sheds_at_the_edge_with_retry_after() {
     // without a restart.
     drop(stall_a);
     drop(stall_b);
+    // Connect only once a freed worker has taken the filler off the
+    // queue: while the acceptor still counts it, a new connection is
+    // shed like the victims above.
+    assert!(
+        wait_until(Duration::from_secs(5), || metrics().queue_depth == 0),
+        "no freed worker took the filler connection"
+    );
     let mut client = HttpClient::connect(&addr).expect("connect after storm");
     assert!(
         wait_until(Duration::from_secs(5), || {

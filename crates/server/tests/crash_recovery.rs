@@ -4,172 +4,27 @@
 //! report — plus keep the sitting that was mid-flight at the crash
 //! alive and finishable.
 
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+mod support;
 
 use serde::{Number, Value};
 
-use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
 use mine_server::http::Request;
-use mine_server::{open_journaled_state, HttpClient, Router, ServeOptions, Server};
-use mine_store::{StoreOptions, SyncPolicy};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mine-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The same exam in the child and the restarted parent: recovery
-/// replays events against the repository, so both must agree.
-fn repository() -> Repository {
-    let repo = Repository::new();
-    repo.insert_problem(
-        Problem::multiple_choice(
-            "q1",
-            "Pick C.",
-            [
-                ChoiceOption::new(mine_core::OptionKey::A, "alpha"),
-                ChoiceOption::new(mine_core::OptionKey::B, "beta"),
-                ChoiceOption::new(mine_core::OptionKey::C, "gamma"),
-                ChoiceOption::new(mine_core::OptionKey::D, "delta"),
-            ],
-            mine_core::OptionKey::C,
-        )
-        .unwrap()
-        .with_calibration(Calibration::new(1.1, -0.4, 0.2)),
-    )
-    .unwrap();
-    repo.insert_problem(
-        Problem::true_false("q2", "Is the sky blue?", true)
-            .unwrap()
-            .with_calibration(Calibration::new(0.9, 0.6, 0.25)),
-    )
-    .unwrap();
-    repo.insert_exam(
-        Exam::builder("final")
-            .unwrap()
-            .entry("q1".parse().unwrap())
-            .entry("q2".parse().unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    repo
-}
-
-/// The right answer for each bank item, for adaptive steps.
-fn correct_answer_json(problem: &str) -> &'static str {
-    match problem {
-        "q1" => "{\"Choice\":\"C\"}",
-        "q2" => "{\"TrueFalse\":true}",
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-fn answer_json(problem: &str, index: usize) -> String {
-    match problem {
-        "q1" => format!(
-            "{{\"Choice\":\"{}\"}}",
-            char::from(b'A' + (index % 4) as u8)
-        ),
-        "q2" => format!("{{\"TrueFalse\":{}}}", index.is_multiple_of(3)),
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-/// Starts a sitting over TCP and returns `(session id, problem order)`.
-fn start_sitting(client: &mut HttpClient, index: usize) -> (String, Vec<String>) {
-    let started = client
-        .post(
-            "/sessions",
-            &format!("{{\"exam\":\"final\",\"student\":\"m{index:02}\",\"seed\":{index}}}"),
-        )
-        .expect("start");
-    assert_eq!(started.status, 201, "{}", started.body);
-    let started: Value = started.json().expect("start body");
-    let session = started
-        .get("session")
-        .and_then(Value::as_str)
-        .expect("session id")
-        .to_string();
-    let order = started
-        .get("problems")
-        .and_then(Value::as_array)
-        .expect("problems")
-        .iter()
-        .map(|p| p.get("id").and_then(Value::as_str).unwrap().to_string())
-        .collect();
-    (session, order)
-}
-
-fn run_full_sitting(addr: &str, index: usize) {
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let (session, order) = start_sitting(&mut client, index);
-    for problem in &order {
-        let body = format!(
-            "{{\"answer\":{},\"time_spent_secs\":{}}}",
-            answer_json(problem, index),
-            10 + index % 7
-        );
-        let answered = client
-            .post(&format!("/sessions/{session}/answers"), &body)
-            .expect("answer");
-        assert_eq!(answered.status, 200, "{}", answered.body);
-    }
-    let finished = client
-        .post(&format!("/sessions/{session}/finish"), "")
-        .expect("finish");
-    assert_eq!(finished.status, 200, "{}", finished.body);
-}
-
-/// Re-exec helper: with `MINE_SERVER_CRASH_DIR` set this "test" becomes
-/// a journaled server that runs until its parent SIGKILLs it. It
-/// publishes its bound address at `<dir>/addr.txt` (written atomically
-/// via rename). Without the variable it is a no-op.
-#[test]
-fn crash_server_child() {
-    let Some(dir) = std::env::var_os("MINE_SERVER_CRASH_DIR") else {
-        return;
-    };
-    let dir = PathBuf::from(dir);
-    let options = StoreOptions {
-        // `Never` maximizes the unflushed window; a SIGKILL must still
-        // lose nothing because every append hit the page cache before
-        // the handler acknowledged the request.
-        sync: SyncPolicy::Never,
-        ..StoreOptions::default()
-    };
-    let (state, _) = open_journaled_state(repository(), &dir, options, 8).expect("open journal");
-    let server =
-        Server::start(Router::with_state(state), &ServeOptions::default()).expect("bind loopback");
-    let tmp = dir.join(".addr.tmp");
-    std::fs::write(&tmp, server.local_addr().to_string()).expect("write addr");
-    std::fs::rename(&tmp, dir.join("addr.txt")).expect("publish addr");
-    server.join();
-}
+use mine_server::{open_journaled_state, HttpClient, Router};
+use mine_store::StoreOptions;
+use support::{
+    answer_json, correct_answer_json, repository, run_full_sitting, spawn_node, start_sitting,
+    temp_dir,
+};
 
 #[test]
 fn kill_nine_mid_sitting_then_restart_serves_byte_identical_analysis() {
-    let dir = temp_dir("recovery");
-    std::fs::create_dir_all(&dir).unwrap();
-    let exe = std::env::current_exe().unwrap();
-    let mut child = Command::new(exe)
-        .args(["crash_server_child", "--exact", "--nocapture"])
-        .env("MINE_SERVER_CRASH_DIR", &dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-
-    // Wait for the child to publish its address.
-    let addr_path = dir.join("addr.txt");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !addr_path.exists() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let addr = std::fs::read_to_string(&addr_path).expect("child never came up");
+    let dir = temp_dir("crash-recovery");
+    // A journaled node without replication; its `never` fsync policy
+    // maximizes the unflushed window, and a SIGKILL must still lose
+    // nothing because every append hit the page cache before the
+    // handler acknowledged the request.
+    let mut node = spawn_node(&dir, &[]);
+    let addr = node.http.clone();
 
     // Six complete sittings, then a seventh left mid-flight: one of two
     // problems answered when the power goes out.
@@ -231,8 +86,7 @@ fn kill_nine_mid_sitting_then_restart_serves_byte_identical_analysis() {
         .expect("control adaptive status");
     assert_eq!(cat_control.status, 200, "{}", cat_control.body);
 
-    child.kill().unwrap(); // SIGKILL: no destructors, no flushes
-    child.wait().unwrap();
+    node.kill();
 
     // Restart from the same directory, in-process this time.
     let (state, report) =

@@ -6,246 +6,36 @@
 //! restarted as a replica of the new leader, must adopt the higher
 //! epoch (demote) and answer writes with `421` naming the new leader.
 
+mod support;
+
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Number, Value};
 
-use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
 use mine_server::drain::pause_and_snapshot;
 use mine_server::http::Request;
 use mine_server::{
     open_journaled_state, start_follower, AckMode, HttpClient, ReplListener, ReplState, Role,
-    Router, ServeOptions, Server,
+    Router,
 };
 use mine_store::{StoreOptions, SyncPolicy};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mine-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The same exam everywhere: replication replays events against the
-/// repository, so primary, follower, and parent must agree.
-fn repository() -> Repository {
-    let repo = Repository::new();
-    repo.insert_problem(
-        Problem::multiple_choice(
-            "q1",
-            "Pick C.",
-            [
-                ChoiceOption::new(mine_core::OptionKey::A, "alpha"),
-                ChoiceOption::new(mine_core::OptionKey::B, "beta"),
-                ChoiceOption::new(mine_core::OptionKey::C, "gamma"),
-                ChoiceOption::new(mine_core::OptionKey::D, "delta"),
-            ],
-            mine_core::OptionKey::C,
-        )
-        .unwrap()
-        .with_calibration(Calibration::new(1.1, -0.4, 0.2)),
-    )
-    .unwrap();
-    repo.insert_problem(
-        Problem::true_false("q2", "Is the sky blue?", true)
-            .unwrap()
-            .with_calibration(Calibration::new(0.9, 0.6, 0.25)),
-    )
-    .unwrap();
-    repo.insert_exam(
-        Exam::builder("final")
-            .unwrap()
-            .entry("q1".parse().unwrap())
-            .entry("q2".parse().unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    repo
-}
-
-/// The right answer for each bank item, for adaptive steps.
-fn correct_answer_json(problem: &str) -> &'static str {
-    match problem {
-        "q1" => "{\"Choice\":\"C\"}",
-        "q2" => "{\"TrueFalse\":true}",
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-fn answer_json(problem: &str, index: usize) -> String {
-    match problem {
-        "q1" => format!(
-            "{{\"Choice\":\"{}\"}}",
-            char::from(b'A' + (index % 4) as u8)
-        ),
-        "q2" => format!("{{\"TrueFalse\":{}}}", index.is_multiple_of(3)),
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-fn start_sitting(client: &mut HttpClient, index: usize) -> (String, Vec<String>) {
-    let started = client
-        .post(
-            "/sessions",
-            &format!("{{\"exam\":\"final\",\"student\":\"r{index:02}\",\"seed\":{index}}}"),
-        )
-        .expect("start");
-    assert_eq!(started.status, 201, "{}", started.body);
-    let started: Value = started.json().expect("start body");
-    let session = started
-        .get("session")
-        .and_then(Value::as_str)
-        .expect("session id")
-        .to_string();
-    let order = started
-        .get("problems")
-        .and_then(Value::as_array)
-        .expect("problems")
-        .iter()
-        .map(|p| p.get("id").and_then(Value::as_str).unwrap().to_string())
-        .collect();
-    (session, order)
-}
-
-fn run_full_sitting(addr: &str, index: usize) {
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let (session, order) = start_sitting(&mut client, index);
-    for problem in &order {
-        let body = format!(
-            "{{\"answer\":{},\"time_spent_secs\":{}}}",
-            answer_json(problem, index),
-            10 + index % 7
-        );
-        let answered = client
-            .post(&format!("/sessions/{session}/answers"), &body)
-            .expect("answer");
-        assert_eq!(answered.status, 200, "{}", answered.body);
-    }
-    let finished = client
-        .post(&format!("/sessions/{session}/finish"), "")
-        .expect("finish");
-    assert_eq!(finished.status, 200, "{}", finished.body);
-}
-
-fn healthz(addr: &str) -> Value {
-    let mut client = HttpClient::connect(addr).expect("connect healthz");
-    let response = client.get("/healthz").expect("healthz");
-    response.json().expect("healthz json")
-}
-
-fn healthz_u64(value: &Value, field: &str) -> u64 {
-    match value.get(field) {
-        Some(Value::Number(Number::PosInt(n))) => *n,
-        other => panic!("healthz field {field} missing or not a number: {other:?}"),
-    }
-}
-
-/// Re-exec helper: with `MINE_REPL_CHILD_DIR` set this "test" becomes a
-/// replicating server. `MINE_REPL_CHILD_PRIMARY` (a replication
-/// listener address) makes it a follower of that primary; without it,
-/// it is a primary. Either way it runs a replication listener of its
-/// own (a follower's listener serves no one until promotion flips it).
-/// It publishes `"<http addr>\n<repl addr>"` at `<dir>/addr.txt`,
-/// atomically via rename, and runs until SIGKILLed.
-#[test]
-fn repl_server_child() {
-    let Some(dir) = std::env::var_os("MINE_REPL_CHILD_DIR") else {
-        return;
-    };
-    let dir = PathBuf::from(dir);
-    let primary = std::env::var("MINE_REPL_CHILD_PRIMARY").ok();
-    let options = StoreOptions {
-        // `Never` maximizes the unflushed window: the kill must still
-        // lose no acked event because the follower holds a copy.
-        sync: SyncPolicy::Never,
-        ..StoreOptions::default()
-    };
-    let (mut state, _) = open_journaled_state(repository(), &dir, options, 8).expect("open");
-    let role = if primary.is_some() {
-        Role::Follower
-    } else {
-        Role::Primary
-    };
-    let repl = std::sync::Arc::new(ReplState::new(role, AckMode::Leader));
-    state.repl = Some(std::sync::Arc::clone(&repl));
-    let router = Router::with_state(state);
-    let server = Server::start(router.clone(), &ServeOptions::default()).expect("bind http");
-    repl.set_advertise(server.local_addr().to_string());
-    let listener = ReplListener::start("127.0.0.1:0", router.clone()).expect("bind repl");
-    let _puller = primary.map(|addr| mine_server::start_follower(addr, router.clone()));
-    let tmp = dir.join(".addr.tmp");
-    std::fs::write(
-        &tmp,
-        format!("{}\n{}", server.local_addr(), listener.local_addr()),
-    )
-    .expect("write addr");
-    std::fs::rename(&tmp, dir.join("addr.txt")).expect("publish addr");
-    server.join();
-}
-
-struct ChildNode {
-    child: Child,
-    http: String,
-    repl: String,
-}
-
-fn spawn_node(dir: &PathBuf, primary_repl_addr: Option<&str>) -> ChildNode {
-    let exe = std::env::current_exe().unwrap();
-    let mut command = Command::new(exe);
-    command
-        .args(["repl_server_child", "--exact", "--nocapture"])
-        .env("MINE_REPL_CHILD_DIR", dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(addr) = primary_repl_addr {
-        command.env("MINE_REPL_CHILD_PRIMARY", addr);
-    }
-    // A restarted node must publish fresh addresses, not be read
-    // through the previous incarnation's file.
-    let addr_path = dir.join("addr.txt");
-    let _ = std::fs::remove_file(&addr_path);
-    let child = command.spawn().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !addr_path.exists() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let published = std::fs::read_to_string(&addr_path).expect("child never came up");
-    let (http, repl) = published.split_once('\n').expect("two addresses");
-    ChildNode {
-        child,
-        http: http.to_string(),
-        repl: repl.to_string(),
-    }
-}
-
-/// Polls until `check` passes or the deadline expires, returning the
-/// last healthz body either way.
-fn wait_for(addr: &str, what: &str, check: impl Fn(&Value) -> bool) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let health = healthz(addr);
-        if check(&health) {
-            return health;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last healthz: {health:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
+use support::{
+    answer_json, correct_answer_json, healthz, healthz_u64, repository, run_full_sitting,
+    spawn_node, start_sitting, temp_dir, wait_for, REPLICATED,
+};
 
 #[test]
 fn kill_nine_primary_promote_follower_loses_no_acked_event() {
-    let primary_dir = temp_dir("primary");
-    let follower_dir = temp_dir("follower");
-    let mut primary = spawn_node(&primary_dir, None);
-    let mut follower = spawn_node(&follower_dir, Some(&primary.repl));
+    let primary_dir = temp_dir("repl-primary");
+    let follower_dir = temp_dir("repl-follower");
+    let mut primary = spawn_node(&primary_dir, &[REPLICATED]);
+    let mut follower = spawn_node(
+        &follower_dir,
+        &[REPLICATED, ("MINE_NODE_REPLICA_OF", primary.repl.as_str())],
+    );
 
     // The follower must bootstrap and report itself as a follower.
     wait_for(&follower.http, "follower role", |health| {
@@ -362,8 +152,7 @@ fn kill_nine_primary_promote_follower_loses_no_acked_event() {
         Some(primary.http.as_str())
     );
 
-    primary.child.kill().unwrap(); // SIGKILL: no flushes, no goodbyes
-    primary.child.wait().unwrap();
+    primary.kill();
 
     // Supervised failover: promote the follower.
     let promoted = follower_client.post("/admin/promote", "").expect("promote");
@@ -468,7 +257,10 @@ fn kill_nine_primary_promote_follower_loses_no_acked_event() {
     // directory as a replica of the new leader. It must adopt the
     // higher epoch (demote), resync, and redirect writes to the new
     // leader — its stale epoch never wins anything.
-    let mut deposed = spawn_node(&primary_dir, Some(&follower.repl));
+    let mut deposed = spawn_node(
+        &primary_dir,
+        &[REPLICATED, ("MINE_NODE_REPLICA_OF", follower.repl.as_str())],
+    );
     wait_for(&deposed.http, "deposed primary to demote", |health| {
         health.get("role").and_then(Value::as_str) == Some("follower")
             && healthz_u64(health, "epoch") == new_epoch
@@ -499,10 +291,8 @@ fn kill_nine_primary_promote_follower_loses_no_acked_event() {
         Some(follower.http.as_str())
     );
 
-    deposed.child.kill().unwrap();
-    deposed.child.wait().unwrap();
-    follower.child.kill().unwrap();
-    follower.child.wait().unwrap();
+    deposed.kill();
+    follower.kill();
     std::fs::remove_dir_all(&primary_dir).unwrap();
     std::fs::remove_dir_all(&follower_dir).unwrap();
 }
@@ -533,8 +323,8 @@ fn handle_ok(router: &Router, method: &str, path: &str, body: &str) -> Value {
 /// and a re-bootstrap must never expose an emptied state.
 #[test]
 fn healthz_head_never_runs_ahead_of_a_bootstrap_restore() {
-    let primary_dir = temp_dir("boot-primary");
-    let follower_dir = temp_dir("boot-follower");
+    let primary_dir = temp_dir("repl-boot-primary");
+    let follower_dir = temp_dir("repl-boot-follower");
     let (primary, _) = in_process_node(&primary_dir, Role::Primary);
     // A large image makes each restore take a while.
     for index in 0..300 {
@@ -629,8 +419,8 @@ fn healthz_head_never_runs_ahead_of_a_bootstrap_restore() {
 /// active.
 #[test]
 fn drain_pauses_reach_the_follower() {
-    let primary_dir = temp_dir("drain-primary");
-    let follower_dir = temp_dir("drain-follower");
+    let primary_dir = temp_dir("repl-drain-primary");
+    let follower_dir = temp_dir("repl-drain-follower");
     let (primary, _) = in_process_node(&primary_dir, Role::Primary);
     let listener = ReplListener::start("127.0.0.1:0", primary.clone()).expect("bind repl");
     let (follower, follower_repl) = in_process_node(&follower_dir, Role::Follower);

@@ -10,297 +10,49 @@
 //! must come back clean, and the same seed must reproduce the same
 //! canonical fault schedule.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+mod support;
+
 use std::time::{Duration, Instant};
 
 use serde::{Number, Value};
 
-use mine_itembank::{Calibration, ChoiceOption, Exam, Problem, Repository};
-use mine_server::{
-    audit_dirs, open_journaled_state, AckMode, FailoverConfig, HttpClient, ReplListener, ReplState,
-    Role, Router, ServeOptions, Server,
+use mine_server::{audit_dirs, HttpClient};
+use mine_store::FaultPlan;
+use support::{
+    answer_json, healthz, healthz_u64, repository, reserve_addr, role_of, run_full_sitting,
+    spawn_node, start_sitting, temp_dir, wait_for, REPLICATED,
 };
-use mine_store::{FaultPlan, StoreOptions, SyncPolicy};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mine-selfheal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The same exam everywhere: replication replays events against the
-/// repository, so every node and the parent must agree.
-fn repository() -> Repository {
-    let repo = Repository::new();
-    repo.insert_problem(
-        Problem::multiple_choice(
-            "q1",
-            "Pick C.",
-            [
-                ChoiceOption::new(mine_core::OptionKey::A, "alpha"),
-                ChoiceOption::new(mine_core::OptionKey::B, "beta"),
-                ChoiceOption::new(mine_core::OptionKey::C, "gamma"),
-                ChoiceOption::new(mine_core::OptionKey::D, "delta"),
-            ],
-            mine_core::OptionKey::C,
-        )
-        .unwrap()
-        .with_calibration(Calibration::new(1.1, -0.4, 0.2)),
-    )
-    .unwrap();
-    repo.insert_problem(
-        Problem::true_false("q2", "Is the sky blue?", true)
-            .unwrap()
-            .with_calibration(Calibration::new(0.9, 0.6, 0.25)),
-    )
-    .unwrap();
-    repo.insert_exam(
-        Exam::builder("final")
-            .unwrap()
-            .entry("q1".parse().unwrap())
-            .entry("q2".parse().unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    repo
-}
-
-fn answer_json(problem: &str, index: usize) -> String {
-    match problem {
-        "q1" => format!(
-            "{{\"Choice\":\"{}\"}}",
-            char::from(b'A' + (index % 4) as u8)
-        ),
-        "q2" => format!("{{\"TrueFalse\":{}}}", index.is_multiple_of(3)),
-        other => panic!("unexpected problem {other}"),
-    }
-}
-
-fn start_sitting(client: &mut HttpClient, index: usize) -> (String, Vec<String>) {
-    let started = client
-        .post(
-            "/sessions",
-            &format!("{{\"exam\":\"final\",\"student\":\"h{index:02}\",\"seed\":{index}}}"),
-        )
-        .expect("start");
-    assert_eq!(started.status, 201, "{}", started.body);
-    let started: Value = started.json().expect("start body");
-    let session = started
-        .get("session")
-        .and_then(Value::as_str)
-        .expect("session id")
-        .to_string();
-    let order = started
-        .get("problems")
-        .and_then(Value::as_array)
-        .expect("problems")
-        .iter()
-        .map(|p| p.get("id").and_then(Value::as_str).unwrap().to_string())
-        .collect();
-    (session, order)
-}
-
-fn run_full_sitting(addr: &str, index: usize) {
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let (session, order) = start_sitting(&mut client, index);
-    for problem in &order {
-        let body = format!(
-            "{{\"answer\":{},\"time_spent_secs\":{}}}",
-            answer_json(problem, index),
-            10 + index % 7
-        );
-        let answered = client
-            .post(&format!("/sessions/{session}/answers"), &body)
-            .expect("answer");
-        assert_eq!(answered.status, 200, "{}", answered.body);
-    }
-    let finished = client
-        .post(&format!("/sessions/{session}/finish"), "")
-        .expect("finish");
-    assert_eq!(finished.status, 200, "{}", finished.body);
-}
-
-fn healthz(addr: &str) -> Value {
-    let mut client = HttpClient::connect(addr).expect("connect healthz");
-    let response = client.get("/healthz").expect("healthz");
-    response.json().expect("healthz json")
-}
-
-fn healthz_u64(value: &Value, field: &str) -> u64 {
-    match value.get(field) {
-        Some(Value::Number(Number::PosInt(n))) => *n,
-        other => panic!("healthz field {field} missing or not a number: {other:?}"),
-    }
-}
-
-fn role_of(addr: &str) -> Option<String> {
-    let health = healthz(addr);
-    health
-        .get("role")
-        .and_then(Value::as_str)
-        .map(str::to_string)
-}
-
-/// Re-exec helper: with `MINE_SELFHEAL_DIR` set this "test" becomes a
-/// replicating server wired exactly as `mine serve` wires one —
-/// `MINE_FAULT_PLAN` arms the seeded chaos schedule on both the store
-/// and the replication transport, `MINE_SELFHEAL_PRIMARY` makes it a
-/// follower, and `MINE_SELFHEAL_FAILOVER_MS` + `MINE_SELFHEAL_PEERS`
-/// arm the unsupervised failure detector. It publishes
-/// `"<http addr>\n<repl addr>"` at `<dir>/addr.txt` atomically via
-/// rename and runs until SIGKILLed.
-#[test]
-fn selfheal_child() {
-    let Some(dir) = std::env::var_os("MINE_SELFHEAL_DIR") else {
-        return;
-    };
-    let dir = PathBuf::from(dir);
-    let primary = std::env::var("MINE_SELFHEAL_PRIMARY").ok();
-    let http_addr =
-        std::env::var("MINE_SELFHEAL_HTTP").unwrap_or_else(|_| "127.0.0.1:0".to_string());
-    let fault_plan = FaultPlan::from_env()
-        .expect("MINE_FAULT_PLAN")
-        .map(Arc::new);
-    let options = StoreOptions {
-        // `Never` maximizes the unflushed window: the kill must still
-        // lose no acked event because a follower holds a copy.
-        sync: SyncPolicy::Never,
-        fault_plan: fault_plan.clone(),
-        ..StoreOptions::default()
-    };
-    let (mut state, _) = open_journaled_state(repository(), &dir, options, 8).expect("open");
-    let role = if primary.is_some() {
-        Role::Follower
-    } else {
-        Role::Primary
-    };
-    let repl = Arc::new(ReplState::new(role, AckMode::Leader));
-    state.repl = Some(Arc::clone(&repl));
-    let router = Router::with_state(state);
-    let serve_options = ServeOptions {
-        addr: http_addr,
-        ..ServeOptions::default()
-    };
-    let server = Server::start(router.clone(), &serve_options).expect("bind http");
-    repl.set_advertise(server.local_addr().to_string());
-    if let Some(plan) = &fault_plan {
-        repl.set_fault_plan(Arc::clone(plan));
-    }
-    if let Ok(ms) = std::env::var("MINE_SELFHEAL_FAILOVER_MS") {
-        let timeout = Duration::from_millis(ms.parse().expect("failover ms"));
-        let peers: Vec<String> = std::env::var("MINE_SELFHEAL_PEERS")
-            .unwrap_or_default()
-            .split(',')
-            .map(str::trim)
-            .filter(|peer| !peer.is_empty())
-            .map(str::to_string)
-            .collect();
-        repl.set_auto_failover(FailoverConfig { timeout, peers });
-    }
-    let listener = ReplListener::start("127.0.0.1:0", router.clone()).expect("bind repl");
-    let _puller = primary.map(|addr| mine_server::start_follower(addr, router.clone()));
-    let tmp = dir.join(".addr.tmp");
-    std::fs::write(
-        &tmp,
-        format!("{}\n{}", server.local_addr(), listener.local_addr()),
-    )
-    .expect("write addr");
-    std::fs::rename(&tmp, dir.join("addr.txt")).expect("publish addr");
-    server.join();
-}
-
-struct ChildNode {
-    child: Child,
-    http: String,
-}
-
-fn spawn_node(dir: &PathBuf, envs: &[(&str, &str)]) -> (ChildNode, String) {
-    let exe = std::env::current_exe().unwrap();
-    let mut command = Command::new(exe);
-    command
-        .args(["selfheal_child", "--exact", "--nocapture"])
-        .env("MINE_SELFHEAL_DIR", dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (key, value) in envs {
-        command.env(key, value);
-    }
-    let addr_path = dir.join("addr.txt");
-    let _ = std::fs::remove_file(&addr_path);
-    let child = command.spawn().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !addr_path.exists() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let published = std::fs::read_to_string(&addr_path).expect("child never came up");
-    let (http, repl) = published.split_once('\n').expect("two addresses");
-    (
-        ChildNode {
-            child,
-            http: http.to_string(),
-        },
-        repl.to_string(),
-    )
-}
-
-/// Reserves a loopback port by binding and immediately releasing it, so
-/// follower peers can know each other's HTTP addresses before launch.
-fn reserve_addr() -> String {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    drop(listener);
-    addr
-}
-
-/// Polls until `check` passes or the deadline expires, returning the
-/// last healthz body either way.
-fn wait_for(addr: &str, what: &str, check: impl Fn(&Value) -> bool) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let health = healthz(addr);
-        if check(&health) {
-            return health;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last healthz: {health:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
 
 #[test]
 fn seeded_chaos_kill_nine_auto_failover_audits_clean() {
-    let a_dir = temp_dir("a");
-    let b_dir = temp_dir("b");
-    let c_dir = temp_dir("c");
+    let a_dir = temp_dir("selfheal-a");
+    let b_dir = temp_dir("selfheal-b");
+    let c_dir = temp_dir("selfheal-c");
 
     // The primary ships every replication frame through a seeded fault
     // schedule: drops, duplicates, delays, and partition windows, all
     // derived from seed 42. Followers must absorb all of it.
-    let (mut node_a, a_repl) = spawn_node(&a_dir, &[("MINE_FAULT_PLAN", "seed=42")]);
+    let mut node_a = spawn_node(&a_dir, &[REPLICATED, ("MINE_FAULT_PLAN", "seed=42")]);
     let b_http = reserve_addr();
     let c_http = reserve_addr();
-    let (mut node_b, _) = spawn_node(
+    let mut node_b = spawn_node(
         &b_dir,
         &[
-            ("MINE_SELFHEAL_PRIMARY", a_repl.as_str()),
-            ("MINE_SELFHEAL_HTTP", b_http.as_str()),
-            ("MINE_SELFHEAL_FAILOVER_MS", "1500"),
-            ("MINE_SELFHEAL_PEERS", c_http.as_str()),
+            REPLICATED,
+            ("MINE_NODE_REPLICA_OF", node_a.repl.as_str()),
+            ("MINE_NODE_HTTP", b_http.as_str()),
+            ("MINE_NODE_FAILOVER_MS", "1500"),
+            ("MINE_NODE_PEERS", c_http.as_str()),
         ],
     );
-    let (mut node_c, _) = spawn_node(
+    let mut node_c = spawn_node(
         &c_dir,
         &[
-            ("MINE_SELFHEAL_PRIMARY", a_repl.as_str()),
-            ("MINE_SELFHEAL_HTTP", c_http.as_str()),
-            ("MINE_SELFHEAL_FAILOVER_MS", "1500"),
-            ("MINE_SELFHEAL_PEERS", b_http.as_str()),
+            REPLICATED,
+            ("MINE_NODE_REPLICA_OF", node_a.repl.as_str()),
+            ("MINE_NODE_HTTP", c_http.as_str()),
+            ("MINE_NODE_FAILOVER_MS", "1500"),
+            ("MINE_NODE_PEERS", b_http.as_str()),
         ],
     );
     assert_eq!(node_b.http, b_http, "follower must bind its reserved port");
@@ -345,8 +97,7 @@ fn seeded_chaos_kill_nine_auto_failover_audits_clean() {
         healthz_u64(health, "last_applied_seq") >= head
     });
 
-    node_a.child.kill().unwrap(); // SIGKILL: no flushes, no goodbyes
-    node_a.child.wait().unwrap();
+    node_a.kill();
 
     // Unsupervised failover: exactly one follower must promote itself.
     // The succession is deterministic — both are caught up, so the
@@ -445,10 +196,8 @@ fn seeded_chaos_kill_nine_auto_failover_audits_clean() {
         metrics.body
     );
 
-    node_b.child.kill().unwrap();
-    node_b.child.wait().unwrap();
-    node_c.child.kill().unwrap();
-    node_c.child.wait().unwrap();
+    node_b.kill();
+    node_c.kill();
 
     // The auditor must find the three journals internally sound, every
     // overlapping acked prefix byte-identical, and the replayed state

@@ -13,28 +13,7 @@ CLIENTS="${SMOKE_CLIENTS:-6}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
 DATA="$WORKDIR/journal"
-SERVER_PID=""
-
-cleanup() {
-  if [[ -n "$SERVER_PID" ]]; then
-    kill "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_adaptive: $1" >&2; exit 1; }
-
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $ADDR never came up"
-}
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -54,7 +33,7 @@ echo "==> serve on $ADDR with journal at $DATA"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 \
   --data-dir "$DATA" --fsync never --snapshot-every 16 &
 SERVER_PID=$!
-wait_up
+wait_up "$ADDR"
 
 echo "==> loadgen: $CLIENTS adaptive clients (simulated IRT respondents)"
 "$MINE" loadgen "$ADDR" quiz --clients "$CLIENTS" --seed 11 --mode adaptive --db "$DB"
@@ -82,7 +61,6 @@ grep -q '"analyses"' "$WORKDIR/before.json" || fail "no analysis before the cras
 echo "==> kill -9 the server"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
 
 echo "==> offline inspection: mine recover"
 "$MINE" recover "$DATA"
@@ -90,7 +68,7 @@ echo "==> offline inspection: mine recover"
 echo "==> restart from the journal"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 --data-dir "$DATA" &
 SERVER_PID=$!
-wait_up
+wait_up "$ADDR"
 
 echo "==> the CAT sitting resumed byte-identically (θ̂, SE, next item)"
 curl -sf "http://$ADDR/sessions/$SESSION" > "$WORKDIR/status_after.json"

@@ -13,15 +13,7 @@ WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
 DATA="$WORKDIR/journal"
 LOG="$WORKDIR/server.log"
-SERVER_PID=""
-
-cleanup() {
-  [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_chaos: $1" >&2; exit 1; }
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -33,22 +25,12 @@ echo "==> author a bank at $DB"
 "$MINE" add-choice "$DB" c1 smoke C B "Pick the second option" alpha beta gamma delta
 "$MINE" add-exam "$DB" quiz "Smoke quiz" t1 c1
 
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $ADDR never came up"
-}
-
 serve() {
   "$MINE" serve "$DB" --addr "$ADDR" --threads 2 \
     --data-dir "$DATA" --fsync never --snapshot-every 32 \
     --queue-depth 8 --drain-deadline 5 >>"$LOG" 2>&1 &
   SERVER_PID=$!
-  wait_up
+  wait_up "$ADDR"
 }
 
 echo "==> serve on $ADDR (threads 2, queue depth 8, journal at $DATA)"
@@ -67,12 +49,7 @@ echo "==> storm past capacity, SIGTERM mid-storm"
 STORM_PID=$!
 sleep 0.5
 kill -TERM "$SERVER_PID"
-if wait "$SERVER_PID"; then
-  SERVER_PID=""
-else
-  SERVER_PID=""
-  fail "server did not exit 0 after SIGTERM"
-fi
+wait "$SERVER_PID" || fail "server did not exit 0 after SIGTERM"
 grep -q "drained:" "$LOG" || fail "server never printed a drain report"
 grep "drained:" "$LOG" | tail -1
 grep -q "snapshot=true" "$LOG" || fail "drain did not write the final snapshot"
@@ -93,7 +70,6 @@ grep -q '"analyses"' "$WORKDIR/after-drain.json" \
 echo "==> second graceful cycle must be byte-identical"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "idle server did not exit 0 after SIGTERM"
-SERVER_PID=""
 serve
 curl -sf "http://$ADDR/exams/quiz/analysis" > "$WORKDIR/after-restart.json"
 cmp "$WORKDIR/after-drain.json" "$WORKDIR/after-restart.json" \

@@ -15,36 +15,7 @@ FOLLOWER_REPL="${SMOKE_FOLLOWER_REPL:-127.0.0.1:7444}"
 CLIENTS="${SMOKE_CLIENTS:-8}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
-PRIMARY_PID=""
-FOLLOWER_PID=""
-
-cleanup() {
-  # Kill, then wait for the drains to finish before removing the
-  # workdir — otherwise a back-to-back run finds the ports still bound
-  # and the final snapshot has nowhere to land.
-  [[ -n "$PRIMARY_PID" ]] && kill "$PRIMARY_PID" 2>/dev/null || true
-  [[ -n "$FOLLOWER_PID" ]] && kill "$FOLLOWER_PID" 2>/dev/null || true
-  [[ -n "$PRIMARY_PID" ]] && wait "$PRIMARY_PID" 2>/dev/null || true
-  [[ -n "$FOLLOWER_PID" ]] && wait "$FOLLOWER_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_failover: $1" >&2; exit 1; }
-
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $1 never came up"
-}
-
-healthz_field() {
-  curl -sf "http://$1/healthz" | sed -E "s/.*\"$2\":\"?([^\",}]+)\"?.*/\1/"
-}
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -107,7 +78,6 @@ CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 echo "==> kill -9 the primary"
 kill -9 "$PRIMARY_PID"
 wait "$PRIMARY_PID" 2>/dev/null || true
-PRIMARY_PID=""
 
 echo "==> mine promote $FOLLOWER_ADDR"
 "$MINE" promote "$FOLLOWER_ADDR"
@@ -132,7 +102,6 @@ CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 echo "==> quiesce the survivor and audit both journals"
 kill "$FOLLOWER_PID"
 wait "$FOLLOWER_PID" 2>/dev/null || true
-FOLLOWER_PID=""
 "$MINE" audit "$WORKDIR/primary" "$WORKDIR/follower" --db "$DB" \
   || fail "cross-node audit found violations"
 

@@ -13,15 +13,7 @@ CLIENTS="${SMOKE_CLIENTS:-8}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
 DATA="$WORKDIR/journal"
-SERVER_PID=""
-
-cleanup() {
-  [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_recover: $1" >&2; exit 1; }
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -33,21 +25,11 @@ echo "==> author a bank at $DB"
 "$MINE" add-choice "$DB" c1 smoke C B "Pick the second option" alpha beta gamma delta
 "$MINE" add-exam "$DB" quiz "Smoke quiz" t1 c1
 
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $ADDR never came up"
-}
-
 echo "==> serve on $ADDR with journal at $DATA"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 \
   --data-dir "$DATA" --fsync never --snapshot-every 16 &
 SERVER_PID=$!
-wait_up
+wait_up "$ADDR"
 
 echo "==> loadgen: $CLIENTS clients"
 "$MINE" loadgen "$ADDR" quiz --clients "$CLIENTS" --seed 11
@@ -71,7 +53,6 @@ grep -q '"analyses"' "$WORKDIR/before.json" || fail "no analysis before the cras
 echo "==> kill -9 the server"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
 
 echo "==> offline inspection: mine recover"
 "$MINE" recover "$DATA"
@@ -79,7 +60,7 @@ echo "==> offline inspection: mine recover"
 echo "==> restart from the journal"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 --data-dir "$DATA" &
 SERVER_PID=$!
-wait_up
+wait_up "$ADDR"
 
 curl -sf "http://$ADDR/exams/quiz/analysis" > "$WORKDIR/after.json"
 cmp "$WORKDIR/before.json" "$WORKDIR/after.json" \
@@ -88,7 +69,6 @@ cmp "$WORKDIR/before.json" "$WORKDIR/after.json" \
 echo "==> quiesce and audit the journal"
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
 "$MINE" audit "$DATA" --db "$DB" || fail "journal audit found violations"
 
 echo "smoke_recover: OK (base + deltas + tail recovered byte-identical across kill -9, audit clean)"

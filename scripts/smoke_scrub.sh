@@ -15,30 +15,7 @@ ADDR="${SMOKE_SCRUB_ADDR:-127.0.0.1:7461}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
 DATA="$WORKDIR/node"
-SERVE_PID=""
-
-cleanup() {
-  [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null || true
-  [[ -n "$SERVE_PID" ]] && wait "$SERVE_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_scrub: $1" >&2; exit 1; }
-
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $1 never came up"
-}
-
-healthz_field() {
-  curl -sf "http://$1/healthz" | sed -E "s/.*\"$2\":\"?([^\",}]+)\"?.*/\1/"
-}
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -115,7 +92,6 @@ curl -sf "http://$ADDR/admin/ranges" | grep -q '"ranges"' \
 echo "==> kill -9, then the offline verdicts on the surviving journal"
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
 "$MINE" scrub "$DATA" || fail "offline scrub found corruption in a clean journal"
 "$MINE" scrub "$DATA" --json | grep -q '"clean":true' \
   || fail "scrub --json disagrees with the clean verdict"

@@ -19,36 +19,7 @@ C_REPL="${SMOKE_C_REPL:-127.0.0.1:7456}"
 CLIENTS="${SMOKE_CLIENTS:-8}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
-A_PID=""
-B_PID=""
-C_PID=""
-
-cleanup() {
-  for pid in "$A_PID" "$B_PID" "$C_PID"; do
-    [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
-  done
-  for pid in "$A_PID" "$B_PID" "$C_PID"; do
-    [[ -n "$pid" ]] && wait "$pid" 2>/dev/null || true
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() { echo "smoke_selfheal: $1" >&2; exit 1; }
-
-wait_up() {
-  for _ in $(seq 1 50); do
-    if curl -sf "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  fail "server at $1 never came up"
-}
-
-healthz_field() {
-  curl -sf "http://$1/healthz" | sed -E "s/.*\"$2\":\"?([^\",}]+)\"?.*/\1/"
-}
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -104,7 +75,6 @@ done
 echo "==> kill -9 the primary; nobody promotes anybody"
 kill -9 "$A_PID"
 wait "$A_PID" 2>/dev/null || true
-A_PID=""
 
 echo "==> wait for exactly one follower to promote itself"
 WINNER=""
@@ -154,8 +124,6 @@ echo "==> quiesce the survivors and audit all three journals"
 kill "$B_PID" "$C_PID"
 wait "$B_PID" 2>/dev/null || true
 wait "$C_PID" 2>/dev/null || true
-B_PID=""
-C_PID=""
 "$MINE" audit "$WORKDIR/a" "$WORKDIR/b" "$WORKDIR/c" --db "$DB" \
   || fail "journal audit found violations after the chaos run"
 

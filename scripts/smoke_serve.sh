@@ -9,13 +9,7 @@ ADDR="${SMOKE_ADDR:-127.0.0.1:7431}"
 CLIENTS="${SMOKE_CLIENTS:-16}"
 WORKDIR="$(mktemp -d)"
 DB="$WORKDIR/smoke.json"
-SERVER_PID=""
-
-cleanup() {
-  [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
+source scripts/lib.sh
 
 echo "==> build"
 cargo build --offline -q --bin mine
@@ -29,7 +23,6 @@ echo "==> author a bank at $DB"
 
 echo "==> serve on $ADDR"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 &
-SERVER_PID=$!
 
 # Wait for the listener (up to ~5s).
 for _ in $(seq 1 50); do
@@ -51,9 +44,7 @@ echo "$METRICS"
 # grep's early exit against curl's last write (EPIPE, exit 23).
 PROM="$(curl -sf "http://$ADDR/metrics")"
 echo "$PROM" | grep -q '# TYPE mine_requests_total counter' \
-  || { echo "smoke_serve: /metrics is not Prometheus text format" >&2; exit 1; }
-
-fail() { echo "smoke_serve: $1" >&2; exit 1; }
+  || fail "/metrics is not Prometheus text format"
 
 # The probe client plus the real run must all have finished cleanly.
 WANT=$((CLIENTS + 1))

@@ -70,9 +70,8 @@ use mine_assessment::itembank::{
 };
 use mine_assessment::scorm::ContentPackage;
 use mine_assessment::server::{
-    audit_dirs, decode_events, open_journaled_state, run_loadgen, start_follower,
-    write_range_hashes, AckMode, AnswerKey, FailoverConfig, HttpClient, LoadGenOptions, LoadMode,
-    RateLimit, ReplListener, ReplState, Role, Router, Scrubber, ServeOptions, Server,
+    audit_dirs, decode_events, run_loadgen, write_range_hashes, AckMode, AnswerKey, FailoverConfig,
+    HttpClient, LoadGenOptions, LoadMode, Node, NodeOptions, RateLimit, ServeOptions,
     DEFAULT_FAILOVER_TIMEOUT, DEFAULT_SCRUB_INTERVAL,
 };
 use mine_assessment::simulator::{CohortSpec, Simulation};
@@ -623,122 +622,90 @@ fn serve(args: &[String]) -> CliResult {
     if let Some(plan) = &fault_plan {
         eprintln!("fault injection armed from MINE_FAULT_PLAN: {plan}");
     }
-    let journaled = data_dir.is_some();
-    let router = match data_dir {
-        None => Router::new(repository),
-        Some(dir) => {
-            let store_options = StoreOptions {
-                sync: fsync
-                    .as_deref()
-                    .map(SyncPolicy::parse)
-                    .transpose()?
-                    .unwrap_or(SyncPolicy::Interval(std::time::Duration::from_millis(100))),
-                fault_plan: fault_plan.clone(),
-                ..StoreOptions::default()
-            };
-            let snapshot_every = snapshot_every
-                .map(|n| {
-                    n.parse::<u64>()
-                        .map_err(|_| "--snapshot-every needs a number")
-                })
-                .transpose()?
-                .unwrap_or(512);
-            let (mut state, report) =
-                open_journaled_state(repository, &dir, store_options, snapshot_every)?;
-            for warning in &report.warnings {
-                eprintln!("journal: warning: {warning}");
-            }
-            for note in &report.notes {
-                eprintln!("journal: note: {note}");
-            }
-            println!(
-                "journal at {dir}: {} session(s) + {} record(s) from snapshot and {} delta(s), \
-                 {} event(s) replayed",
-                report.snapshot_sessions,
-                report.snapshot_records,
-                report.snapshot_deltas,
-                report.events_replayed
-            );
-            if repl_addr.is_some() || replica_of.is_some() {
-                let role = if replica_of.is_some() {
-                    Role::Follower
-                } else {
-                    Role::Primary
-                };
-                state.repl = Some(std::sync::Arc::new(ReplState::new(role, ack_mode)));
-            }
-            Router::with_state(state)
-        }
+    let store = StoreOptions {
+        sync: fsync
+            .as_deref()
+            .map(SyncPolicy::parse)
+            .transpose()?
+            .unwrap_or(SyncPolicy::Interval(std::time::Duration::from_millis(100))),
+        fault_plan,
+        ..StoreOptions::default()
     };
-    let server = Server::start(router.clone(), &options)
-        .map_err(|err| format!("binding {}: {err}", options.addr))?;
+    let snapshot_every = snapshot_every
+        .map(|n| {
+            n.parse::<u64>()
+                .map_err(|_| "--snapshot-every needs a number")
+        })
+        .transpose()?
+        .unwrap_or(512);
+    let failover = failover_timeout.map(|timeout| FailoverConfig {
+        timeout,
+        peers: peer_list,
+    });
+    // Before the node starts accepting: a SIGTERM from here on drains
+    // instead of killing an accepting server.
     signals::install();
+    let (node, report) = Node::start(
+        repository,
+        NodeOptions {
+            serve: options,
+            data_dir: data_dir.as_ref().map(std::path::PathBuf::from),
+            store,
+            snapshot_every,
+            repl_addr,
+            replica_of: replica_of.clone(),
+            ack_mode,
+            failover: failover.clone(),
+            scrub_interval,
+        },
+    )?;
+    if let Some(dir) = &data_dir {
+        for warning in &report.warnings {
+            eprintln!("journal: warning: {warning}");
+        }
+        for note in &report.notes {
+            eprintln!("journal: note: {note}");
+        }
+        println!(
+            "journal at {dir}: {} session(s) + {} record(s) from snapshot and {} delta(s), \
+             {} event(s) replayed",
+            report.snapshot_sessions,
+            report.snapshot_records,
+            report.snapshot_deltas,
+            report.events_replayed
+        );
+    }
     println!(
         "listening on http://{} (SIGTERM/ctrl-c drains, deadline {}s)",
-        server.local_addr(),
+        node.local_addr(),
         drain_deadline.as_secs()
     );
-    let mut repl_listener = None;
-    let mut puller = None;
-    if router.state().repl.is_some() {
-        let repl = router.state().repl.as_ref().expect("just checked");
-        // What follower redirects will name as the leader.
-        repl.set_advertise(server.local_addr().to_string());
-        if let Some(plan) = &fault_plan {
-            repl.set_fault_plan(std::sync::Arc::clone(plan));
-        }
-        if let Some(timeout) = failover_timeout {
-            repl.set_auto_failover(FailoverConfig {
-                timeout,
-                peers: peer_list.clone(),
-            });
-            println!(
-                "auto-failover armed: leader-silence timeout {}ms (+ up to 25% jitter), {} peer(s)",
-                timeout.as_millis(),
-                peer_list.len()
-            );
-        }
-        if let Some(bind) = &repl_addr {
-            let listener = ReplListener::start(bind, router.clone())
-                .map_err(|err| format!("binding replication listener {bind}: {err}"))?;
-            println!("replication listener on {}", listener.local_addr());
-            repl_listener = Some(listener);
-        }
-        if let Some(primary) = replica_of {
-            println!("replica of {primary} (writes answered 421 naming the leader)");
-            puller = Some(start_follower(primary, router.clone()));
-        }
+    if let Some(config) = &failover {
+        println!(
+            "auto-failover armed: leader-silence timeout {}ms (+ up to 25% jitter), {} peer(s)",
+            config.timeout.as_millis(),
+            config.peers.len()
+        );
     }
-    let scrubber = (journaled && !scrub_interval.is_zero()).then(|| {
+    if let Some(addr) = node.repl_addr() {
+        println!("replication listener on {addr}");
+    }
+    if let Some(primary) = &replica_of {
+        println!("replica of {primary} (writes answered 421 naming the leader)");
+    }
+    if data_dir.is_some() && !scrub_interval.is_zero() {
         println!(
             "anti-entropy scrubber armed: pass every {}ms",
             scrub_interval.as_millis()
         );
-        Scrubber::start(router.clone(), scrub_interval)
-    });
+    }
     // Poll the signal flag; everything non-trivial happens here, not in
     // handler context.
     while !signals::REQUESTED.load(std::sync::atomic::Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     eprintln!("signal received: draining");
-    // Stop the scrubber first: a repair snapshot mid-drain would race
-    // the drain's own final snapshot.
-    if let Some(scrubber) = scrubber {
-        scrubber.shutdown();
-    }
-    // Wind replication down before the drain writes its final events:
-    // the puller stops applying, the listener stops accepting.
-    if let Some(repl) = router.state().repl.as_ref() {
-        repl.stop_puller();
-    }
-    if let Some(puller) = puller {
-        puller.join();
-    }
-    if let Some(listener) = repl_listener {
-        listener.shutdown();
-    }
-    let report = server.drain(drain_deadline);
+    let report = node.drain(drain_deadline);
     println!(
         "drained: cleanly={} paused={} already-paused={} snapshot={}",
         report.drained_cleanly,
