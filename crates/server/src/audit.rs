@@ -5,8 +5,8 @@
 //! scripts need answered mechanically: *is the surviving history
 //! actually coherent?* It checks three invariant families:
 //!
-//! 1. **Per-node integrity.** Each directory must open as a valid
-//!    [`EventStore`]: CRC-clean frames, contiguous sequence numbers
+//! 1. **Per-node integrity.** Each directory must read as a valid store
+//!    ([`read_store`]): CRC-clean frames, contiguous sequence numbers
 //!    after the newest snapshot, a parseable durable epoch ≥
 //!    [`mine_store::INITIAL_EPOCH`], and every record payload decoding
 //!    as a [`SessionEvent`]. A torn *final* record is a repair, not a
@@ -21,29 +21,26 @@
 //!    two divergent versions.
 //!
 //! 3. **Replay equality.** Given the item database, each node's state
-//!    is rebuilt through [`open_journaled_state`] — the same code path
-//!    crash recovery and replica bootstrap use — and captured as a
-//!    canonical [`ServerImage`]. Nodes at the same head sequence must
-//!    produce byte-identical images; a single node is replayed twice to
-//!    prove replay itself is deterministic.
+//!    is rebuilt in memory, as crash recovery rebuilds it, and captured
+//!    as a canonical [`ServerImage`]. Nodes at the same head sequence
+//!    must produce byte-identical images; a single node is replayed
+//!    twice to prove replay itself is deterministic.
 //!
-//! The audit never mutates the directories it is pointed at: each one
-//! is copied to a scratch directory first, because opening a store
-//! repairs (truncates) torn tails in place.
+//! The audit only reads the directories it is pointed at.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use mine_itembank::Repository;
-use mine_store::{EventStore, StoreOptions, INITIAL_EPOCH};
+use mine_store::{read_store, Recovered, INITIAL_EPOCH};
 use serde::{JsonWriter, Serialize};
 
-use crate::journal::{decode_payload, open_journaled_state, ServerImage, SessionEvent};
+use crate::journal::{decode_payload, rebuild_state, ServerImage, SessionEvent};
 
 /// What the audit found in one journal directory.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NodeAudit {
-    /// The directory audited (the original, not the scratch copy).
+    /// The directory audited.
     pub dir: PathBuf,
     /// The node's durable epoch.
     pub epoch: u64,
@@ -54,7 +51,7 @@ pub struct NodeAudit {
     pub head_seq: u64,
     /// Tail records recovered after the snapshot.
     pub events: usize,
-    /// Repairs a recovery would perform (torn tails truncated). These
+    /// Repairs the next open performs (torn tails truncated). These
     /// are expected crash artifacts, not violations.
     pub repairs: Vec<String>,
     /// Invariant violations found on this node alone.
@@ -166,48 +163,15 @@ impl Serialize for NodeAudit {
     }
 }
 
-/// Copies the regular files of a flat journal directory into `scratch`
-/// so the audit can open (and thereby repair) a throwaway copy.
-fn copy_dir(from: &Path, scratch: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(scratch)
-        .map_err(|err| format!("creating scratch {}: {err}", scratch.display()))?;
-    let entries =
-        std::fs::read_dir(from).map_err(|err| format!("reading {}: {err}", from.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|err| format!("reading {}: {err}", from.display()))?;
-        let path = entry.path();
-        if path.is_file() {
-            let to = scratch.join(entry.file_name());
-            std::fs::copy(&path, &to)
-                .map_err(|err| format!("copying {}: {err}", path.display()))?;
-        }
-    }
-    Ok(())
-}
-
-/// The per-record payloads of one node, keyed by sequence number,
-/// gathered for the cross-node comparison.
-struct NodeRecords {
-    snapshot_seq: u64,
-    head_seq: u64,
-    payloads: BTreeMap<u64, Vec<u8>>,
-}
-
-/// Audits one copied directory, returning the findings plus the record
-/// map the cross-node pass needs (`None` when the history would not
-/// even open).
-fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords>) {
+/// Audits one directory, returning the findings plus the history the
+/// later passes need (`None` when it would not even open).
+fn audit_node(dir: &Path) -> (NodeAudit, Option<Recovered>) {
     let mut node = NodeAudit {
-        dir: original.to_path_buf(),
-        epoch: 0,
-        snapshot_seq: 0,
-        head_seq: 0,
-        events: 0,
-        repairs: Vec::new(),
-        violations: Vec::new(),
+        dir: dir.to_path_buf(),
+        ..NodeAudit::default()
     };
-    let (store, recovered) = match EventStore::open(scratch, StoreOptions::default()) {
-        Ok(opened) => opened,
+    let (recovered, epoch) = match read_store(dir) {
+        Ok(read) => read,
         Err(err) => {
             node.violations
                 .push(format!("history failed to open: {err}"));
@@ -215,7 +179,7 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
         }
     };
     node.repairs = recovered.warnings.clone();
-    node.epoch = store.epoch();
+    node.epoch = epoch;
     if node.epoch < INITIAL_EPOCH {
         node.violations.push(format!(
             "epoch {} is below the initial epoch {INITIAL_EPOCH}",
@@ -226,7 +190,7 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
     // base when there is none); every one of them must decode.
     let images: Vec<_> = recovered.snapshot.iter().chain(&recovered.deltas).collect();
     node.snapshot_seq = images.last().map_or(0, |s| s.last_seq);
-    node.head_seq = store.next_seq() - 1;
+    node.head_seq = recovered.head_seq();
     node.events = recovered.events.len();
     for image in images {
         if let Err(err) = decode_payload::<ServerImage>(&image.payload, "payload") {
@@ -234,44 +198,37 @@ fn audit_node(original: &Path, scratch: &Path) -> (NodeAudit, Option<NodeRecords
                 .push(format!("snapshot through {}: {err}", image.last_seq));
         }
     }
-    let mut payloads = BTreeMap::new();
     for record in &recovered.events {
         if let Err(err) = decode_payload::<SessionEvent>(&record.payload, "payload") {
             node.violations
                 .push(format!("record seq {}: {err}", record.seq));
         }
-        payloads.insert(record.seq, record.payload.clone());
     }
-    let records = NodeRecords {
-        snapshot_seq: node.snapshot_seq,
-        head_seq: node.head_seq,
-        payloads,
-    };
-    (node, Some(records))
+    (node, Some(recovered))
 }
 
-/// Checks acked-prefix containment between every node pair: over the
-/// range both nodes hold as tail records, payloads must be
-/// byte-identical. (Per-node contiguity is already enforced by
-/// [`EventStore::open`], so overlap equality makes the shorter log a
-/// literal prefix of the longer.)
-fn cross_check(nodes: &[(usize, &Path, NodeRecords)]) -> Vec<String> {
+/// Checks acked-prefix containment between every node pair: a seq both
+/// hold as tail records must carry byte-identical payloads. (The reader
+/// enforces per-node contiguity, so the shorter log is then a literal
+/// prefix of the longer.)
+fn cross_check(histories: &[(&Path, Recovered)]) -> Vec<String> {
     let mut violations = Vec::new();
-    for (i, (_, dir_a, a)) in nodes.iter().enumerate() {
-        for (_, dir_b, b) in nodes.iter().skip(i + 1) {
-            let lo = (a.snapshot_seq + 1).max(b.snapshot_seq + 1);
-            let hi = a.head_seq.min(b.head_seq);
-            for seq in lo..=hi {
-                match (a.payloads.get(&seq), b.payloads.get(&seq)) {
-                    (Some(pa), Some(pb)) if pa != pb => violations.push(format!(
-                        "seq {seq} diverges between {} and {}",
+    for (i, (dir_a, a)) in histories.iter().enumerate() {
+        for (dir_b, b) in &histories[i + 1..] {
+            // Both tails are contiguous: `b`'s record for a seq is found
+            // by position.
+            let b_first = b.events.first().map_or(0, |record| record.seq);
+            for record in &a.events {
+                let other = usize::try_from(record.seq.wrapping_sub(b_first))
+                    .ok()
+                    .and_then(|index| b.events.get(index));
+                if other.is_some_and(|other| other.payload != record.payload) {
+                    violations.push(format!(
+                        "seq {} diverges between {} and {}",
+                        record.seq,
                         dir_a.display(),
                         dir_b.display()
-                    )),
-                    (Some(_), Some(_)) => {}
-                    // One side holds the seq only inside its snapshot:
-                    // nothing record-wise to compare.
-                    _ => {}
+                    ));
                 }
             }
         }
@@ -279,11 +236,9 @@ fn cross_check(nodes: &[(usize, &Path, NodeRecords)]) -> Vec<String> {
     violations
 }
 
-/// Rebuilds one node's state from its (scratch) journal and captures
-/// the canonical image JSON.
-fn replay_image(repository: Repository, scratch: &Path) -> Result<String, String> {
-    let (state, _report) =
-        open_journaled_state(repository, scratch, StoreOptions::default(), u64::MAX)?;
+/// Rebuilds one node's state in memory and captures its image JSON.
+fn replay_image(repository: Repository, recovered: &Recovered) -> Result<String, String> {
+    let (state, _, _) = rebuild_state(repository, recovered.clone())?;
     let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
     serde_json::to_string(&image).map_err(|err| format!("image failed to serialize: {err}"))
 }
@@ -294,9 +249,9 @@ fn replay_image(repository: Repository, scratch: &Path) -> Result<String, String
 ///
 /// # Errors
 ///
-/// Returns a message only for *audit-infrastructure* failures (scratch
-/// copies, repository loading); invariant breaches are reported inside
-/// the returned [`AuditReport`], never as an `Err`.
+/// Only when no directory is given or the repository fails to load;
+/// invariant breaches, an unreadable directory included, are reported
+/// inside the returned [`AuditReport`].
 pub fn audit_dirs(
     dirs: &[PathBuf],
     repository: Option<&dyn Fn() -> Result<Repository, String>>,
@@ -304,79 +259,54 @@ pub fn audit_dirs(
     if dirs.is_empty() {
         return Err("audit needs at least one directory".to_string());
     }
-    // Unique per call, not just per process: audits may run
-    // concurrently (the server's own tests do).
-    static AUDITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let call = AUDITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let scratch_base =
-        std::env::temp_dir().join(format!("mine-audit-{}-{call}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch_base);
-    let result = audit_dirs_in(dirs, repository, &scratch_base);
-    let _ = std::fs::remove_dir_all(&scratch_base);
-    result
-}
-
-fn audit_dirs_in(
-    dirs: &[PathBuf],
-    repository: Option<&dyn Fn() -> Result<Repository, String>>,
-    scratch_base: &Path,
-) -> Result<AuditReport, String> {
     let mut nodes = Vec::new();
-    let mut records = Vec::new();
-    let mut scratches = Vec::new();
-    for (index, dir) in dirs.iter().enumerate() {
-        let scratch = scratch_base.join(format!("node-{index}"));
-        copy_dir(dir, &scratch)?;
-        let (node, node_records) = audit_node(dir, &scratch);
-        if let Some(node_records) = node_records {
-            records.push((index, dir.as_path(), node_records));
-        }
+    let mut histories = Vec::new();
+    for dir in dirs {
+        let (node, recovered) = audit_node(dir);
+        histories.extend(recovered.map(|recovered| (dir.as_path(), recovered)));
         nodes.push(node);
-        scratches.push(scratch);
     }
-    let cross_violations = cross_check(&records);
+    let cross_violations = cross_check(&histories);
 
     let mut replay_violations = Vec::new();
     if let Some(repository) = repository {
-        // Replay every openable node; nodes at the same head must agree
+        // Replay every readable node; nodes at the same head must agree
         // byte-for-byte. A lone node is replayed twice so determinism
         // of replay itself is still exercised.
-        let mut by_head: BTreeMap<u64, Vec<(usize, String)>> = BTreeMap::new();
-        for (index, _, node_records) in &records {
-            match replay_image(repository()?, &scratches[*index]) {
+        let mut by_head: BTreeMap<u64, Vec<(&Path, &Recovered, String)>> = BTreeMap::new();
+        for (dir, recovered) in &histories {
+            match replay_image(repository()?, recovered) {
                 Ok(image) => by_head
-                    .entry(node_records.head_seq)
+                    .entry(recovered.head_seq())
                     .or_default()
-                    .push((*index, image)),
-                Err(err) => replay_violations.push(format!(
-                    "{} failed to replay: {err}",
-                    dirs[*index].display()
-                )),
+                    .push((dir, recovered, image)),
+                Err(err) => {
+                    replay_violations.push(format!("{} failed to replay: {err}", dir.display()));
+                }
             }
         }
         for (head, images) in &by_head {
+            let (first_dir, recovered, first) = &images[0];
             if images.len() == 1 {
-                let (index, first) = &images[0];
-                match replay_image(repository()?, &scratches[*index]) {
+                match replay_image(repository()?, recovered) {
                     Ok(second) if &second == first => {}
                     Ok(_) => replay_violations.push(format!(
                         "{} replays non-deterministically at head {head}",
-                        dirs[*index].display()
+                        first_dir.display()
                     )),
                     Err(err) => replay_violations.push(format!(
                         "{} failed second replay: {err}",
-                        dirs[*index].display()
+                        first_dir.display()
                     )),
                 }
                 continue;
             }
-            let (first_index, first) = &images[0];
-            for (index, image) in &images[1..] {
+            for (dir, _, image) in &images[1..] {
                 if image != first {
                     replay_violations.push(format!(
                         "state diverges at head {head}: {} and {} rebuild different images",
-                        dirs[*first_index].display(),
-                        dirs[*index].display()
+                        first_dir.display(),
+                        dir.display()
                     ));
                 }
             }
@@ -395,6 +325,7 @@ mod tests {
     use super::*;
     use crate::journal::Journal;
     use mine_itembank::{Exam, Problem};
+    use mine_store::StoreOptions;
     use serde::{Deserialize, Value};
     use std::io::Write;
 
@@ -514,7 +445,7 @@ mod tests {
         let report = audit_dirs(std::slice::from_ref(&dir), None).unwrap();
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.nodes[0].repairs.len(), 1, "{}", report.render());
-        // The audit repaired its scratch copy, not the original.
+        // The audit reports the repair but leaves the original as it is.
         assert_eq!(std::fs::metadata(&segment).unwrap().len(), before + 7);
         let _ = std::fs::remove_dir_all(&dir);
     }

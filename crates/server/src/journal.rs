@@ -25,13 +25,13 @@
 //!
 //! # Recovery
 //!
-//! [`open_journaled_state`] restores the base, files each delta's
-//! records on top, takes the live sittings from the newest image,
-//! replays the tail through `ServerState::apply` — the very method
-//! the live handlers mutate through — and returns the ready
-//! [`ServerState`].
-//! Determinism comes from the sessions' logical clock: no wall time is
-//! ever consulted.
+//! [`open_journaled_state`] opens the journal, then rebuilds the state
+//! from what it recovered — touching no store, so `mine audit` runs the
+//! same rebuild in memory: it restores the base, files each delta's
+//! records on top, takes the live sittings from the newest image, and
+//! replays the tail through `ServerState::apply`, the very method the
+//! live handlers mutate through. Determinism comes from the sessions'
+//! logical clock: no wall time is ever consulted.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +45,7 @@ use mine_adaptive::AdaptiveOptions;
 use mine_core::{Answer, ExamId, StudentId, StudentRecord};
 use mine_delivery::{DeliveryOptions, ExamSession, SessionCheckpoint, SessionImage};
 use mine_itembank::Repository;
-use mine_store::{EventStore, Recovered, Snapshot, StoreError, StoreOptions};
+use mine_store::{EventStore, Recovered, StoreError, StoreOptions};
 use mine_streamstats::StreamEngine;
 
 use crate::adaptive::{AdaptiveImage, AdaptiveSitting};
@@ -325,14 +325,6 @@ impl Journal {
         &self.store
     }
 
-    /// Appends one event without shipping it to followers or marking it
-    /// applied, so only tests may call it: the server journals through
-    /// `ServerState::journal_event`.
-    #[cfg(test)]
-    pub(crate) fn append(&self, event: &SessionEvent) -> Result<u64, StoreError> {
-        self.append_raw(to_payload(event, "event")?.as_bytes())
-    }
-
     /// Appends pre-serialized event bytes. The replication follower uses
     /// this to journal the primary's records byte for byte, so its log —
     /// and therefore anything replayed from it — is identical to the
@@ -377,17 +369,12 @@ impl Journal {
         self.applied_seq.fetch_max(seq, Ordering::AcqRel);
     }
 
-    /// Records that the durable images cover every record `finished`
-    /// holds — true right after restoring them, before any tail replay.
-    pub(crate) fn mark_covered(&self, finished: &FinishedStore) {
-        self.covered_tick.store(finished.tick(), Ordering::Release);
-    }
-
     /// Records that memory now holds exactly the bootstrap image
-    /// installed through `seq`. The head may move backwards here (a
-    /// deposed primary rebasing onto its successor's history).
+    /// installed through `seq`, and that the image covers every record
+    /// `finished` holds. The head may move backwards here (a deposed
+    /// primary rebasing onto its successor's history).
     pub(crate) fn mark_installed(&self, finished: &FinishedStore, seq: u64) {
-        self.mark_covered(finished);
+        self.covered_tick.store(finished.tick(), Ordering::Release);
         self.applied_seq.store(seq, Ordering::Release);
     }
 
@@ -484,9 +471,8 @@ pub struct RecoveryReport {
 ///
 /// # Errors
 ///
-/// Returns the store error, a snapshot-decode error, or a restore
-/// failure as a human-readable message (the caller is `mine serve`,
-/// which exits with it).
+/// The store error, a decode error or a restore failure, as a message
+/// (`mine serve` exits with it).
 pub fn open_journaled_state(
     repository: Repository,
     dir: impl AsRef<Path>,
@@ -495,7 +481,25 @@ pub fn open_journaled_state(
 ) -> Result<(ServerState, RecoveryReport), String> {
     let (journal, recovered) =
         Journal::open(dir, options, snapshot_every).map_err(|err| err.to_string())?;
-    let mut state = ServerState::new(repository);
+    let (mut state, report, covered_tick) = rebuild_state(repository, recovered)?;
+    journal.covered_tick.store(covered_tick, Ordering::Release);
+    state.journal = Some(journal);
+    Ok((state, report))
+}
+
+/// Rebuilds a [`ServerState`] from a recovered history, touching no
+/// store. Also returns the [`FinishedStore`] tick the images cover, read
+/// before the tail replay: a journal attached to the state starts its
+/// next delta there.
+///
+/// # Errors
+///
+/// A snapshot-decode, event-decode or restore failure, as a message.
+pub(crate) fn rebuild_state(
+    repository: Repository,
+    recovered: Recovered,
+) -> Result<(ServerState, RecoveryReport, u64), String> {
+    let state = ServerState::new(repository);
     let mut report = RecoveryReport {
         warnings: recovered.warnings,
         ..RecoveryReport::default()
@@ -506,13 +510,9 @@ pub fn open_journaled_state(
     // newest image alone (older images' sittings have since finished or
     // moved on).
     report.snapshot_deltas = recovered.deltas.len();
-    let images: Vec<Snapshot> = recovered
-        .snapshot
-        .into_iter()
-        .chain(recovered.deltas)
-        .collect();
-    let newest = images.len().saturating_sub(1);
-    for (index, snapshot) in images.into_iter().enumerate() {
+    let images = recovered.snapshot.into_iter().chain(recovered.deltas);
+    let newest = images.size_hint().0.saturating_sub(1);
+    for (index, snapshot) in images.enumerate() {
         let image: ServerImage = decode_payload(
             &snapshot.payload,
             format_args!("image through seq {}", snapshot.last_seq),
@@ -535,7 +535,7 @@ pub fn open_journaled_state(
             &state.adaptive,
         )?;
     }
-    journal.mark_covered(&state.finished);
+    let covered_tick = state.finished.tick();
 
     for record in recovered.events {
         let event: SessionEvent =
@@ -545,9 +545,7 @@ pub fn open_journaled_state(
         }
         report.events_replayed += 1;
     }
-
-    state.journal = Some(journal);
-    Ok((state, report))
+    Ok((state, report, covered_tick))
 }
 
 /// Decodes a journaled payload (an event or an image) from its JSON.
@@ -603,16 +601,15 @@ mod tests {
             || open_journaled_state(Repository::new(), &dir, StoreOptions::default(), 0).unwrap();
         {
             let (state, _) = open();
-            let journal = state.journal.as_ref().unwrap();
-            journal
-                .append(&SessionEvent::AdaptiveStep {
+            state
+                .journal_event(&SessionEvent::AdaptiveStep {
                     session: "cat~s1@0".to_string(),
                     answer: Answer::TrueFalse(true),
                     time_spent: Duration::from_secs(1),
                 })
                 .unwrap();
-            journal
-                .append(&SessionEvent::Created {
+            state
+                .journal_event(&SessionEvent::Created {
                     exam: "quiz".parse().unwrap(),
                     student: "s1".parse().unwrap(),
                     options: DeliveryOptions::default(),

@@ -1995,8 +1995,9 @@ mod tests {
         // Cross the threshold outside `handle`, as a concurrent writer
         // does between its append and its own compaction check.
         for _ in 0..2 {
-            journal
-                .append(&SessionEvent::Paused {
+            router
+                .state()
+                .journal_event(&SessionEvent::Paused {
                     session: "elsewhere".to_string(),
                 })
                 .unwrap();

@@ -1,18 +1,17 @@
 //! Online anti-entropy: the background scrubber and the peer repair
 //! path.
 //!
-//! Every [`Scrubber`] pass re-verifies the CRCs and framing of the
-//! sealed WAL segments and the latest snapshot
-//! ([`mine_store::scrub_dir`]) and acts on what it finds:
+//! Every [`Scrubber`] pass re-verifies the sealed WAL segments and the
+//! latest images ([`mine_store::scrub_dir`]) and acts on what it finds:
 //!
 //! - **Local rot** (a sealed segment whose CRCs or sequence run no
 //!   longer verify): the segment is quarantined — renamed to
 //!   `*.log.quarantine`, never deleted, so the evidence survives — and
-//!   repaired. A follower repairs by re-bootstrapping from its leader's
-//!   snapshot (the existing shipping path; the install wipes `wal-*.log`
-//!   but not quarantine files). A primary repairs from its own live
-//!   in-memory state by writing a fresh compacting snapshot — the state
-//!   every acked write already reached.
+//!   repaired. A follower re-bootstraps from its leader's snapshot (the
+//!   install wipes `wal-*.log` but not quarantine files); a primary
+//!   writes a fresh base from its live state, which every acked write
+//!   already reached. Until an image lands, recovery refuses the
+//!   sequence gap the quarantine leaves.
 //! - **Silent divergence** (every CRC intact, but a follower's range
 //!   hashes disagree with its leader's inside the acked prefix): the
 //!   overlapping segments are quarantined and the same re-bootstrap
@@ -101,8 +100,8 @@ impl Scrubber {
 }
 
 /// One full scrub pass over the node's journal directory. Public so
-/// tests (and `mine scrub` through the offline path) can drive a pass
-/// synchronously instead of waiting out the cadence.
+/// tests can drive a pass synchronously instead of waiting out the
+/// cadence.
 pub fn scrub_pass(router: &Router) {
     let state = router.state();
     let Some(journal) = &state.journal else {
@@ -139,17 +138,14 @@ pub fn scrub_pass(router: &Router) {
     };
     state.metrics.scrub_passes_total.inc();
 
-    let corrupt: Vec<u64> = report
-        .corrupt_segments()
-        .iter()
-        .map(|segment| segment.first_seq)
-        .collect();
+    let mut damaged = BTreeSet::new();
     for segment in report.corrupt_segments() {
         eprintln!(
             "[mine-scrub] corrupt sealed segment {}: {}",
             segment.file,
             segment.corrupt.as_deref().unwrap_or("unknown damage")
         );
+        damaged.insert(segment.first_seq);
     }
     if let Some(snapshot) = &report.snapshot {
         if let Some(reason) = &snapshot.corrupt {
@@ -162,7 +158,6 @@ pub fn scrub_pass(router: &Router) {
 
     // Silent divergence: a follower compares its range hashes against
     // its leader's, bounded to the acked prefix and epoch-fenced.
-    let mut divergent: Vec<u64> = Vec::new();
     if let Some(repl) = &state.repl {
         if repl.role() == Role::Follower && !report.ranges.is_empty() {
             if let Some(leader) = repl.leader_addr() {
@@ -180,7 +175,7 @@ pub fn scrub_pass(router: &Router) {
                         let acked = (store.next_seq() - 1).min(remote.head_seq);
                         let windows = diverging_windows(&report.ranges, &remote.ranges, acked);
                         if !windows.is_empty() {
-                            divergent = segments_for_windows(&report, &windows);
+                            damaged.extend(segments_for_windows(&report, &windows));
                             eprintln!(
                                 "[mine-scrub] range hashes diverge from {leader} in windows \
                                  {windows:?} (acked prefix {acked})"
@@ -192,8 +187,6 @@ pub fn scrub_pass(router: &Router) {
         }
     }
 
-    let mut damaged: BTreeSet<u64> = corrupt.into_iter().collect();
-    damaged.extend(divergent);
     if !damaged.is_empty() {
         state
             .metrics
@@ -245,8 +238,9 @@ fn repair(router: &Router, journal: &Journal, quarantined: u64) {
             );
         }
         Err(err) => {
-            // The log is short a quarantined segment; recovery now leans
-            // on the previous snapshot. Keep trying each pass.
+            // A reopen refuses the gap the quarantine leaves until an
+            // image covers it: the next compaction or drain. Later passes
+            // no longer see the renamed segment, so none retries.
             eprintln!("[mine-scrub] self-repair snapshot failed: {err}");
         }
     }

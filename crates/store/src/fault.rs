@@ -330,8 +330,7 @@ impl FaultPlan {
     }
 
     /// The full bit-rot schedule: `(seq, bytes)` pairs, including ones
-    /// already claimed. The injection seam iterates this to find
-    /// records it can strike.
+    /// already claimed.
     #[must_use]
     pub fn bitrot_faults(&self) -> Vec<(u64, usize)> {
         self.bitrot

@@ -5,7 +5,8 @@
 //! write-ahead log, segments rotate by size, base and delta snapshots
 //! compact the history, and [`EventStore::open`] rebuilds everything a previous
 //! process wrote — repairing the torn final record a kill -9 leaves
-//! behind and refusing to paper over corruption anywhere else.
+//! behind and refusing to paper over corruption anywhere else;
+//! [`read_store`] reads a directory the same way without changing it.
 //!
 //! The crate is storage only: payloads are opaque bytes, and the
 //! caller owns both the event serialization (the server journals its
@@ -33,12 +34,14 @@ pub mod error;
 pub mod fault;
 pub mod frame;
 pub mod log;
+mod read;
 pub mod replicate;
 pub mod scrub;
 
 pub use error::StoreError;
 pub use fault::{DiskFault, FaultPlan, NetAction, NetFault};
-pub use log::{EventStore, Record, Recovered, Snapshot, StoreOptions, SyncPolicy, INITIAL_EPOCH};
+pub use log::{EventStore, Record, Recovered, Snapshot, StoreOptions, SyncPolicy};
+pub use read::{read_store, INITIAL_EPOCH};
 pub use replicate::{Message, ReplError, StreamCursor};
 pub use scrub::{
     diverging_windows, inject_bitrot, scrub_dir, RangeHash, ScrubReport, SegmentReport,

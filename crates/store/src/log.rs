@@ -24,12 +24,11 @@
 //!
 //! # Recovery
 //!
-//! [`EventStore::open`] replays the directory: it loads the newest
-//! base and the deltas newer than it, scans every segment, skips
-//! records the images already cover, and returns the tail records for
-//! the caller to apply. A torn final record — the signature of a crash
-//! mid-append — is truncated away with a warning; a damaged record
-//! *inside* the committed history is an error, never silently dropped.
+//! [`EventStore::open`] reads the directory with the store's one reader
+//! (the `read` module) and performs the repairs it reports: a torn final
+//! record — a crash mid-append — is truncated away with a warning, and
+//! stale images are deleted. Damage *inside* committed history is an
+//! error, never silently dropped.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -40,7 +39,8 @@ use std::time::{Duration, Instant};
 
 use crate::error::StoreError;
 use crate::fault::{DiskFault, FaultPlan};
-use crate::frame::{self, ScanEnd, MAX_PAYLOAD_BYTES};
+use crate::frame::{self, MAX_PAYLOAD_BYTES};
+use crate::read::{delta_name, segment_name, snapshot_name, DirScan, StoreFiles, EPOCH_FILE};
 
 /// When appended records are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +48,10 @@ pub enum SyncPolicy {
     /// `fdatasync` after every append: nothing acknowledged is ever
     /// lost, at the cost of one disk round-trip per record.
     Always,
-    /// `fdatasync` at most once per interval: bounds data loss to the
-    /// records appended within the window.
+    /// `fdatasync` from an append that finds the window elapsed since the
+    /// last sync. Nothing syncs the last appends of a burst until the next
+    /// append, [`EventStore::sync`] or drop: a power loss may take every
+    /// record since the last sync, however long ago that was.
     Interval(Duration),
     /// Never sync explicitly; the OS flushes on its own schedule. A
     /// process crash loses nothing (the page cache survives), a power
@@ -121,7 +123,7 @@ pub struct Snapshot {
     pub payload: Vec<u8>,
 }
 
-/// Everything [`EventStore::open`] found on disk.
+/// Everything [`EventStore::open`] or [`crate::read_store`] found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered {
     /// The newest base snapshot, when one exists.
@@ -131,17 +133,29 @@ pub struct Recovered {
     /// Tail records not covered by the base or its deltas, in sequence
     /// order.
     pub events: Vec<Record>,
-    /// Repairs performed (torn tails truncated), human-readable.
+    /// Repairs (torn tails truncated), done by [`EventStore::open`],
+    /// pending after [`crate::read_store`].
     pub warnings: Vec<String>,
     /// Number of segment files scanned.
     pub segments: usize,
 }
 
+impl Recovered {
+    /// The highest sequence number recovered: the last tail record's,
+    /// else the newest image's, else 0.
+    #[must_use]
+    pub fn head_seq(&self) -> u64 {
+        let newest = self.deltas.last().or(self.snapshot.as_ref());
+        let covered = newest.map_or(0, |image| image.last_seq);
+        self.events.last().map_or(covered, |record| record.seq)
+    }
+}
+
 struct Inner {
     file: File,
     segment_path: PathBuf,
+    /// Bytes of intact frames in the segment; 0 means it holds none.
     segment_bytes: u64,
-    segment_records: u64,
     next_seq: u64,
     since_snapshot: u64,
     /// Payload bytes of the current base and of its deltas; the
@@ -178,88 +192,31 @@ impl std::fmt::Debug for EventStore {
     }
 }
 
-pub(crate) fn segment_name(first_seq: u64) -> String {
-    format!("wal-{first_seq:020}.log")
-}
-
-pub(crate) fn snapshot_name(last_seq: u64) -> String {
-    format!("snapshot-{last_seq:020}.snap")
-}
-
-pub(crate) fn delta_name(last_seq: u64) -> String {
-    format!("delta-{last_seq:020}.snap")
-}
-
-fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
-}
-
-/// The sequence numbers a store directory's file names carry, by kind,
-/// each list sorted ascending. Every reader of the directory lists it
-/// through here.
-#[derive(Debug, Default)]
-pub(crate) struct StoreFiles {
-    /// First seqs of the `wal-{N}.log` segments.
-    pub(crate) segments: Vec<u64>,
-    /// Last seqs of the `snapshot-{N}.snap` base images.
-    pub(crate) bases: Vec<u64>,
-    /// Last seqs of the `delta-{N}.snap` delta images.
-    pub(crate) deltas: Vec<u64>,
-}
-
-impl StoreFiles {
-    pub(crate) fn list(dir: &Path) -> std::io::Result<Self> {
-        let mut files = Self::default();
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name().to_string_lossy().into_owned();
-            if let Some(seq) = parse_numbered(&name, "wal-", ".log") {
-                files.segments.push(seq);
-            } else if let Some(seq) = parse_numbered(&name, "snapshot-", ".snap") {
-                files.bases.push(seq);
-            } else if let Some(seq) = parse_numbered(&name, "delta-", ".snap") {
-                files.deltas.push(seq);
-            }
-        }
-        files.segments.sort_unstable();
-        files.bases.sort_unstable();
-        files.deltas.sort_unstable();
-        Ok(files)
-    }
-}
-
 /// Flushes directory metadata (new/renamed/deleted entries) to disk.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Name of the durable epoch file inside a store directory.
-const EPOCH_FILE: &str = "epoch";
-
-/// The epoch a store starts at when no `epoch` file exists yet.
-pub const INITIAL_EPOCH: u64 = 1;
-
-fn read_epoch_file(dir: &Path) -> Result<u64, StoreError> {
-    match std::fs::read_to_string(dir.join(EPOCH_FILE)) {
-        Ok(text) => text.trim().parse().map_err(|_| StoreError::Corrupt {
-            file: EPOCH_FILE.to_string(),
-            offset: 0,
-            reason: format!("unparseable epoch {:?}", text.trim()),
-        }),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(INITIAL_EPOCH),
-        Err(err) => Err(err.into()),
-    }
-}
-
-fn write_epoch_file(dir: &Path, epoch: u64) -> Result<(), StoreError> {
-    let final_path = dir.join(EPOCH_FILE);
-    let tmp_path = dir.join(format!(".{EPOCH_FILE}.tmp.{}", std::process::id()));
+/// Writes `dir/name` atomically: temp sibling, write, fsync, rename,
+/// directory fsync. A `disk.snapshot_err` scheduled in `faults` fails
+/// the write after the fsync and before the rename; only image writes
+/// pass their plan, so an epoch write never uses up a scheduled
+/// failure. A failed write removes its temp file.
+fn write_atomic(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    faults: Option<&FaultPlan>,
+) -> Result<(), StoreError> {
+    let final_path = dir.join(name);
+    let tmp_path = dir.join(format!(".{name}.tmp.{}", std::process::id()));
     let result = (|| {
         let mut file = File::create(&tmp_path)?;
-        file.write_all(epoch.to_string().as_bytes())?;
+        file.write_all(bytes)?;
         file.sync_all()?;
+        if faults.is_some_and(FaultPlan::snapshot_fails) {
+            return Err(std::io::Error::other("injected snapshot write failure"));
+        }
         std::fs::rename(&tmp_path, &final_path)?;
         sync_dir(dir)
     })();
@@ -271,11 +228,9 @@ fn write_epoch_file(dir: &Path, epoch: u64) -> Result<(), StoreError> {
 
 impl EventStore {
     /// Opens (or creates) the store at `dir`, recovering whatever a
-    /// previous process left behind.
-    ///
-    /// Torn final records are truncated away and reported in
-    /// [`Recovered::warnings`]; the returned store appends after the
-    /// last intact record.
+    /// previous process left behind: [`crate::read_store`]'s reading,
+    /// whose repairs (reported in [`Recovered::warnings`]) it performs.
+    /// The returned store appends after the last intact record.
     ///
     /// # Errors
     ///
@@ -288,130 +243,27 @@ impl EventStore {
     ) -> Result<(Self, Recovered), StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-
-        let StoreFiles {
-            segments: segment_seqs,
-            bases: snapshot_seqs,
-            deltas: delta_seqs,
-        } = StoreFiles::list(&dir)?;
-
-        // Newest base wins; older bases, and deltas at or below it, are
-        // leftovers of a crash between a base write and its cleanup.
-        let snapshot = match snapshot_seqs.last() {
-            Some(&last_seq) => {
-                let payload = std::fs::read(dir.join(snapshot_name(last_seq)))?;
-                for &stale in &snapshot_seqs[..snapshot_seqs.len() - 1] {
-                    let _ = std::fs::remove_file(dir.join(snapshot_name(stale)));
-                }
-                Some(Snapshot { last_seq, payload })
-            }
-            None => None,
-        };
-        let base_seq = snapshot.as_ref().map_or(0, |s| s.last_seq);
-        let mut deltas = Vec::new();
-        for &seq in &delta_seqs {
-            if seq <= base_seq {
-                let _ = std::fs::remove_file(dir.join(delta_name(seq)));
-                continue;
-            }
-            if snapshot.is_none() {
-                return Err(StoreError::Corrupt {
-                    file: delta_name(seq),
-                    offset: 0,
-                    reason: "delta image without a base snapshot".to_string(),
-                });
-            }
-            let payload = std::fs::read(dir.join(delta_name(seq)))?;
-            deltas.push(Snapshot {
-                last_seq: seq,
-                payload,
-            });
+        let mut scan = DirScan::new(&dir)?;
+        let (recovered, epoch) = scan.recover()?;
+        for name in &scan.stale {
+            let _ = std::fs::remove_file(dir.join(name));
         }
-        let base_bytes = snapshot.as_ref().map_or(0, |s| s.payload.len() as u64);
-        let delta_bytes = deltas.iter().map(|d| d.payload.len() as u64).sum();
-        // The tail starts after the newest image.
-        let snapshot_seq = deltas.last().map_or(base_seq, |d| d.last_seq);
-
-        let mut events: Vec<Record> = Vec::new();
-        let mut warnings = Vec::new();
-        let mut expected = snapshot_seq + 1;
-        let mut last_segment_state: Option<(PathBuf, u64, u64)> = None;
-        for (index, &first_seq) in segment_seqs.iter().enumerate() {
-            let path = dir.join(segment_name(first_seq));
-            let bytes = std::fs::read(&path)?;
-            let (frames, end) = frame::scan(&bytes);
-            let frame_count = frames.len() as u64;
-            let is_last = index == segment_seqs.len() - 1
-                || segment_seqs[index + 1..].iter().all(|&seq| {
-                    std::fs::metadata(dir.join(segment_name(seq)))
-                        .map(|m| m.len() == 0)
-                        .unwrap_or(true)
-                });
-            let file_name = path
-                .file_name()
-                .expect("segment has a name")
-                .to_string_lossy()
-                .into_owned();
-            let valid_end = frames.last().map_or(0, |f| f.end_offset);
-            match end {
-                ScanEnd::Clean => {}
-                ScanEnd::Torn { offset, reason } if is_last => {
-                    let dropped = bytes.len() as u64 - valid_end;
-                    warnings.push(format!(
-                        "truncated torn tail of {file_name}: {reason} at offset {offset} ({dropped} bytes dropped)"
-                    ));
-                    let file = OpenOptions::new().write(true).open(&path)?;
-                    file.set_len(valid_end)?;
-                    file.sync_all()?;
-                }
-                ScanEnd::Torn { offset, reason } => {
-                    return Err(StoreError::Corrupt {
-                        file: file_name,
-                        offset,
-                        reason: format!("{reason}, with later segments present"),
-                    });
-                }
-                ScanEnd::Corrupt { offset, reason } => {
-                    return Err(StoreError::Corrupt {
-                        file: file_name,
-                        offset,
-                        reason,
-                    });
-                }
-            }
-            for frame in frames {
-                if frame.seq <= snapshot_seq {
-                    continue; // covered by the snapshot; segment not yet cleaned up
-                }
-                if frame.seq != expected {
-                    return Err(StoreError::Corrupt {
-                        file: file_name,
-                        offset: frame.end_offset,
-                        reason: format!("sequence gap: expected {expected}, found {}", frame.seq),
-                    });
-                }
-                expected += 1;
-                events.push(Record {
-                    seq: frame.seq,
-                    payload: frame.payload,
-                });
-            }
-            if is_last {
-                last_segment_state = Some((path.clone(), valid_end, frame_count));
-                break;
-            }
+        if let Some(tail) = scan.tail.as_ref().filter(|tail| tail.torn) {
+            let file = OpenOptions::new()
+                .write(true)
+                .open(dir.join(segment_name(tail.first_seq)))?;
+            file.set_len(tail.bytes)?;
+            file.sync_all()?;
         }
-
-        let next_seq = expected;
-        let segments = segment_seqs.len();
+        let next_seq = recovered.head_seq() + 1;
 
         // Position the writer: continue the last segment when it still
         // has room, otherwise start a fresh one.
-        let (segment_path, segment_bytes, segment_records) = match last_segment_state {
-            Some((path, bytes, records)) if bytes < options.max_segment_bytes => {
-                (path, bytes, records)
+        let (segment_path, segment_bytes) = match scan.tail {
+            Some(tail) if tail.bytes < options.max_segment_bytes => {
+                (dir.join(segment_name(tail.first_seq)), tail.bytes)
             }
-            _ => (dir.join(segment_name(next_seq)), 0, 0),
+            _ => (dir.join(segment_name(next_seq)), 0),
         };
         let file = OpenOptions::new()
             .create(true)
@@ -419,7 +271,7 @@ impl EventStore {
             .open(&segment_path)?;
         sync_dir(&dir)?;
 
-        let epoch = read_epoch_file(&dir)?;
+        let image_bytes = |image: &Snapshot| image.payload.len() as u64;
         let store = Self {
             dir,
             options,
@@ -427,27 +279,17 @@ impl EventStore {
                 file,
                 segment_path,
                 segment_bytes,
-                segment_records,
                 next_seq,
-                since_snapshot: events.len() as u64,
-                base_bytes,
-                delta_bytes,
+                since_snapshot: recovered.events.len() as u64,
+                base_bytes: recovered.snapshot.as_ref().map_or(0, image_bytes),
+                delta_bytes: recovered.deltas.iter().map(image_bytes).sum(),
                 last_sync: Instant::now(),
                 dirty: false,
                 poisoned: None,
             }),
             epoch: AtomicU64::new(epoch),
         };
-        Ok((
-            store,
-            Recovered {
-                snapshot,
-                deltas,
-                events,
-                warnings,
-                segments,
-            },
-        ))
+        Ok((store, recovered))
     }
 
     /// The directory this store lives in.
@@ -491,7 +333,7 @@ impl EventStore {
         self.heal_locked(&mut inner)?;
         let seq = inner.next_seq;
         let frame = frame::encode(seq, payload);
-        if inner.segment_records > 0
+        if inner.segment_bytes > 0
             && inner.segment_bytes + frame.len() as u64 > self.options.max_segment_bytes
         {
             if let Err(err) = self.rotate(&mut inner, seq) {
@@ -502,30 +344,23 @@ impl EventStore {
             return Err(self.poison(&mut inner, err));
         }
         inner.segment_bytes += frame.len() as u64;
-        inner.segment_records += 1;
         inner.next_seq += 1;
         inner.since_snapshot += 1;
         inner.dirty = true;
-        match self.options.sync {
-            SyncPolicy::Always => {
-                if let Err(err) = self.segment_sync(&mut inner) {
-                    Self::roll_back_append(&mut inner, frame.len());
-                    return Err(self.poison(&mut inner, err));
-                }
-                inner.last_sync = Instant::now();
-                inner.dirty = false;
+        // `Interval` syncs only here: the tail of a burst stays unsynced
+        // until the next append, `sync` or drop.
+        let due = match self.options.sync {
+            SyncPolicy::Always => true,
+            SyncPolicy::Interval(window) => inner.last_sync.elapsed() >= window,
+            SyncPolicy::Never => false,
+        };
+        if due {
+            if let Err(err) = self.segment_sync(&mut inner) {
+                Self::roll_back_append(&mut inner, frame.len());
+                return Err(self.poison(&mut inner, err));
             }
-            SyncPolicy::Interval(window) => {
-                if inner.last_sync.elapsed() >= window {
-                    if let Err(err) = self.segment_sync(&mut inner) {
-                        Self::roll_back_append(&mut inner, frame.len());
-                        return Err(self.poison(&mut inner, err));
-                    }
-                    inner.last_sync = Instant::now();
-                    inner.dirty = false;
-                }
-            }
-            SyncPolicy::Never => {}
+            inner.last_sync = Instant::now();
+            inner.dirty = false;
         }
         Ok(seq)
     }
@@ -539,7 +374,6 @@ impl EventStore {
     /// believes exists and what followers are shipped.
     fn roll_back_append(inner: &mut Inner, frame_len: usize) {
         inner.segment_bytes -= frame_len as u64;
-        inner.segment_records -= 1;
         inner.next_seq -= 1;
         inner.since_snapshot -= 1;
     }
@@ -705,9 +539,7 @@ impl EventStore {
         inner.file = OpenOptions::new().create(true).append(true).open(&path)?;
         inner.segment_path = path;
         inner.segment_bytes = 0;
-        inner.segment_records = 0;
-        sync_dir(&self.dir)?;
-        Ok(())
+        sync_dir(&self.dir)
     }
 
     /// Forces everything appended so far to stable storage.
@@ -733,7 +565,7 @@ impl EventStore {
         Ok(())
     }
 
-    /// The durable replication epoch, [`INITIAL_EPOCH`] when never set.
+    /// The durable replication epoch, [`crate::INITIAL_EPOCH`] when never set.
     ///
     /// The epoch fences failover: a promoted follower bumps it, and any
     /// record or leader claiming a lower epoch is stale and must be
@@ -743,10 +575,9 @@ impl EventStore {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Durably records a new replication epoch (atomic write: temp
-    /// sibling + fsync + rename + directory fsync). The epoch survives
-    /// crash and restart — a deposed primary that comes back finds the
-    /// higher epoch on disk and must demote itself.
+    /// Durably records a new replication epoch (an atomic write). The
+    /// epoch survives crash and restart — a deposed primary that comes
+    /// back finds the higher epoch on disk and must demote itself.
     ///
     /// # Errors
     ///
@@ -755,7 +586,7 @@ impl EventStore {
     pub fn set_epoch(&self, epoch: u64) -> Result<(), StoreError> {
         // Serialize against other epoch writes and appends.
         let _inner = self.inner.lock().expect("store mutex");
-        write_epoch_file(&self.dir, epoch)?;
+        write_atomic(&self.dir, EPOCH_FILE, epoch.to_string().as_bytes(), None)?;
         self.epoch.store(epoch, Ordering::SeqCst);
         Ok(())
     }
@@ -790,9 +621,8 @@ impl EventStore {
     /// callers should quiesce appends for the duration (the store's own
     /// mutex is held, so concurrent `append`s block either way).
     ///
-    /// The write is atomic — temp sibling, fsync, rename, directory
-    /// fsync — so readers and recovery see either the old complete
-    /// images or the new complete snapshot, never a prefix.
+    /// The write is atomic (temp sibling, fsync, rename), so recovery
+    /// sees either the old images or the new snapshot, never a prefix.
     ///
     /// # Errors
     ///
@@ -802,7 +632,8 @@ impl EventStore {
         let mut inner = self.inner.lock().expect("store mutex");
         Self::refuse_poisoned(&inner)?;
         let last_seq = inner.next_seq - 1;
-        self.write_image(&snapshot_name(last_seq), payload)?;
+        let faults = self.options.fault_plan.as_deref();
+        write_atomic(&self.dir, &snapshot_name(last_seq), payload, faults)?;
         // The base is durable: drop everything it covers. Deltas go
         // first, so a crash part-way leaves only deltas at or below the
         // base, which recovery discards.
@@ -832,7 +663,8 @@ impl EventStore {
         let mut inner = self.inner.lock().expect("store mutex");
         Self::refuse_poisoned(&inner)?;
         let last_seq = inner.next_seq - 1;
-        self.write_image(&delta_name(last_seq), payload)?;
+        let faults = self.options.fault_plan.as_deref();
+        write_atomic(&self.dir, &delta_name(last_seq), payload, faults)?;
         self.remove_covered(false, |_| false)?;
         inner.delta_bytes += payload.len() as u64;
         let next_seq = inner.next_seq;
@@ -847,8 +679,7 @@ impl EventStore {
     /// sequence numbers as the source's records, which is what lets a
     /// follower mirror its primary's WAL byte for byte.
     ///
-    /// The snapshot write itself is atomic (temp sibling + fsync +
-    /// rename + directory fsync), so a crash mid-install recovers to
+    /// The snapshot write is atomic, so a crash mid-install recovers to
     /// either the old history or the new snapshot, never a mix.
     ///
     /// # Errors
@@ -858,7 +689,8 @@ impl EventStore {
     pub fn install_snapshot(&self, payload: &[u8], last_seq: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
         Self::refuse_poisoned(&inner)?;
-        self.write_image(&snapshot_name(last_seq), payload)?;
+        let faults = self.options.fault_plan.as_deref();
+        write_atomic(&self.dir, &snapshot_name(last_seq), payload, faults)?;
         // The installed snapshot supersedes every local artifact:
         // deltas, segments (whatever their seqs meant locally) and any
         // snapshot not named exactly `last_seq`.
@@ -875,31 +707,6 @@ impl EventStore {
             }),
             None => Ok(()),
         }
-    }
-
-    /// Writes one image file atomically: temp sibling, fsync, rename,
-    /// directory fsync. A scheduled `disk.snapshot_err` fails the write
-    /// after the fsync and before the rename, so the temp file is what
-    /// a failed write leaves to clean up.
-    fn write_image(&self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
-        let final_path = self.dir.join(name);
-        let tmp_path = self.dir.join(format!(".{name}.tmp.{}", std::process::id()));
-        let result = (|| {
-            let mut file = File::create(&tmp_path)?;
-            file.write_all(payload)?;
-            file.sync_all()?;
-            if let Some(plan) = &self.options.fault_plan {
-                if plan.snapshot_fails() {
-                    return Err(std::io::Error::other("injected snapshot write failure"));
-                }
-            }
-            std::fs::rename(&tmp_path, &final_path)?;
-            sync_dir(&self.dir)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp_path);
-        }
-        result.map_err(Into::into)
     }
 
     /// Best-effort removal of the stale images — every delta when
@@ -936,7 +743,6 @@ impl EventStore {
         inner.file = OpenOptions::new().create(true).append(true).open(&path)?;
         inner.segment_path = path;
         inner.segment_bytes = 0;
-        inner.segment_records = 0;
         inner.next_seq = next_seq;
         inner.since_snapshot = 0;
         inner.dirty = false;
@@ -960,6 +766,7 @@ impl Drop for EventStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read::INITIAL_EPOCH;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1399,12 +1206,15 @@ mod tests {
             store.append(format!("record-{i}").as_bytes()).unwrap();
         }
         let active = store.active_segment();
-        let active_first = parse_numbered(
-            &active.file_name().unwrap().to_string_lossy(),
-            "wal-",
-            ".log",
-        )
-        .unwrap();
+        let active_first = active
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .strip_prefix("wal-")
+            .and_then(|name| name.strip_suffix(".log"))
+            .unwrap()
+            .parse::<u64>()
+            .unwrap();
         assert!(active_first > 1, "rotation sealed at least one segment");
         // Sealed segment 1 quarantines by rename: evidence kept.
         let quarantined = store.quarantine_segment(1).unwrap();
@@ -1420,6 +1230,37 @@ mod tests {
         let (store, recovered) = EventStore::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(recovered.snapshot.as_ref().unwrap().last_seq, 20);
         assert_eq!(store.next_seq(), 21);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_quarantined_middle_segment_leaves_a_gap_open_refuses() {
+        let dir = temp_dir("quarantine-gap");
+        let options = StoreOptions {
+            max_segment_bytes: 64,
+            ..StoreOptions::default()
+        };
+        let (store, _) = EventStore::open(&dir, options).unwrap();
+        for i in 0..10 {
+            store.append(format!("record-{i}").as_bytes()).unwrap();
+        }
+        let segments = StoreFiles::list(&dir).unwrap().segments;
+        assert!(segments.len() >= 3, "{segments:?}");
+        // A sealed segment above the newest image (there is none): the
+        // scrubber's quarantine before its repair lands.
+        store.quarantine_segment(segments[1]).unwrap();
+        drop(store);
+        match EventStore::open(&dir, StoreOptions::default()) {
+            Err(StoreError::Corrupt { file, reason, .. }) => {
+                assert_eq!(file, segment_name(segments[2]));
+                let gap = format!(
+                    "sequence gap: expected {}, found {}",
+                    segments[1], segments[2]
+                );
+                assert_eq!(reason, gap);
+            }
+            other => panic!("expected the gap as Corrupt, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,29 +1,17 @@
-//! Integrity scrubbing: re-verifies the CRCs and framing of sealed WAL
-//! segments and the newest snapshot with its deltas, and condenses intact history into
-//! comparable *range hashes*.
+//! Integrity scrubbing: re-verifies the WAL segments and the newest
+//! images with the store's one reader (the `read` module), and condenses
+//! intact history into comparable *range hashes*.
 //!
-//! A scrub pass is the read-only half of anti-entropy. It never
-//! mutates the store; it reports, per sealed segment, whether every
-//! frame still decodes and checksums, and folds each `(seq, payload)`
-//! pair into a fixed-width sequence window ([`RANGE_WINDOW`] records
-//! per window, FNV-1a over `seq ‖ payload`). Two nodes whose windows
-//! cover the same sequence range with the same record count but hash
-//! differently have byte-divergent history there — the signature of
-//! silent corruption that frame CRCs alone cannot place, because both
-//! sides' frames may be internally consistent.
+//! A scrub pass never mutates the store. It folds each intact
+//! `(seq, payload)` pair into a fixed-width window ([`RANGE_WINDOW`]
+//! records, FNV-1a over `seq ‖ payload`). Two nodes whose windows cover
+//! the same range with the same record count but hash differently have
+//! byte-divergent history there — damage that frame CRCs alone cannot
+//! place, because both sides' frames may be internally consistent.
 //!
-//! The same pass runs in three places:
-//!
-//! - online, from the server's background scrubber (the active segment
-//!   is excluded — the write head moves under a live scan);
-//! - offline, from `mine scrub <dir>` (no active segment: the last
-//!   segment's torn tail is tolerated exactly like recovery does);
-//! - on demand, from `GET /admin/ranges`, to serve the integrity table
-//!   peers compare against.
-//!
-//! Scrubbing races benignly with compaction: a snapshot install may
-//! delete a segment between the directory listing and the read, so a
-//! vanished file is skipped, never reported as damage.
+//! The pass runs online from the server's background scrubber and from
+//! `GET /admin/ranges`, and offline from `mine scrub <dir>`, where it is
+//! clean exactly when `EventStore::open` accepts the directory.
 
 use std::collections::BTreeMap;
 use std::io::{Seek, SeekFrom, Write};
@@ -31,8 +19,7 @@ use std::path::Path;
 
 use crate::error::StoreError;
 use crate::fault::FaultPlan;
-use crate::frame::{self, ScanEnd};
-use crate::log::{segment_name, StoreFiles};
+use crate::read::{segment_name, DirScan, ImageScan, Verdict};
 
 /// Records per range-hash window. Window `w` covers sequence numbers
 /// `[w·WINDOW + 1, (w+1)·WINDOW]`, so windows computed independently on
@@ -141,68 +128,25 @@ impl ScrubReport {
     }
 }
 
-/// Runs one scrub pass over the store directory at `dir`.
-///
-/// `active` names the segment currently being appended to; it is
-/// skipped entirely (online mode). With `active = None` (offline mode,
-/// no writer) every segment is scanned, and a torn tail on the *last*
-/// one is tolerated — that is the shape a crash leaves and recovery
-/// repairs, not corruption.
+/// Runs one scrub pass over the store directory at `dir`: online when
+/// `active` names the segment being appended to, offline with `None`
+/// (see the module docs).
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] only for directory-level failures;
-/// per-file damage is reported in the result, and files that vanish
-/// mid-pass (compaction won the race) are skipped.
+/// [`StoreError::Io`] for a directory-level failure; damage to a file
+/// is reported in the result.
 pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, StoreError> {
-    let StoreFiles {
-        segments: segment_seqs,
-        bases: snapshot_seqs,
-        deltas: delta_seqs,
-    } = StoreFiles::list(dir)?;
-
+    let scan = DirScan::new(dir)?;
     let mut report = ScrubReport::default();
     let mut windows: BTreeMap<u64, RangeHash> = BTreeMap::new();
-    let scanned: Vec<u64> = segment_seqs
-        .iter()
-        .copied()
-        .filter(|&first_seq| active.is_none_or(|a| a != dir.join(segment_name(first_seq))))
-        .collect();
-    for (index, &first_seq) in scanned.iter().enumerate() {
-        let file = segment_name(first_seq);
-        let path = dir.join(&file);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            // Compaction deleted it between listing and read.
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(err) => return Err(err.into()),
+    scan.scan_segments(active, |segment| {
+        let corrupt = match segment.verdict {
+            Verdict::Damaged { report, .. } => Some(report),
+            Verdict::Clean | Verdict::TornTail(_) => None,
         };
-        let (frames, end) = frame::scan(&bytes);
-        let tail_tolerated = active.is_none() && index == scanned.len() - 1;
-        let corrupt = match end {
-            ScanEnd::Clean => None,
-            ScanEnd::Torn { .. } if tail_tolerated => None,
-            ScanEnd::Torn { offset, reason } => Some(format!("torn at offset {offset}: {reason}")),
-            ScanEnd::Corrupt { offset, reason } => {
-                Some(format!("corrupt at offset {offset}: {reason}"))
-            }
-        };
-        // Framing intact: also require in-segment sequence continuity
-        // starting at the sequence number the file name promises.
-        let continuity = corrupt.is_none().then(|| {
-            for (expected, frame) in (first_seq..).zip(frames.iter()) {
-                if frame.seq != expected {
-                    return Some(format!(
-                        "sequence gap at offset {}: expected {expected}, found {}",
-                        frame.end_offset, frame.seq
-                    ));
-                }
-            }
-            None
-        });
-        let corrupt = corrupt.or(continuity.flatten());
         if corrupt.is_none() {
-            for frame in &frames {
+            for frame in &segment.frames {
                 let first = window_first(frame.seq);
                 let entry = windows.entry(first).or_insert(RangeHash {
                     first_seq: first,
@@ -217,38 +161,27 @@ pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, Store
             }
         }
         report.segments.push(SegmentReport {
-            file,
-            first_seq,
-            records: frames.len() as u64,
-            bytes: bytes.len() as u64,
+            file: segment_name(segment.first_seq),
+            first_seq: segment.first_seq,
+            records: segment.frames.len() as u64,
+            bytes: segment.bytes,
             corrupt,
         });
-    }
+        Ok::<(), StoreError>(())
+    })?;
     report.ranges = windows.into_values().collect();
-
-    let base_seq = snapshot_seqs.last().copied();
-    report.snapshot = base_seq.and_then(|seq| read_image(dir, crate::log::snapshot_name(seq), seq));
-    report.deltas = delta_seqs
-        .into_iter()
-        .filter(|&seq| base_seq.is_some_and(|base| seq > base))
-        .filter_map(|seq| read_image(dir, crate::log::delta_name(seq), seq))
-        .collect();
+    report.snapshot = scan.base.as_ref().map(image_report);
+    report.deltas = scan.deltas.iter().map(image_report).collect();
     Ok(report)
 }
 
-/// Reads one image file back; `None` when it vanished mid-pass.
-fn read_image(dir: &Path, file: String, last_seq: u64) -> Option<SnapshotReport> {
-    let (bytes, corrupt) = match std::fs::read(dir.join(&file)) {
-        Ok(payload) => (payload.len() as u64, None),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(err) => (0, Some(err.to_string())),
-    };
-    Some(SnapshotReport {
-        file,
-        last_seq,
-        bytes,
-        corrupt,
-    })
+fn image_report(image: &ImageScan) -> SnapshotReport {
+    SnapshotReport {
+        file: image.file.clone(),
+        last_seq: image.last_seq,
+        bytes: image.payload.as_ref().map_or(0, Vec::len) as u64,
+        corrupt: image.payload.as_ref().err().map(ToString::to_string),
+    }
 }
 
 /// Window starts where `local` and `remote` disagree *inside the acked
@@ -291,34 +224,23 @@ pub fn inject_bitrot(
     active: Option<&Path>,
     plan: &FaultPlan,
 ) -> std::io::Result<Vec<u64>> {
-    let faults = plan.bitrot_faults();
-    if faults.is_empty() {
+    if plan.bitrot_faults().is_empty() {
         return Ok(Vec::new());
     }
     let mut struck = Vec::new();
-    for first_seq in StoreFiles::list(dir)?.segments {
-        let path = dir.join(segment_name(first_seq));
-        if active.is_some_and(|a| a == path) {
-            continue;
-        }
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(err) => return Err(err),
-        };
-        let (frames, _) = frame::scan(&bytes);
-        for frame in &frames {
-            let Some((_, flip)) = faults.iter().find(|(seq, _)| *seq == frame.seq) else {
-                continue;
-            };
+    DirScan::new(dir)?.scan_segments(active, |segment| {
+        let path = dir.join(segment_name(segment.first_seq));
+        for frame in &segment.frames {
             if frame.payload.is_empty() {
                 continue; // nothing to flip without breaking framing
             }
-            if plan.claim_bitrot(frame.seq).is_none() {
-                continue; // already struck in an earlier pass
-            }
+            // `None` when nothing is scheduled, or it struck in an
+            // earlier pass.
+            let Some(flip) = plan.claim_bitrot(frame.seq) else {
+                continue;
+            };
             let payload_start = frame.end_offset - frame.payload.len() as u64;
-            let span = (*flip).min(frame.payload.len());
+            let span = flip.min(frame.payload.len());
             let mut flipped = frame.payload[..span].to_vec();
             for byte in &mut flipped {
                 *byte ^= 0xFF;
@@ -329,7 +251,8 @@ pub fn inject_bitrot(
             file.sync_data()?;
             struck.push(frame.seq);
         }
-    }
+        Ok::<(), std::io::Error>(())
+    })?;
     struck.sort_unstable();
     Ok(struck)
 }
@@ -337,6 +260,7 @@ pub fn inject_bitrot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame;
     use crate::log::{EventStore, StoreOptions};
     use std::path::PathBuf;
 

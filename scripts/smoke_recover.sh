@@ -2,9 +2,10 @@
 # Smoke test for crash recovery: boot a journaled `mine serve`, drive
 # sittings through it until its journal holds at least one delta
 # snapshot on top of the base, capture the live analysis report, kill -9
-# the server, restart it from the same --data-dir, and assert the
-# restarted server serves a byte-identical report and the journal
-# audits clean.
+# the server, inspect the journal with `mine recover` (which must leave
+# every file byte-identical), restart it from the same --data-dir, and
+# assert the restarted server serves a byte-identical report and the
+# journal audits clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,8 +55,12 @@ echo "==> kill -9 the server"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 
-echo "==> offline inspection: mine recover"
+echo "==> offline inspection: mine recover (read-only)"
+# Every file's name and bytes, to prove the inspection wrote nothing.
+hash_dir() { (cd "$1" && find . -type f -print0 | sort -z | xargs -0 sha256sum); }
+BEFORE="$(hash_dir "$DATA")"
 "$MINE" recover "$DATA"
+[[ "$(hash_dir "$DATA")" == "$BEFORE" ]] || fail "mine recover changed the journal"
 
 echo "==> restart from the journal"
 "$MINE" serve "$DB" --addr "$ADDR" --threads 4 --data-dir "$DATA" &

@@ -34,9 +34,10 @@
 //! mine promote <addr>                          supervised failover: tell the follower at
 //!                                              <addr> to stop following, bump its durable
 //!                                              epoch, and start serving writes
-//! mine recover <dir>                           inspect a journal directory offline:
-//!                                              replay the log, repair torn tails,
-//!                                              print the event summary
+//! mine recover <dir>                           inspect a journal directory offline,
+//!                                              read-only: print the images, the event
+//!                                              summary and any torn tail the next
+//!                                              serve repairs
 //! mine audit <dir>... [--db DB] [--json]       offline invariant check over one or more
 //!                                              journal directories: per-node CRC/sequence/
 //!                                              epoch integrity, cross-node acked-prefix
@@ -76,7 +77,7 @@ use mine_assessment::server::{
 };
 use mine_assessment::simulator::{CohortSpec, Simulation};
 use mine_assessment::store::{
-    scrub_dir, EventStore, FaultPlan, ScrubReport, SegmentReport, SnapshotReport, StoreOptions,
+    read_store, scrub_dir, FaultPlan, ScrubReport, SegmentReport, SnapshotReport, StoreOptions,
     SyncPolicy,
 };
 use serde::{JsonWriter, Serialize};
@@ -742,26 +743,21 @@ fn recover(args: &[String]) -> CliResult {
     let [dir] = args else {
         return Err("recover needs <dir>".into());
     };
-    let (_, recovered) = EventStore::open(std::path::PathBuf::from(dir), StoreOptions::default())
+    let (recovered, _) = read_store(std::path::Path::new(dir))
         .map_err(|err| format!("opening journal at {dir}: {err}"))?;
     let mut out = String::new();
     for warning in &recovered.warnings {
-        out.push_str(&format!("warning: {warning} (repaired)\n"));
-    }
-    match &recovered.snapshot {
-        Some(snapshot) => out.push_str(&format!(
-            "snapshot: through seq {}, {} byte(s)\n",
-            snapshot.last_seq,
-            snapshot.payload.len()
-        )),
-        None => out.push_str("snapshot: none\n"),
-    }
-    for delta in &recovered.deltas {
         out.push_str(&format!(
-            "delta: through seq {}, {} byte(s)\n",
-            delta.last_seq,
-            delta.payload.len()
+            "warning: {warning} (repaired by the next serve)\n"
         ));
+    }
+    if recovered.snapshot.is_none() {
+        out.push_str("snapshot: none\n");
+    }
+    let bases = recovered.snapshot.iter().map(|image| ("snapshot", image));
+    for (kind, image) in bases.chain(recovered.deltas.iter().map(|image| ("delta", image))) {
+        let (seq, bytes) = (image.last_seq, image.payload.len());
+        out.push_str(&format!("{kind}: through seq {seq}, {bytes} byte(s)\n"));
     }
     let events = decode_events(&recovered)?;
     out.push_str(&format!(
@@ -828,11 +824,11 @@ fn audit(args: &[String]) -> CliResult {
     }
 }
 
-/// Offline anti-entropy pass over one journal directory: re-verify the
-/// CRC and framing of every WAL segment and the newest snapshot, and
-/// print per-segment verdicts plus the per-window range hashes. The
-/// exit-code contract matches `mine audit`: non-zero when corruption is
-/// found, so scripts can end with `mine scrub` as their verdict.
+/// Offline anti-entropy pass over one journal directory: judge every
+/// WAL segment and image by recovery's rule, and print the verdicts plus
+/// the per-window range hashes. The exit-code contract matches `mine
+/// audit`: non-zero when corruption is found, so scripts can end with
+/// `mine scrub` as their verdict.
 fn scrub(args: &[String]) -> CliResult {
     let (json, args) = take_optional_value_flag(args, "--json");
     if json.as_ref().is_some_and(|value| value.is_some()) {
@@ -845,8 +841,6 @@ fn scrub(args: &[String]) -> CliResult {
     if !path.is_dir() {
         return Err(format!("scrub: {dir} is not a directory"));
     }
-    // Offline: no active segment to skip — the torn-tail tolerance for
-    // the newest segment lives inside `scrub_dir`.
     let report = scrub_dir(path, None).map_err(|err| format!("scrubbing {dir}: {err}"))?;
     if json.is_some() {
         print_block(&format!("{}\n", scrub_json(&report)));
@@ -874,25 +868,17 @@ fn render_scrub(report: &ScrubReport) -> String {
             Some(reason) => out.push_str(&format!("segment {}: CORRUPT: {reason}\n", segment.file)),
         }
     }
-    match &report.snapshot {
-        Some(snapshot) => match &snapshot.corrupt {
-            None => out.push_str(&format!(
-                "snapshot {}: through seq {}, {} byte(s), clean\n",
-                snapshot.file, snapshot.last_seq, snapshot.bytes
-            )),
-            Some(reason) => {
-                out.push_str(&format!("snapshot {}: CORRUPT: {reason}\n", snapshot.file));
-            }
-        },
-        None => out.push_str("snapshot: none\n"),
+    if report.snapshot.is_none() {
+        out.push_str("snapshot: none\n");
     }
-    for delta in &report.deltas {
-        match &delta.corrupt {
+    let bases = report.snapshot.iter().map(|image| ("snapshot", image));
+    for (kind, image) in bases.chain(report.deltas.iter().map(|image| ("delta", image))) {
+        match &image.corrupt {
             None => out.push_str(&format!(
-                "delta {}: through seq {}, {} byte(s), clean\n",
-                delta.file, delta.last_seq, delta.bytes
+                "{kind} {}: through seq {}, {} byte(s), clean\n",
+                image.file, image.last_seq, image.bytes
             )),
-            Some(reason) => out.push_str(&format!("delta {}: CORRUPT: {reason}\n", delta.file)),
+            Some(reason) => out.push_str(&format!("{kind} {}: CORRUPT: {reason}\n", image.file)),
         }
     }
     out.push_str(&format!(

@@ -237,3 +237,67 @@ fn batch_analyze_output_does_not_depend_on_thread_count() {
     // Every sitting is analyzed afresh; there is no cache to report on.
     assert!(!one.contains("cache:"), "{one}");
 }
+
+#[test]
+fn recover_on_a_missing_path_fails_and_creates_nothing() {
+    let (dir, _) = temp_db("recover-missing");
+    let missing = dir.path.join("no-such-journal");
+    let out = run(&["recover", &missing.display().to_string()]);
+    assert!(!out.status.success(), "{out:?}");
+    assert!(!missing.exists(), "recover created {}", missing.display());
+}
+
+/// Every file of a flat directory, by name, with its bytes.
+fn snapshot_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn read_only_tools_leave_a_torn_journal_byte_identical() {
+    use mine_assessment::server::SessionEvent;
+    use mine_assessment::store::{EventStore, StoreOptions};
+
+    let (dir, _) = temp_db("recover-torn");
+    let journal = dir.path.join("journal");
+    {
+        let (store, _) = EventStore::open(&journal, StoreOptions::default()).unwrap();
+        for session in ["quiz#s1@1", "quiz#s2@2"] {
+            let event = SessionEvent::Paused {
+                session: session.to_string(),
+            };
+            store
+                .append(serde_json::to_string(&event).unwrap().as_bytes())
+                .unwrap();
+        }
+    }
+    // Half a frame after the last record: the tail a crash leaves.
+    let segment = journal.join(format!("wal-{:020}.log", 1));
+    let mut bytes = std::fs::read(&segment).unwrap();
+    bytes.extend_from_slice(&[0x55; 7]);
+    std::fs::write(&segment, bytes).unwrap();
+
+    let before = snapshot_files(&journal);
+    let path = journal.display().to_string();
+    for command in ["recover", "scrub", "audit"] {
+        let out = run(&[command, &path]);
+        assert!(out.status.success(), "mine {command}: {out:?}");
+        assert!(
+            snapshot_files(&journal) == before,
+            "mine {command} changed the journal"
+        );
+    }
+    let out = run(&["recover", &path]);
+    assert!(
+        stdout(&out).contains("warning: truncated torn tail"),
+        "{out:?}"
+    );
+}
