@@ -35,7 +35,7 @@ use mine_itembank::Repository;
 use mine_store::{read_store, Recovered, INITIAL_EPOCH};
 use serde::{JsonWriter, Serialize};
 
-use crate::journal::{decode_payload, rebuild_state, ServerImage, SessionEvent};
+use crate::journal::{capture_image, decode_payload, rebuild_state, ServerImage, SessionEvent};
 
 /// What the audit found in one journal directory.
 #[derive(Debug, Default)]
@@ -239,8 +239,8 @@ fn cross_check(histories: &[(&Path, Recovered)]) -> Vec<String> {
 /// Rebuilds one node's state in memory and captures its image JSON.
 fn replay_image(repository: Repository, recovered: &Recovered) -> Result<String, String> {
     let (state, _, _) = rebuild_state(repository, recovered.clone())?;
-    let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
-    serde_json::to_string(&image).map_err(|err| format!("image failed to serialize: {err}"))
+    let (image, _) = capture_image(&state, 0).map_err(|err| err.to_string())?;
+    Ok(image)
 }
 
 /// Audits `dirs` against the three invariant families (see the module
@@ -355,9 +355,9 @@ mod tests {
     fn journal_events(dir: &Path, payloads: &[&str]) {
         let (journal, _) = Journal::open(dir, StoreOptions::default(), u64::MAX).unwrap();
         for payload in payloads {
-            journal.append_raw(payload.as_bytes()).unwrap();
+            journal.store().append(payload.as_bytes()).unwrap();
         }
-        journal.sync().unwrap();
+        journal.store().sync().unwrap();
     }
 
     /// A real, replayable `Created` payload (hand-written JSON would

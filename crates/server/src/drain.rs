@@ -25,7 +25,7 @@
 //! restarted server replays it either way. The deadline only bounds how
 //! long shutdown *waits* for stragglers before moving on.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use mine_delivery::{DeliveryError, SessionState};
@@ -75,17 +75,13 @@ impl DrainState {
 #[derive(Debug, Clone, Default)]
 pub struct Lifecycle {
     state: Arc<AtomicU8>,
-    /// `Retry-After` seconds advertised on drain-shed responses.
-    retry_after_secs: Arc<AtomicU64>,
 }
 
 impl Lifecycle {
     /// A fresh lifecycle in [`DrainState::Running`].
     #[must_use]
     pub fn new() -> Self {
-        let lifecycle = Self::default();
-        lifecycle.retry_after_secs.store(5, Ordering::Relaxed);
-        lifecycle
+        Self::default()
     }
 
     /// The current state.
@@ -115,17 +111,6 @@ impl Lifecycle {
     /// Enters [`DrainState::Stopped`].
     pub fn mark_stopped(&self) {
         self.state.store(2, Ordering::Release);
-    }
-
-    /// The `Retry-After` to advertise while draining.
-    #[must_use]
-    pub fn retry_after_secs(&self) -> u64 {
-        self.retry_after_secs.load(Ordering::Relaxed)
-    }
-
-    /// Configures the drain `Retry-After` (e.g. from `ServeOptions`).
-    pub fn set_retry_after_secs(&self, secs: u64) {
-        self.retry_after_secs.store(secs.max(1), Ordering::Relaxed);
     }
 }
 
@@ -208,7 +193,7 @@ pub fn pause_and_snapshot(state: &ServerState) -> DrainReport {
         match journal.write_base(state) {
             Ok(()) => {
                 report.snapshot_written = true;
-                if let Err(err) = journal.sync() {
+                if let Err(err) = journal.store().sync() {
                     report.notes.push(format!("final sync failed: {err}"));
                 }
             }
@@ -246,10 +231,6 @@ mod tests {
         let observer = lifecycle.clone();
         lifecycle.begin_drain();
         assert!(observer.is_draining());
-        assert_eq!(observer.retry_after_secs(), 5);
-        lifecycle.set_retry_after_secs(0);
-        // Zero would invite an immediate hammering retry; clamped to 1.
-        assert_eq!(observer.retry_after_secs(), 1);
     }
 
     #[test]

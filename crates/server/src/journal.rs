@@ -34,7 +34,7 @@
 //! logical clock: no wall time is ever consulted.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -42,10 +42,11 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 
 use mine_adaptive::AdaptiveOptions;
+use mine_analysis::AnalysisConfig;
 use mine_core::{Answer, ExamId, StudentId, StudentRecord};
 use mine_delivery::{DeliveryOptions, ExamSession, SessionCheckpoint, SessionImage};
 use mine_itembank::Repository;
-use mine_store::{EventStore, Recovered, StoreError, StoreOptions};
+use mine_store::{EventStore, Recovered, ReplError, Snapshot, StoreError, StoreOptions};
 use mine_streamstats::StreamEngine;
 
 use crate::adaptive::{AdaptiveImage, AdaptiveSitting};
@@ -211,56 +212,100 @@ impl ServerImage {
         }
     }
 
-    /// Restores this image into an (empty) registry, finished store,
-    /// and streaming engine. Every restored record is folded into the
-    /// engine through the same `apply` the live finish path uses, so a
-    /// restarted (or bootstrapped) node's streaming report converges on
-    /// the origin's.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first session that failed to
-    /// rebuild.
-    pub fn restore(
-        self,
-        registry: &SessionRegistry,
-        finished: &FinishedStore,
-        stream: &StreamEngine,
-        adaptive: &Registry<AdaptiveSitting>,
-    ) -> Result<(), String> {
-        for slot in self.sessions {
+    /// Encodes the image as the JSON payload a base, delta or bootstrap
+    /// carries: the one encoder of images.
+    pub(crate) fn encode(&self) -> Result<String, StoreError> {
+        to_payload(self, "image")
+    }
+}
+
+/// Captures and encodes an image of `state`: every live sitting and the
+/// records filed after `since` (0 for a full base). Also returns the
+/// [`FinishedStore`] tick it covers. The one place an image is captured.
+pub(crate) fn capture_image(state: &ServerState, since: u64) -> Result<(String, u64), StoreError> {
+    let tick = state.finished.tick();
+    let image =
+        ServerImage::capture_since(&state.registry, &state.finished, &state.adaptive, since);
+    Ok((image.encode()?, tick))
+}
+
+/// Live structures restored from images, fresh so a bootstrap can swap
+/// them in whole.
+struct LiveState {
+    registry: SessionRegistry,
+    finished: FinishedStore,
+    stream: StreamEngine,
+    adaptive: Registry<AdaptiveSitting>,
+}
+
+/// Decodes a base and the deltas above it in seq order (a bootstrap is
+/// a lone base) into fresh structures: the one image decoder, serving
+/// recovery, `mine audit` and the follower bootstrap. Every image's
+/// records are filed like live finishes (push, then the stream's
+/// `apply`); the live sittings come from the newest image alone. Adds
+/// what it restored to `report`.
+///
+/// # Errors
+///
+/// A decode failure, or the first sitting that failed to rebuild.
+fn restore_images(
+    images: &[&Snapshot],
+    config: AnalysisConfig,
+    report: &mut RecoveryReport,
+) -> Result<LiveState, String> {
+    let live = LiveState {
+        registry: SessionRegistry::default(),
+        finished: FinishedStore::new(),
+        stream: StreamEngine::new(config),
+        adaptive: Registry::default(),
+    };
+    for (index, snapshot) in images.iter().enumerate() {
+        let image: ServerImage = decode_payload(
+            &snapshot.payload,
+            format_args!("image through seq {}", snapshot.last_seq),
+        )?;
+        report.snapshot_records += file_records(image.finished, &live.finished, &live.stream);
+        if index + 1 < images.len() {
+            continue;
+        }
+        let adaptive = image.adaptive.unwrap_or_default();
+        report.snapshot_sessions = image.sessions.len() + adaptive.len();
+        for slot in image.sessions {
             let id = slot.session.id.as_str().to_string();
             let session = ExamSession::from_image(slot.session)
                 .map_err(|err| format!("session {id} failed to rebuild: {err}"))?;
-            registry
+            live.registry
                 .insert(SessionSlot {
                     session,
                     checkpoint: slot.checkpoint,
                 })
                 .map_err(|err| format!("session {id} failed to re-register: {err}"))?;
         }
-        file_records(self.finished, finished, stream);
-        for image in self.adaptive.unwrap_or_default() {
+        for image in adaptive {
             let sitting = image.restore()?;
             let id = sitting.id().to_string();
-            adaptive
+            live.adaptive
                 .insert(sitting)
                 .map_err(|err| format!("adaptive sitting {id} failed to re-register: {err}"))?;
         }
-        Ok(())
     }
+    Ok(live)
 }
 
 /// Files an image's records the way a live finish does: push, then
 /// fold into the stream, so a record for a student already filed (a
-/// resit in a later delta) replaces the earlier one in both.
-fn file_records(exams: Vec<ExamRecords>, finished: &FinishedStore, stream: &StreamEngine) {
+/// resit in a later delta) replaces the earlier one in both. Returns
+/// how many it filed.
+fn file_records(exams: Vec<ExamRecords>, finished: &FinishedStore, stream: &StreamEngine) -> usize {
+    let mut filed = 0;
     for exam in exams {
+        filed += exam.records.len();
         for record in exam.records {
             stream.apply(&exam.exam, &record);
             finished.push(&exam.exam, record);
         }
     }
+    filed
 }
 
 pub(crate) fn to_payload<T: Serialize>(value: &T, what: &str) -> Result<String, StoreError> {
@@ -284,10 +329,12 @@ pub struct Journal {
     /// Snapshot after this many journaled events (0 = never).
     snapshot_every: u64,
     /// The [`FinishedStore`] tick the durable images cover: every record
-    /// filed at or below it is in the base or a delta. It advances only
-    /// after an image write succeeds, so a failed write's records go
-    /// into the next image.
+    /// filed at or below it is in the base or a delta. Only
+    /// [`Journal::write_image`] moves it, once the image is durable.
     covered_tick: AtomicU64,
+    /// Set while the last image write failed: the journal stays due for
+    /// compaction until an image lands (a failed scrub repair included).
+    image_due: AtomicBool,
     /// The highest sequence number whose effects are in memory — what
     /// `/healthz` reports as `last_applied_seq`. Published only after
     /// the mutation, replayed record or bootstrap restore it names.
@@ -313,6 +360,7 @@ impl Journal {
                 gate: RwLock::new(()),
                 snapshot_every,
                 covered_tick: AtomicU64::new(0),
+                image_due: AtomicBool::new(false),
                 applied_seq: AtomicU64::new(head),
             },
             recovered,
@@ -323,29 +371,6 @@ impl Journal {
     #[must_use]
     pub fn store(&self) -> &EventStore {
         &self.store
-    }
-
-    /// Appends pre-serialized event bytes. The replication follower uses
-    /// this to journal the primary's records byte for byte, so its log —
-    /// and therefore anything replayed from it — is identical to the
-    /// primary's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] from the underlying append.
-    pub fn append_raw(&self, payload: &[u8]) -> Result<u64, StoreError> {
-        self.store.append(payload)
-    }
-
-    /// Installs a bootstrap snapshot received from a primary, rebasing
-    /// the local log to its sequence numbering. Call with the write gate
-    /// held, then `mark_installed` once memory holds the image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`].
-    pub fn install_snapshot(&self, payload: &[u8], last_seq: u64) -> Result<(), StoreError> {
-        self.store.install_snapshot(payload, last_seq)
     }
 
     /// Shared gate for mutating handlers.
@@ -369,19 +394,29 @@ impl Journal {
         self.applied_seq.fetch_max(seq, Ordering::AcqRel);
     }
 
-    /// Records that memory now holds exactly the bootstrap image
-    /// installed through `seq`, and that the image covers every record
-    /// `finished` holds. The head may move backwards here (a deposed
-    /// primary rebasing onto its successor's history).
-    pub(crate) fn mark_installed(&self, finished: &FinishedStore, seq: u64) {
-        self.covered_tick.store(finished.tick(), Ordering::Release);
-        self.applied_seq.store(seq, Ordering::Release);
-    }
-
-    /// Whether enough events have accumulated to warrant a snapshot.
+    /// Whether enough events have accumulated to warrant a snapshot, or
+    /// the last image write failed and must be retried.
     #[must_use]
     pub fn due_for_snapshot(&self) -> bool {
-        self.snapshot_every > 0 && self.store.events_since_snapshot() >= self.snapshot_every
+        self.image_due.load(Ordering::Acquire)
+            || (self.snapshot_every > 0
+                && self.store.events_since_snapshot() >= self.snapshot_every)
+    }
+
+    /// The journal's one image writer: runs `write` (one of the store's
+    /// image writes), then records that the images cover every record
+    /// filed at or below `covers`. A failure leaves the journal due for
+    /// compaction. Call with the write gate held.
+    fn write_image(
+        &self,
+        covers: u64,
+        write: impl FnOnce(&EventStore) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let written = write(&self.store);
+        self.image_due.store(written.is_err(), Ordering::Release);
+        written?;
+        self.covered_tick.store(covers, Ordering::Release);
+        Ok(())
     }
 
     /// Writes a compacting full base snapshot of `image`. Call with the
@@ -394,7 +429,9 @@ impl Journal {
     ///
     /// Propagates [`StoreError`]; the log remains intact on failure.
     pub fn write_snapshot(&self, image: &ServerImage) -> Result<(), StoreError> {
-        self.store.snapshot(to_payload(image, "image")?.as_bytes())
+        let payload = image.encode()?;
+        let covered = self.covered_tick.load(Ordering::Acquire);
+        self.write_image(covered, |store| store.snapshot(payload.as_bytes()))
     }
 
     /// Captures `state` and writes it as a full base. Call with the
@@ -404,11 +441,8 @@ impl Journal {
     ///
     /// Propagates [`StoreError`]; the log remains intact on failure.
     pub(crate) fn write_base(&self, state: &ServerState) -> Result<(), StoreError> {
-        let tick = state.finished.tick();
-        let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
-        self.write_snapshot(&image)?;
-        self.covered_tick.store(tick, Ordering::Release);
-        Ok(())
+        let (payload, tick) = capture_image(state, 0)?;
+        self.write_image(tick, |store| store.snapshot(payload.as_bytes()))
     }
 
     /// Periodic compaction: writes a delta when a base exists and the
@@ -420,30 +454,43 @@ impl Journal {
     /// Propagates [`StoreError`]; the log and the covered tick stay as
     /// they were on failure.
     pub(crate) fn compact(&self, state: &ServerState) -> Result<(), StoreError> {
-        let tick = state.finished.tick();
         let (base_bytes, delta_bytes) = self.store.image_bytes();
-        let delta = ServerImage::capture_since(
-            &state.registry,
-            &state.finished,
-            &state.adaptive,
-            self.covered_tick.load(Ordering::Acquire),
-        );
-        let payload = to_payload(&delta, "image")?;
-        if delta_bytes + (payload.len() as u64) < base_bytes {
-            self.store.snapshot_delta(payload.as_bytes())?;
-            self.covered_tick.store(tick, Ordering::Release);
-            return Ok(());
+        let (delta, tick) = capture_image(state, self.covered_tick.load(Ordering::Acquire))?;
+        if delta_bytes + (delta.len() as u64) < base_bytes {
+            return self.write_image(tick, |store| store.snapshot_delta(delta.as_bytes()));
         }
         self.write_base(state)
     }
 
-    /// Flushes the log to stable storage.
+    /// Installs a bootstrap image from a primary: restores it into fresh
+    /// structures off the gate (readers keep the old state meanwhile),
+    /// then under the write gate rebases the log onto it and swaps each
+    /// structure in whole, so a reader never sees an empty one. Only then
+    /// does `last_applied_seq` move to the image, possibly backwards (a
+    /// deposed primary rebasing onto its successor's history).
     ///
     /// # Errors
     ///
-    /// Propagates [`StoreError`].
-    pub fn sync(&self) -> Result<(), StoreError> {
-        self.store.sync()
+    /// [`ReplError::Frame`] when the image does not restore, the store's
+    /// error when it refuses the image; memory is then unchanged.
+    pub(crate) fn install_image(
+        &self,
+        state: &ServerState,
+        image: &Snapshot,
+    ) -> Result<(), ReplError> {
+        let config = *state.stream.config();
+        let live = restore_images(&[image], config, &mut RecoveryReport::default())
+            .map_err(|reason| ReplError::Frame { reason })?;
+        let _gate = self.gate_write();
+        self.write_image(live.finished.tick(), |store| {
+            store.install_snapshot(&image.payload, image.last_seq)
+        })?;
+        state.registry.replace_with(live.registry);
+        state.finished.replace_with(live.finished);
+        state.stream.replace_with(live.stream);
+        state.adaptive.replace_with(live.adaptive);
+        self.applied_seq.store(image.last_seq, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -482,15 +529,20 @@ pub fn open_journaled_state(
     let (journal, recovered) =
         Journal::open(dir, options, snapshot_every).map_err(|err| err.to_string())?;
     let (mut state, report, covered_tick) = rebuild_state(repository, recovered)?;
-    journal.covered_tick.store(covered_tick, Ordering::Release);
-    state.journal = Some(journal);
+    // The restored images cover every record filed before the tail.
+    let covered_tick = covered_tick.into();
+    state.journal = Some(Journal {
+        covered_tick,
+        ..journal
+    });
     Ok((state, report))
 }
 
 /// Rebuilds a [`ServerState`] from a recovered history, touching no
-/// store. Also returns the [`FinishedStore`] tick the images cover, read
-/// before the tail replay: a journal attached to the state starts its
-/// next delta there.
+/// store: restores the images, then replays the tail through
+/// `ServerState::replay`. Also returns the [`FinishedStore`] tick the
+/// images cover, read before the tail replay: a journal attached to the
+/// state starts its next delta there.
 ///
 /// # Errors
 ///
@@ -499,42 +551,18 @@ pub(crate) fn rebuild_state(
     repository: Repository,
     recovered: Recovered,
 ) -> Result<(ServerState, RecoveryReport, u64), String> {
-    let state = ServerState::new(repository);
+    let mut state = ServerState::new(repository);
     let mut report = RecoveryReport {
         warnings: recovered.warnings,
+        snapshot_deltas: recovered.deltas.len(),
         ..RecoveryReport::default()
     };
-
-    // The base, then each delta in seq order: every image's records
-    // are filed like live finishes, and the live sittings come from the
-    // newest image alone (older images' sittings have since finished or
-    // moved on).
-    report.snapshot_deltas = recovered.deltas.len();
-    let images = recovered.snapshot.into_iter().chain(recovered.deltas);
-    let newest = images.size_hint().0.saturating_sub(1);
-    for (index, snapshot) in images.enumerate() {
-        let image: ServerImage = decode_payload(
-            &snapshot.payload,
-            format_args!("image through seq {}", snapshot.last_seq),
-        )?;
-        report.snapshot_records += image
-            .finished
-            .iter()
-            .map(|e| e.records.len())
-            .sum::<usize>();
-        if index < newest {
-            file_records(image.finished, &state.finished, &state.stream);
-            continue;
-        }
-        report.snapshot_sessions =
-            image.sessions.len() + image.adaptive.as_ref().map_or(0, Vec::len);
-        image.restore(
-            &state.registry,
-            &state.finished,
-            &state.stream,
-            &state.adaptive,
-        )?;
-    }
+    let images: Vec<&Snapshot> = recovered.snapshot.iter().chain(&recovered.deltas).collect();
+    let live = restore_images(&images, *state.stream.config(), &mut report)?;
+    state.registry = live.registry;
+    state.finished = live.finished;
+    state.stream = Arc::new(live.stream);
+    state.adaptive = live.adaptive;
     let covered_tick = state.finished.tick();
 
     for record in recovered.events {

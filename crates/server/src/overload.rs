@@ -222,9 +222,6 @@ pub struct OverloadOptions {
     pub queue_depth: usize,
     /// Per-peer-IP token-bucket limit; `None` disables rate limiting.
     pub rate_limit: Option<RateLimit>,
-    /// `Retry-After` seconds advertised when the accept queue is full
-    /// or the server is draining.
-    pub shed_retry_after_secs: u64,
 }
 
 impl Default for OverloadOptions {
@@ -232,7 +229,6 @@ impl Default for OverloadOptions {
         Self {
             queue_depth: 1024,
             rate_limit: None,
-            shed_retry_after_secs: 2,
         }
     }
 }

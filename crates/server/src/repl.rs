@@ -5,12 +5,12 @@
 //!
 //! One **primary** owns all writes. It exposes a replication listener
 //! ([`ReplListener`]); each **follower** connects to it
-//! ([`start_follower`]), bootstraps from a full [`ServerImage`]
-//! snapshot, and then applies the primary's WAL records in strict
-//! sequence order — through `ServerState::apply`, the method the
-//! primary's handlers and crash recovery mutate through, so a replica's
-//! registry is byte-identical to what the primary would rebuild from
-//! the same log.
+//! ([`start_follower`]), bootstraps from a full
+//! [`ServerImage`](crate::journal::ServerImage) snapshot, and then
+//! applies the primary's WAL records in strict sequence order — through
+//! `ServerState::apply`, the method the primary's handlers and crash
+//! recovery mutate through, so a replica's registry is byte-identical
+//! to what the primary would rebuild from the same log.
 //! Followers serve every read route and refuse writes with
 //! `421 Misdirected Request` naming the leader.
 //!
@@ -63,14 +63,12 @@ use rand::SeedableRng;
 use serde::{Number, Value};
 
 use mine_store::replicate::{read_message, write_message, Message};
-use mine_store::{FaultPlan, NetAction, ReplError, StreamCursor};
-use mine_streamstats::StreamEngine;
+use mine_store::{FaultPlan, NetAction, ReplError, Snapshot, StreamCursor};
 
 use crate::client::{backoff_delay, connect_timeout, HttpClient, RetryPolicy};
 use crate::http::object_body;
-use crate::journal::{decode_payload, Journal, ServerImage, SessionEvent};
+use crate::journal::{capture_image, decode_payload, Journal, SessionEvent};
 use crate::metrics::Metrics;
-use crate::registry::{FinishedStore, Registry, SessionRegistry};
 use crate::router::Router;
 
 /// Socket read timeout on both sides of the stream: long enough for
@@ -218,7 +216,7 @@ impl Hub {
             .expect("hub mutex")
             .retain(|conn| conn.id != id);
         // A quorum waiter counting on this follower must re-evaluate.
-        self.ack_signal.notify_all();
+        self.notify();
     }
 
     /// Queues one encoded frame for every follower. Dead senders (their
@@ -256,8 +254,12 @@ impl Hub {
             .any(|conn| conn.acked.load(Ordering::Acquire) >= seq)
     }
 
-    /// Called by ack readers after advancing a follower's `acked`.
+    /// Called by ack readers after advancing a follower's `acked`. The
+    /// notify holds `ack_lock`, which a waiter holds from its check to
+    /// its sleep: an ack landing in between waits for the sleep instead
+    /// of waking nobody and leaving the writer asleep until timeout.
     fn notify(&self) {
+        let _guard = self.ack_lock.lock().expect("ack mutex");
         self.ack_signal.notify_all();
     }
 
@@ -501,7 +503,7 @@ impl ReplState {
     ) -> Result<u64, mine_store::StoreError> {
         let seq = {
             let _order = self.order.lock().expect("publish order");
-            let seq = journal.append_raw(payload)?;
+            let seq = journal.store().append(payload)?;
             let frame = Message::Record {
                 seq,
                 payload: payload.to_vec(),
@@ -583,10 +585,6 @@ impl ReplListener {
             let _ = acceptor.join();
         }
     }
-}
-
-fn repl_io(err: mine_store::StoreError) -> ReplError {
-    ReplError::Io(std::io::Error::other(err.to_string()))
 }
 
 fn is_timeout(err: &ReplError) -> bool {
@@ -691,12 +689,7 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
     // exactly `last_seq + 1`.
     let (snapshot_frame, receiver, acked, id) = {
         let _gate = journal.gate_write();
-        let image = ServerImage::capture(&state.registry, &state.finished, &state.adaptive);
-        let payload = serde_json::to_string(&image)
-            .map_err(|err| ReplError::Frame {
-                reason: format!("image failed to serialize: {err}"),
-            })?
-            .into_bytes();
+        let payload = capture_image(state, 0)?.0.into_bytes();
         let last_seq = journal.store().next_seq() - 1;
         let (sender, receiver) = channel::unbounded::<Vec<u8>>();
         let acked = Arc::new(AtomicU64::new(last_seq));
@@ -963,7 +956,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                 // adopt the new epoch durably. This is also how a
                 // deposed primary restarted with `--replica-of`
                 // demotes itself.
-                store.set_epoch(epoch).map_err(repl_io)?;
+                store.set_epoch(epoch)?;
             }
             if !advertise.is_empty() {
                 repl.set_leader_addr(advertise);
@@ -985,32 +978,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
             reason: "expected a bootstrap Snapshot".to_string(),
         });
     };
-    let image: ServerImage = decode_payload(&payload, "bootstrap image")
-        .map_err(|reason| ReplError::Frame { reason })?;
-    // Restore into fresh structures first, off the gate; readers keep
-    // seeing the old state meanwhile.
-    let registry = SessionRegistry::default();
-    let finished = FinishedStore::new();
-    let stream = StreamEngine::new(*state.stream.config());
-    let adaptive = Registry::default();
-    image
-        .restore(&registry, &finished, &stream, &adaptive)
-        .map_err(|reason| ReplError::Frame { reason })?;
-    {
-        // Install and swap under the exclusive gate. Each structure
-        // swaps in one step, so a reader sees the old state or the
-        // bootstrap, never an empty one, and `last_applied_seq` moves
-        // to the image only once the swap is done.
-        let _gate = journal.gate_write();
-        journal
-            .install_snapshot(&payload, last_seq)
-            .map_err(repl_io)?;
-        state.registry.replace_with(registry);
-        state.finished.replace_with(finished);
-        state.stream.replace_with(stream);
-        state.adaptive.replace_with(adaptive);
-        journal.mark_installed(&state.finished, last_seq);
-    }
+    journal.install_image(state, &Snapshot { last_seq, payload })?;
     write_message(&mut writer, &Message::Ack { seq: last_seq })?;
     writer.flush()?;
     repl.set_leader_head(last_seq.max(repl.leader_head()));
@@ -1041,7 +1009,9 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                 cursor.admit(seq)?;
                 {
                     let _gate = journal.gate_read();
-                    let local_seq = journal.append_raw(&payload).map_err(repl_io)?;
+                    // The primary's bytes as they are: this log, and any
+                    // replay of it, is identical to the primary's.
+                    let local_seq = store.append(&payload)?;
                     if local_seq != seq {
                         return Err(ReplError::Frame {
                             reason: format!(
@@ -1065,7 +1035,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
             Message::Heartbeat { epoch, head_seq } => {
                 cursor.accept_epoch(epoch)?;
                 if epoch > store.epoch() {
-                    store.set_epoch(epoch).map_err(repl_io)?;
+                    store.set_epoch(epoch)?;
                 }
                 repl.set_leader_head(head_seq);
             }
@@ -1299,6 +1269,59 @@ mod tests {
         drop(receiver);
         hub.publish(b"gone");
         assert_eq!(hub.count(), 0);
+    }
+
+    #[test]
+    fn an_ack_racing_the_quorum_wait_wakes_the_waiter() {
+        const ROUNDS: u64 = 2_000;
+        const TIMEOUT: Duration = Duration::from_millis(500);
+        const DONE: u64 = u64::MAX;
+        let hub = Arc::new(Hub::default());
+        let (sender, _receiver) = channel::unbounded();
+        let acked = Arc::new(AtomicU64::new(0));
+        hub.register(sender, Arc::clone(&acked));
+        // The acker spins on the round number and acks each round after
+        // a delay that sweeps a few microseconds, so across the rounds
+        // its ack lands before, inside and after the waiter's
+        // check-then-sleep.
+        let round = Arc::new(AtomicU64::new(0));
+        let acker = {
+            let hub = Arc::clone(&hub);
+            let round = Arc::clone(&round);
+            std::thread::spawn(move || {
+                let mut last = 0;
+                loop {
+                    let seq = round.load(Ordering::Acquire);
+                    if seq == DONE {
+                        return;
+                    }
+                    if seq > last {
+                        for _ in 0..seq % 512 {
+                            std::hint::spin_loop();
+                        }
+                        acked.store(seq, Ordering::Release);
+                        hub.notify();
+                        last = seq;
+                    }
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        let mut stalls = 0;
+        for seq in 1..=ROUNDS {
+            round.store(seq, Ordering::Release);
+            let started = Instant::now();
+            assert!(hub.wait_for_ack(seq, TIMEOUT), "round {seq} timed out");
+            if started.elapsed() >= TIMEOUT / 2 {
+                stalls += 1;
+            }
+        }
+        round.store(DONE, Ordering::Release);
+        acker.join().unwrap();
+        assert_eq!(
+            stalls, 0,
+            "{stalls} of {ROUNDS} waits slept through their ack"
+        );
     }
 
     #[test]

@@ -37,6 +37,12 @@ use crate::scrub::write_range_hashes;
 /// picks traffic back up promptly.
 const DEGRADED_RETRY_SECS: u64 = 2;
 
+/// Retry-After advertised on requests shed while the server drains.
+const DRAIN_RETRY_SECS: u64 = 5;
+
+/// Retry-After advertised on connections shed at a full accept queue.
+pub(crate) const SHED_RETRY_SECS: u64 = 2;
+
 /// Storage health shared by the handlers, the replication shipper, and
 /// the background healer. Degraded means the WAL refused a write
 /// (ENOSPC, fsync failure): the node keeps serving reads but sheds
@@ -182,7 +188,7 @@ impl ServerState {
         let payload = to_payload(event, "event")?;
         let seq = match &self.repl {
             Some(repl) => repl.append_and_publish(journal, payload.as_bytes(), &self.metrics)?,
-            None => journal.append_raw(payload.as_bytes())?,
+            None => journal.store().append(payload.as_bytes())?,
         };
         // `apply` mutates next, still holding the session and the write
         // gate (read or exclusive); a request's reply goes out only
@@ -674,9 +680,9 @@ impl Router {
             // routes above is shed; requests already past this gate run
             // to completion (never mid-session).
             _ if self.state.lifecycle.is_draining() => {
-                let secs = self.state.lifecycle.retry_after_secs();
-                self.state.metrics.shed(secs);
-                (Route::Shed, Ok(Response::shed("server is draining", secs)))
+                self.state.metrics.shed(DRAIN_RETRY_SECS);
+                let shed = Response::shed("server is draining", DRAIN_RETRY_SECS);
+                (Route::Shed, Ok(shed))
             }
             ("POST", ["admin", "promote"]) => (Route::Promote, self.promote()),
             ("POST", ["admin", "demote"]) => (Route::Demote, self.demote(request)),

@@ -11,7 +11,8 @@
 //!   install wipes `wal-*.log` but not quarantine files); a primary
 //!   writes a fresh base from its live state, which every acked write
 //!   already reached. Until an image lands, recovery refuses the
-//!   sequence gap the quarantine leaves.
+//!   sequence gap the quarantine leaves; a failed repair write leaves
+//!   the journal due for compaction, so the next write or pass retries.
 //! - **Silent divergence** (every CRC intact, but a follower's range
 //!   hashes disagree with its leader's inside the acked prefix): the
 //!   overlapping segments are quarantined and the same re-bootstrap
@@ -108,6 +109,10 @@ pub fn scrub_pass(router: &Router) {
         return; // memory-only node: nothing durable to scrub
     };
     let store = journal.store();
+
+    // A failed image write (a self-repair's included) left the journal
+    // due: retry it first, so an idle primary re-seals its history too.
+    router.maybe_compact();
 
     // Injection seam: strike any scheduled bit rot before scanning, so
     // the very pass that "caused" the damage is the one that must
@@ -239,9 +244,11 @@ fn repair(router: &Router, journal: &Journal, quarantined: u64) {
         }
         Err(err) => {
             // A reopen refuses the gap the quarantine leaves until an
-            // image covers it: the next compaction or drain. Later passes
-            // no longer see the renamed segment, so none retries.
-            eprintln!("[mine-scrub] self-repair snapshot failed: {err}");
+            // image covers it. The failed write left the journal due, so
+            // the next write or scrub pass compacts, which covers it.
+            eprintln!(
+                "[mine-scrub] self-repair snapshot failed (retried by the next compaction): {err}"
+            );
         }
     }
 }
@@ -331,6 +338,51 @@ fn segments_for_windows(report: &ScrubReport, windows: &[u64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Request;
+    use crate::journal::open_journaled_state;
+    use mine_itembank::{Exam, Problem, Repository};
+    use mine_store::{read_store, FaultPlan, StoreOptions};
+
+    fn repository() -> Repository {
+        let repo = Repository::new();
+        let mut exam = Exam::builder("quiz").unwrap();
+        for id in ["q1", "q2"] {
+            repo.insert_problem(Problem::true_false(id, "Yes?", true).unwrap())
+                .unwrap();
+            exam = exam.entry(id.parse().unwrap());
+        }
+        repo.insert_exam(exam.build().unwrap()).unwrap();
+        repo
+    }
+
+    #[test]
+    fn a_failed_self_repair_is_retried_by_the_next_pass() {
+        let dir = std::env::temp_dir().join(format!("mine-scrub-retry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Rot record 2 at rest and fail the first image write: the
+        // primary's self-repair of the quarantined segment.
+        let plan = FaultPlan::parse("disk.bitrot@2:4;disk.snapshot_err@1").unwrap();
+        let options = StoreOptions {
+            max_segment_bytes: 256,
+            fault_plan: Some(Arc::new(plan)),
+            ..StoreOptions::default()
+        };
+        let (state, _) = open_journaled_state(repository(), &dir, options, 1_000).unwrap();
+        let router = Router::with_state(state);
+        for student in 0..12 {
+            let body = format!(r#"{{"exam":"quiz","student":"s{student}"}}"#);
+            let response = router.handle(&Request::new("POST", "/sessions", body));
+            assert_eq!(response.status, 201, "{}", response.body);
+        }
+        scrub_pass(&router);
+        assert!(
+            read_store(&dir).is_err(),
+            "the quarantine leaves a gap the failed repair did not cover"
+        );
+        scrub_pass(&router);
+        read_store(&dir).expect("the next pass retried the repair");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn windows_map_back_to_overlapping_segments() {

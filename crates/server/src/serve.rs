@@ -27,7 +27,7 @@ use crossbeam::channel;
 use crate::drain::{pause_and_snapshot, DrainReport, DrainState};
 use crate::http::{parse_request_with, ParseLimits, Response};
 use crate::overload::{self, OverloadOptions, PeerLimiter};
-use crate::router::Router;
+use crate::router::{Router, SHED_RETRY_SECS};
 
 /// How the server is run.
 #[derive(Debug, Clone)]
@@ -137,7 +137,6 @@ impl Server {
             // overshoot the cap.
             let mut limiter = options.overload.rate_limit.map(PeerLimiter::new);
             let queue_cap = options.overload.queue_depth.max(1) as u64;
-            let shed_secs = options.overload.shed_retry_after_secs.max(1);
             let write_timeout = options.write_timeout;
             let epoch = Instant::now();
             std::thread::spawn(move || {
@@ -159,8 +158,8 @@ impl Server {
                         }
                     }
                     if metrics.queue_depth.get() >= queue_cap {
-                        metrics.shed(shed_secs);
-                        shed_connection(stream, "over capacity", shed_secs, write_timeout);
+                        metrics.shed(SHED_RETRY_SECS);
+                        shed_connection(stream, "over capacity", SHED_RETRY_SECS, write_timeout);
                         continue;
                     }
                     metrics.queue_depth.inc();

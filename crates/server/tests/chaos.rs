@@ -97,7 +97,6 @@ fn overload_sheds_at_the_edge_with_retry_after() {
             overload: OverloadOptions {
                 queue_depth: 1,
                 rate_limit: None,
-                shed_retry_after_secs: 2,
             },
             ..ServeOptions::default()
         },
@@ -193,7 +192,6 @@ fn rate_limit_sheds_bursty_peer_with_wait_hint() {
                     per_second: 2,
                     burst: 2,
                 }),
-                shed_retry_after_secs: 2,
             },
             ..ServeOptions::default()
         },

@@ -612,92 +612,86 @@ impl EventStore {
         (inner.base_bytes, inner.delta_bytes)
     }
 
-    /// Writes a base snapshot covering every record appended so far,
-    /// then compacts: every delta, every older base and every segment
-    /// is deleted and the log restarts in a fresh segment.
-    ///
-    /// The caller owns the payload format and must guarantee it really
-    /// captures the effect of every record with seq < [`EventStore::next_seq`];
-    /// callers should quiesce appends for the duration (the store's own
-    /// mutex is held, so concurrent `append`s block either way).
-    ///
-    /// The write is atomic (temp sibling, fsync, rename), so recovery
-    /// sees either the old images or the new snapshot, never a prefix.
+    /// Writes a base image covering every record appended so far: an
+    /// install at `next_seq - 1` (see [`EventStore::install_snapshot`]).
+    /// The caller owns the payload and must guarantee it captures every
+    /// record with seq < [`EventStore::next_seq`]; appends block on the
+    /// store mutex meanwhile.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure; the previous
-    /// images (if any) survive a failed attempt.
+    /// As [`EventStore::install_snapshot`].
     pub fn snapshot(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        Self::refuse_poisoned(&inner)?;
-        let last_seq = inner.next_seq - 1;
-        let faults = self.options.fault_plan.as_deref();
-        write_atomic(&self.dir, &snapshot_name(last_seq), payload, faults)?;
-        // The base is durable: drop everything it covers. Deltas go
-        // first, so a crash part-way leaves only deltas at or below the
-        // base, which recovery discards.
-        self.remove_covered(true, |seq| seq < last_seq)?;
-        inner.base_bytes = payload.len() as u64;
-        inner.delta_bytes = 0;
-        let next_seq = inner.next_seq;
-        self.restart_log(&mut inner, next_seq)
+        let head = inner.next_seq - 1;
+        self.write_image(&mut inner, payload, Some(head))
     }
 
-    /// Writes a delta image covering every record appended so far, on
-    /// top of the current base and earlier deltas, then deletes the
-    /// segments it covers (all of them) and restarts the log in a fresh
-    /// segment. The base and earlier deltas stay: recovery returns them
-    /// all, in order.
-    ///
-    /// The same contract as [`EventStore::snapshot`] otherwise: the
-    /// caller quiesces appends and owns the payload, and the write is
-    /// atomic.
+    /// Writes a delta image covering every record appended so far on
+    /// top of the current base and earlier deltas, which stay: recovery
+    /// returns them all, in order. Deletes every segment and restarts
+    /// the log, under [`EventStore::snapshot`]'s contract.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure (the images and
-    /// log written so far survive) and [`StoreError::Poisoned`] after a
-    /// failed append.
+    /// As [`EventStore::install_snapshot`].
     pub fn snapshot_delta(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        Self::refuse_poisoned(&inner)?;
-        let last_seq = inner.next_seq - 1;
-        let faults = self.options.fault_plan.as_deref();
-        write_atomic(&self.dir, &delta_name(last_seq), payload, faults)?;
-        self.remove_covered(false, |_| false)?;
-        inner.delta_bytes += payload.len() as u64;
-        let next_seq = inner.next_seq;
-        self.restart_log(&mut inner, next_seq)
+        self.write_image(&mut inner, payload, None)
     }
 
-    /// Replaces the store's entire history with a snapshot received from
-    /// elsewhere (a replication bootstrap), asserting it covers every
-    /// record with seq ≤ `last_seq`. All local segments, deltas and
-    /// older snapshots are discarded and the writer restarts at
-    /// `last_seq + 1` — after this, local appends carry the *same*
-    /// sequence numbers as the source's records, which is what lets a
-    /// follower mirror its primary's WAL byte for byte.
-    ///
-    /// The snapshot write is atomic, so a crash mid-install recovers to
-    /// either the old history or the new snapshot, never a mix.
+    /// Replaces the whole history with a base image covering seq ≤
+    /// `last_seq` (a replication bootstrap): every segment, delta and
+    /// other base goes, and appends continue at `last_seq + 1`, so a
+    /// follower's WAL mirrors its primary's byte for byte. The write is
+    /// atomic (temp sibling, fsync, rename): a crash recovers to the old
+    /// history or the new base, never a mix.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure and
-    /// [`StoreError::Poisoned`] after a failed append.
+    /// [`StoreError::Io`] on filesystem failure (the images and log
+    /// written so far survive) and [`StoreError::Poisoned`] after a
+    /// failed append.
     pub fn install_snapshot(&self, payload: &[u8], last_seq: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store mutex");
-        Self::refuse_poisoned(&inner)?;
+        self.write_image(&mut inner, payload, Some(last_seq))
+    }
+
+    /// The one image writer, run with the store mutex held. Writes
+    /// `payload` atomically as a base covering seq ≤ `base`, or, with
+    /// `None`, as a delta covering every record appended so far. Then
+    /// it deletes what the image covers — a delta every segment, a base
+    /// also every delta and every other base, deltas first, so a crash
+    /// part-way leaves only deltas at or below the base, which recovery
+    /// discards — and restarts the log after the image.
+    fn write_image(
+        &self,
+        inner: &mut Inner,
+        payload: &[u8],
+        base: Option<u64>,
+    ) -> Result<(), StoreError> {
+        Self::refuse_poisoned(inner)?;
+        let last_seq = base.unwrap_or(inner.next_seq - 1);
+        let name = base.map_or_else(|| delta_name(last_seq), snapshot_name);
         let faults = self.options.fault_plan.as_deref();
-        write_atomic(&self.dir, &snapshot_name(last_seq), payload, faults)?;
-        // The installed snapshot supersedes every local artifact:
-        // deltas, segments (whatever their seqs meant locally) and any
-        // snapshot not named exactly `last_seq`.
-        self.remove_covered(true, |seq| seq != last_seq)?;
-        inner.base_bytes = payload.len() as u64;
-        inner.delta_bytes = 0;
-        self.restart_log(&mut inner, last_seq + 1)
+        write_atomic(&self.dir, &name, payload, faults)?;
+        let files = StoreFiles::list(&self.dir)?;
+        let mut stale = Vec::new();
+        let bytes = payload.len() as u64;
+        if base.is_some() {
+            stale.extend(files.deltas.iter().map(|&seq| delta_name(seq)));
+            let other_bases = files.bases.into_iter().filter(|&seq| seq != last_seq);
+            stale.extend(other_bases.map(snapshot_name));
+            inner.base_bytes = bytes;
+            inner.delta_bytes = 0;
+        } else {
+            inner.delta_bytes += bytes;
+        }
+        stale.extend(files.segments.into_iter().map(segment_name));
+        for name in stale {
+            let _ = std::fs::remove_file(self.dir.join(name));
+        }
+        self.restart_log(inner, last_seq + 1)
     }
 
     fn refuse_poisoned(inner: &Inner) -> Result<(), StoreError> {
@@ -707,33 +701,6 @@ impl EventStore {
             }),
             None => Ok(()),
         }
-    }
-
-    /// Best-effort removal of the stale images — every delta when
-    /// `stale_deltas`, every base `stale_base` selects — then of every
-    /// segment: the image just written covers them all.
-    fn remove_covered(
-        &self,
-        stale_deltas: bool,
-        stale_base: impl Fn(u64) -> bool,
-    ) -> Result<(), StoreError> {
-        let files = StoreFiles::list(&self.dir)?;
-        let mut stale = Vec::new();
-        if stale_deltas {
-            stale.extend(files.deltas.iter().map(|&seq| delta_name(seq)));
-        }
-        stale.extend(
-            files
-                .bases
-                .into_iter()
-                .filter(|&seq| stale_base(seq))
-                .map(snapshot_name),
-        );
-        stale.extend(files.segments.into_iter().map(segment_name));
-        for name in stale {
-            let _ = std::fs::remove_file(self.dir.join(name));
-        }
-        Ok(())
     }
 
     /// Points the writer at a fresh segment starting at `next_seq`

@@ -74,7 +74,7 @@ pub(crate) const EPOCH_FILE: &str = "epoch";
 /// The epoch a store starts at when no `epoch` file exists yet.
 pub const INITIAL_EPOCH: u64 = 1;
 
-fn read_epoch_file(dir: &Path) -> Result<u64, StoreError> {
+pub(crate) fn read_epoch_file(dir: &Path) -> Result<u64, StoreError> {
     match std::fs::read_to_string(dir.join(EPOCH_FILE)) {
         Ok(text) => text.trim().parse().map_err(|_| StoreError::Corrupt {
             file: EPOCH_FILE.to_string(),

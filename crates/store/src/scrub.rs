@@ -1,5 +1,6 @@
-//! Integrity scrubbing: re-verifies the WAL segments and the newest
-//! images with the store's one reader (the `read` module), and condenses
+//! Integrity scrubbing: re-verifies the WAL segments, the newest images
+//! and the epoch file with the store's one reader (the `read` module),
+//! and condenses
 //! intact history into comparable *range hashes*.
 //!
 //! A scrub pass never mutates the store. It folds each intact
@@ -19,7 +20,7 @@ use std::path::Path;
 
 use crate::error::StoreError;
 use crate::fault::FaultPlan;
-use crate::read::{segment_name, DirScan, ImageScan, Verdict};
+use crate::read::{read_epoch_file, segment_name, DirScan, ImageScan, Verdict};
 
 /// Records per range-hash window. Window `w` covers sequence numbers
 /// `[w·WINDOW + 1, (w+1)·WINDOW]`, so windows computed independently on
@@ -99,13 +100,18 @@ pub struct ScrubReport {
     /// Verdicts on the deltas newer than that snapshot, in sequence
     /// order.
     pub deltas: Vec<SnapshotReport>,
+    /// Why the `epoch` file does not read as a number, when it does not
+    /// (a missing file is the initial epoch, not damage).
+    pub epoch_corrupt: Option<String>,
 }
 
 impl ScrubReport {
     /// True when no segment and no image failed verification.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.corrupt_segments().is_empty() && self.corrupt_images() == 0
+        self.corrupt_segments().is_empty()
+            && self.corrupt_images() == 0
+            && self.epoch_corrupt.is_none()
     }
 
     /// How many image files (base or delta) failed verification.
@@ -172,6 +178,7 @@ pub fn scrub_dir(dir: &Path, active: Option<&Path>) -> Result<ScrubReport, Store
     report.ranges = windows.into_values().collect();
     report.snapshot = scan.base.as_ref().map(image_report);
     report.deltas = scan.deltas.iter().map(image_report).collect();
+    report.epoch_corrupt = read_epoch_file(dir).err().map(|err| err.to_string());
     Ok(report)
 }
 

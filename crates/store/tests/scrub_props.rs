@@ -123,6 +123,8 @@ enum Damage {
     EmptyTrailingSegment,
     /// Delete the base image.
     RemoveBase,
+    /// Overwrite the `epoch` file with text that is not a number.
+    GarbageEpoch,
 }
 
 /// The store's files in `dir` (segments and images), sorted by name.
@@ -185,6 +187,7 @@ fn apply(dir: &Path, damage: Damage, pick: u64) {
                 std::fs::remove_file(path).unwrap();
             }
         }
+        Damage::GarbageEpoch => std::fs::write(dir.join("epoch"), b"seven").unwrap(),
     }
 }
 
@@ -214,6 +217,7 @@ proptest! {
             Just(Damage::RemoveSegment),
             Just(Damage::EmptyTrailingSegment),
             Just(Damage::RemoveBase),
+            Just(Damage::GarbageEpoch),
         ],
         pick in any::<u64>(),
         case in any::<u64>(),

@@ -850,7 +850,9 @@ fn scrub(args: &[String]) -> CliResult {
     if report.is_clean() {
         Ok(())
     } else {
-        let corrupt = report.corrupt_segments().len() + report.corrupt_images();
+        let corrupt = report.corrupt_segments().len()
+            + report.corrupt_images()
+            + usize::from(report.epoch_corrupt.is_some());
         Err(format!("scrub found {corrupt} corrupt file(s)"))
     }
 }
@@ -880,6 +882,9 @@ fn render_scrub(report: &ScrubReport) -> String {
             )),
             Some(reason) => out.push_str(&format!("{kind} {}: CORRUPT: {reason}\n", image.file)),
         }
+    }
+    if let Some(reason) = &report.epoch_corrupt {
+        out.push_str(&format!("epoch: CORRUPT: {reason}\n"));
     }
     out.push_str(&format!(
         "range hashes: {} window(s)\n",
