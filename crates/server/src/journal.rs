@@ -50,6 +50,7 @@ use mine_store::{EventStore, Recovered, ReplError, Snapshot, StoreError, StoreOp
 use mine_streamstats::StreamEngine;
 
 use crate::adaptive::{AdaptiveImage, AdaptiveSitting};
+use crate::metrics::Metrics;
 use crate::registry::{FinishedStore, Registry, SessionRegistry, SessionSlot};
 use crate::router::ServerState;
 
@@ -335,6 +336,11 @@ pub struct Journal {
     /// Set while the last image write failed: the journal stays due for
     /// compaction until an image lands (a failed scrub repair included).
     image_due: AtomicBool,
+    /// Quarantined segments no image has covered yet. The next image
+    /// that lands — a self-repair base, a retried compaction or a
+    /// bootstrap install — covers their gap and credits them to
+    /// `mine_repair_segments_total`.
+    repair_pending: AtomicU64,
     /// The highest sequence number whose effects are in memory — what
     /// `/healthz` reports as `last_applied_seq`. Published only after
     /// the mutation, replayed record or bootstrap restore it names.
@@ -361,6 +367,7 @@ impl Journal {
                 snapshot_every,
                 covered_tick: AtomicU64::new(0),
                 image_due: AtomicBool::new(false),
+                repair_pending: AtomicU64::new(0),
                 applied_seq: AtomicU64::new(head),
             },
             recovered,
@@ -403,12 +410,20 @@ impl Journal {
                 && self.store.events_since_snapshot() >= self.snapshot_every)
     }
 
+    /// Counts `segments` freshly quarantined segments as awaiting the
+    /// image that repairs them.
+    pub(crate) fn await_repair(&self, segments: u64) {
+        self.repair_pending.fetch_add(segments, Ordering::AcqRel);
+    }
+
     /// The journal's one image writer: runs `write` (one of the store's
     /// image writes), then records that the images cover every record
-    /// filed at or below `covers`. A failure leaves the journal due for
+    /// filed at or below `covers`, and credits to `metrics` the repairs
+    /// the image completes. A failure leaves the journal due for
     /// compaction. Call with the write gate held.
     fn write_image(
         &self,
+        metrics: Option<&Metrics>,
         covers: u64,
         write: impl FnOnce(&EventStore) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
@@ -416,6 +431,15 @@ impl Journal {
         self.image_due.store(written.is_err(), Ordering::Release);
         written?;
         self.covered_tick.store(covers, Ordering::Release);
+        if let Some(metrics) = metrics {
+            let repaired = self.repair_pending.swap(0, Ordering::AcqRel);
+            if repaired > 0 {
+                metrics.repair_segments_total.add(repaired);
+                eprintln!(
+                    "[mine-journal] image written: {repaired} quarantined segment(s) repaired"
+                );
+            }
+        }
         Ok(())
     }
 
@@ -423,7 +447,8 @@ impl Journal {
     /// write gate held. The covered tick stays where it was, because the
     /// journal cannot tell when `image` was captured: the next delta may
     /// repeat records the base already holds, which recovery files
-    /// idempotently.
+    /// idempotently. With no server's metrics at hand, any pending
+    /// repairs wait for the next image to be credited.
     ///
     /// # Errors
     ///
@@ -431,7 +456,7 @@ impl Journal {
     pub fn write_snapshot(&self, image: &ServerImage) -> Result<(), StoreError> {
         let payload = image.encode()?;
         let covered = self.covered_tick.load(Ordering::Acquire);
-        self.write_image(covered, |store| store.snapshot(payload.as_bytes()))
+        self.write_image(None, covered, |store| store.snapshot(payload.as_bytes()))
     }
 
     /// Captures `state` and writes it as a full base. Call with the
@@ -442,7 +467,9 @@ impl Journal {
     /// Propagates [`StoreError`]; the log remains intact on failure.
     pub(crate) fn write_base(&self, state: &ServerState) -> Result<(), StoreError> {
         let (payload, tick) = capture_image(state, 0)?;
-        self.write_image(tick, |store| store.snapshot(payload.as_bytes()))
+        self.write_image(Some(&state.metrics), tick, |store| {
+            store.snapshot(payload.as_bytes())
+        })
     }
 
     /// Periodic compaction: writes a delta when a base exists and the
@@ -457,7 +484,9 @@ impl Journal {
         let (base_bytes, delta_bytes) = self.store.image_bytes();
         let (delta, tick) = capture_image(state, self.covered_tick.load(Ordering::Acquire))?;
         if delta_bytes + (delta.len() as u64) < base_bytes {
-            return self.write_image(tick, |store| store.snapshot_delta(delta.as_bytes()));
+            return self.write_image(Some(&state.metrics), tick, |store| {
+                store.snapshot_delta(delta.as_bytes())
+            });
         }
         self.write_base(state)
     }
@@ -482,7 +511,7 @@ impl Journal {
         let live = restore_images(&[image], config, &mut RecoveryReport::default())
             .map_err(|reason| ReplError::Frame { reason })?;
         let _gate = self.gate_write();
-        self.write_image(live.finished.tick(), |store| {
+        self.write_image(Some(&state.metrics), live.finished.tick(), |store| {
             store.install_snapshot(&image.payload, image.last_seq)
         })?;
         state.registry.replace_with(live.registry);

@@ -26,18 +26,22 @@
 //!
 //! # Epoch fencing
 //!
-//! Failover is epoch-fenced either way it is triggered: `mine promote`
-//! (supervised) and the follower-side failure detector
-//! ([`FailoverConfig`], `--auto-failover`) both run the same sequence —
-//! stop following, bump the durable epoch (see
-//! [`mine_store::EventStore::set_epoch`]) past the old leader's, start
-//! serving writes. The epoch fences every path a deposed primary could
-//! sneak stale state through: a follower refuses a `Welcome` from a
-//! lower-epoch leader, stops applying a stream the moment its own
-//! durable epoch moves past the stream's, and a primary that sees a
-//! higher-epoch `Hello` adopts that epoch durably and demotes itself. A
-//! deposed primary restarted with `--replica-of` adopts the higher
-//! epoch from the new leader's `Welcome` the same way.
+//! Every change of role, epoch or leader goes through one of two
+//! [`ReplState`] transitions, each under the journal's write gate:
+//! [`ReplState::promote`] (`mine promote` and the follower-side failure
+//! detector, [`FailoverConfig`] / `--auto-failover`) raises the durable
+//! epoch one past the current and starts serving writes;
+//! [`ReplState::follow`] adopts a newer epoch and stands down — the
+//! `/admin/demote` route, a primary that sees a higher-epoch `Hello`, a
+//! follower's `Welcome` and `Heartbeat`, and the detector finding a live
+//! primary. The durable epoch only rises
+//! ([`mine_store::EventStore::raise_epoch`]), so no interleaving of
+//! transitions moves it back. The epoch fences every path a deposed
+//! primary could sneak stale state through: a follower refuses a
+//! `Welcome` from a lower-epoch leader and stops applying a stream the
+//! moment its own durable epoch moves past the stream's. A deposed
+//! primary restarted with `--replica-of` adopts the higher epoch from
+//! the new leader's `Welcome` the same way.
 //!
 //! # Fault injection
 //!
@@ -62,8 +66,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Number, Value};
 
-use mine_store::replicate::{read_message, write_message, Message};
-use mine_store::{FaultPlan, NetAction, ReplError, Snapshot, StreamCursor};
+use mine_store::replicate::{read_message, write_message, FrameReader, Message};
+use mine_store::{FaultPlan, NetAction, ReplError, Snapshot, StoreError, StreamCursor};
 
 use crate::client::{backoff_delay, connect_timeout, HttpClient, RetryPolicy};
 use crate::http::object_body;
@@ -185,23 +189,23 @@ struct FollowerConn {
     /// Pre-encoded wire frames queued for this follower's writer.
     sender: channel::Sender<Vec<u8>>,
     /// Highest sequence this follower has confirmed durable.
-    acked: Arc<AtomicU64>,
+    acked: u64,
 }
 
 /// The primary's fan-out point: every connected follower's frame queue
-/// plus the ack bookkeeping quorum waits block on.
+/// and acked sequence, under the one mutex quorum waits sleep on.
 #[derive(Debug, Default)]
 pub struct Hub {
     conns: Mutex<Vec<FollowerConn>>,
     next_id: AtomicU64,
-    /// Paired with `ack_signal`; quorum waiters sleep on it until an
-    /// ack-reader thread advances some follower's `acked` and notifies.
-    ack_lock: Mutex<()>,
+    /// Signalled whenever a follower acks or leaves. A waiter holds
+    /// `conns` from its check to its sleep, so an ack cannot land in
+    /// between and leave the writer asleep until timeout.
     ack_signal: Condvar,
 }
 
 impl Hub {
-    fn register(&self, sender: channel::Sender<Vec<u8>>, acked: Arc<AtomicU64>) -> u64 {
+    fn register(&self, sender: channel::Sender<Vec<u8>>, acked: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.conns
             .lock()
@@ -216,7 +220,7 @@ impl Hub {
             .expect("hub mutex")
             .retain(|conn| conn.id != id);
         // A quorum waiter counting on this follower must re-evaluate.
-        self.notify();
+        self.ack_signal.notify_all();
     }
 
     /// Queues one encoded frame for every follower. Dead senders (their
@@ -242,24 +246,16 @@ impl Hub {
             .lock()
             .expect("hub mutex")
             .iter()
-            .map(|conn| conn.acked.load(Ordering::Acquire))
+            .map(|conn| conn.acked)
             .min()
     }
 
-    fn any_acked(&self, seq: u64) -> bool {
-        self.conns
-            .lock()
-            .expect("hub mutex")
-            .iter()
-            .any(|conn| conn.acked.load(Ordering::Acquire) >= seq)
-    }
-
-    /// Called by ack readers after advancing a follower's `acked`. The
-    /// notify holds `ack_lock`, which a waiter holds from its check to
-    /// its sleep: an ack landing in between waits for the sleep instead
-    /// of waking nobody and leaving the writer asleep until timeout.
-    fn notify(&self) {
-        let _guard = self.ack_lock.lock().expect("ack mutex");
+    /// Folds follower `id`'s cumulative ack in and wakes quorum waiters.
+    fn ack(&self, id: u64, seq: u64) {
+        let mut conns = self.conns.lock().expect("hub mutex");
+        if let Some(conn) = conns.iter_mut().find(|conn| conn.id == id) {
+            conn.acked = conn.acked.max(seq);
+        }
         self.ack_signal.notify_all();
     }
 
@@ -267,12 +263,12 @@ impl Hub {
     /// Returns whether the quorum was reached.
     fn wait_for_ack(&self, seq: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.ack_lock.lock().expect("ack mutex");
+        let mut conns = self.conns.lock().expect("hub mutex");
         loop {
-            if self.any_acked(seq) {
+            if conns.iter().any(|conn| conn.acked >= seq) {
                 return true;
             }
-            if self.count() == 0 {
+            if conns.is_empty() {
                 // Every follower disconnected mid-wait; nothing left to
                 // wait for.
                 return false;
@@ -281,11 +277,11 @@ impl Hub {
             if remaining.is_zero() {
                 return false;
             }
-            let (next, _timed_out) = self
+            conns = self
                 .ack_signal
-                .wait_timeout(guard, remaining)
-                .expect("ack mutex");
-            guard = next;
+                .wait_timeout(conns, remaining)
+                .expect("hub mutex")
+                .0;
         }
     }
 }
@@ -295,7 +291,9 @@ impl Hub {
 /// The durable truth — epoch and applied position — lives in the
 /// journal's [`mine_store::EventStore`]; this struct holds the volatile
 /// side: role, leader coordinates, the ack mode, and the primary's
-/// fan-out hub.
+/// fan-out hub. Role, epoch and leader change only through
+/// [`ReplState::promote`] and [`ReplState::follow`], under the journal's
+/// write gate (lock order: gate, then store mutex).
 #[derive(Debug)]
 pub struct ReplState {
     /// Role as a gauge (see [`Role::gauge`]) so reads are lock-free.
@@ -326,12 +324,8 @@ pub struct ReplState {
     failover: Mutex<Option<FailoverConfig>>,
     /// Set by the scrubber after quarantining corrupt sealed segments:
     /// tells the puller to break its live stream and re-bootstrap from
-    /// the leader's snapshot (the repair path). The count is how many
-    /// segments the re-bootstrap repairs.
+    /// the leader's snapshot (the repair path).
     resync: AtomicBool,
-    /// Quarantined segments awaiting repair; folded into
-    /// `mine_repair_segments_total` once a bootstrap completes.
-    repair_pending: AtomicU64,
 }
 
 impl ReplState {
@@ -351,17 +345,15 @@ impl ReplState {
             leader_contact: Mutex::new(None),
             failover: Mutex::new(None),
             resync: AtomicBool::new(false),
-            repair_pending: AtomicU64::new(0),
         }
     }
 
     /// Asks the puller to abandon its live stream and re-bootstrap from
-    /// the leader (called by the scrubber after quarantining `segments`
-    /// corrupt sealed segments). The bootstrap snapshot replaces the
-    /// whole local log — quarantined evidence files survive, the
-    /// divergent or rotted history does not.
-    pub fn request_resync(&self, segments: u64) {
-        self.repair_pending.fetch_add(segments, Ordering::AcqRel);
+    /// the leader (called by the scrubber after quarantining corrupt
+    /// sealed segments). The bootstrap snapshot replaces the whole local
+    /// log — quarantined evidence files survive, the divergent or
+    /// rotted history does not.
+    pub fn request_resync(&self) {
         self.resync.store(true, Ordering::Release);
     }
 
@@ -372,10 +364,9 @@ impl ReplState {
     }
 
     /// Marks the requested resync complete (a bootstrap snapshot was
-    /// installed); returns how many quarantined segments it repaired.
-    pub fn resync_complete(&self) -> u64 {
+    /// installed).
+    fn resync_complete(&self) {
         self.resync.store(false, Ordering::Release);
-        self.repair_pending.swap(0, Ordering::AcqRel)
     }
 
     /// Records that the leader was just heard from (resets the failure
@@ -427,8 +418,7 @@ impl ReplState {
         Role::from_gauge(self.role.load(Ordering::Acquire))
     }
 
-    /// Flips the role.
-    pub fn set_role(&self, role: Role) {
+    fn set_role(&self, role: Role) {
         self.role.store(role.gauge(), Ordering::Release);
     }
 
@@ -438,9 +428,7 @@ impl ReplState {
         self.leader_addr.lock().expect("leader addr").clone()
     }
 
-    /// Records the leader's client-facing address (what redirects
-    /// name).
-    pub fn set_leader_addr(&self, addr: String) {
+    fn set_leader_addr(&self, addr: String) {
         *self.leader_addr.lock().expect("leader addr") = Some(addr);
     }
 
@@ -479,6 +467,66 @@ impl ReplState {
         self.stop.load(Ordering::Acquire)
     }
 
+    /// Takes over as primary: stops following, raises the durable epoch
+    /// one past the current, starts serving writes. Returns the new
+    /// epoch, or `None` when this node already is the primary. The
+    /// write gate waits out any in-flight apply of the puller (it
+    /// applies under the read gate), so nothing from the old stream
+    /// lands after the raise.
+    ///
+    /// # Errors
+    ///
+    /// The store's error when the raise does not persist; the node then
+    /// stays a follower, so a node that cannot fence itself never
+    /// serves writes.
+    pub fn promote(&self, journal: &Journal) -> Result<Option<u64>, StoreError> {
+        let _gate = journal.gate_write();
+        if self.role() == Role::Primary {
+            return Ok(None);
+        }
+        self.set_role(Role::Candidate);
+        self.stop_puller();
+        let epoch = journal.store().epoch() + 1;
+        if let Err(err) = journal.store().raise_epoch(epoch) {
+            self.set_role(Role::Follower);
+            return Err(err);
+        }
+        self.set_role(Role::Primary);
+        Ok(Some(epoch))
+    }
+
+    /// Follows the leader of `epoch`: raises the durable epoch when
+    /// `epoch` is newer and then stands down to follower, whatever the
+    /// role was. An equal epoch changes no role, but a follower takes
+    /// it as word from its leader; an older one changes nothing. When
+    /// it follows, it records `leader` (the client-facing address that
+    /// redirects name), when given, and resets the silence clock.
+    /// Returns whether the epoch moved.
+    ///
+    /// # Errors
+    ///
+    /// The store's error when the raise does not persist; nothing
+    /// changes then.
+    pub fn follow(
+        &self,
+        journal: &Journal,
+        epoch: u64,
+        leader: Option<String>,
+    ) -> Result<bool, StoreError> {
+        let _gate = journal.gate_write();
+        let moved = journal.store().raise_epoch(epoch)?;
+        if moved {
+            self.set_role(Role::Follower);
+        } else if epoch < journal.store().epoch() || self.role() != Role::Follower {
+            return Ok(false);
+        }
+        if let Some(leader) = leader {
+            self.set_leader_addr(leader);
+        }
+        self.note_leader_contact();
+        Ok(moved)
+    }
+
     /// Journals `payload` and ships the record to every follower as one
     /// atomic step, then — under `AckMode::Quorum` — waits (bounded) for
     /// one durable ack. The `order` lock makes seq assignment and hub
@@ -508,7 +556,8 @@ impl ReplState {
                 seq,
                 payload: payload.to_vec(),
             }
-            .encode();
+            .encode()
+            .expect("the store bounds a record far below MAX_BODY_BYTES");
             self.hub.publish(&frame);
             seq
         };
@@ -587,16 +636,6 @@ impl ReplListener {
     }
 }
 
-fn is_timeout(err: &ReplError) -> bool {
-    matches!(
-        err,
-        ReplError::Io(io) if matches!(
-            io.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )
-    )
-}
-
 /// Serves one follower connection on the primary: handshake, bootstrap
 /// snapshot captured under the journal's write gate, then the live
 /// stream (records from the hub, heartbeats when idle), with a
@@ -609,10 +648,9 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream.try_clone()?);
 
-    let follower_epoch = match read_message(&mut reader)? {
+    let follower_epoch = match read_message(&mut &stream)? {
         Message::Hello { epoch, .. } => epoch,
         other => {
             return Err(ReplError::Frame {
@@ -650,18 +688,11 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
         // are the deposed primary. Adopt the higher epoch durably and
         // demote — a fenced leader must not keep taking writes — then
         // refuse to ship anything.
-        {
-            let _gate = journal.gate_write();
-            if follower_epoch > journal.store().epoch()
-                && journal.store().set_epoch(follower_epoch).is_ok()
-            {
-                repl.set_role(Role::Follower);
-                repl.note_leader_contact();
-                eprintln!(
-                    "[mine-repl] observed epoch {follower_epoch} ahead of local \
-                     {local_epoch}: demoted to follower"
-                );
-            }
+        if let Ok(true) = repl.follow(journal, follower_epoch, None) {
+            eprintln!(
+                "[mine-repl] observed epoch {follower_epoch} ahead of local \
+                 {local_epoch}: demoted to follower"
+            );
         }
         write_message(
             &mut writer,
@@ -687,76 +718,55 @@ fn serve_follower(stream: TcpStream, router: &Router) -> Result<(), ReplError> {
     // under the same exclusive gate, so no record journaled after the
     // capture can miss this follower's queue — the stream continues at
     // exactly `last_seq + 1`.
-    let (snapshot_frame, receiver, acked, id) = {
+    let (image, receiver, id) = {
         let _gate = journal.gate_write();
         let payload = capture_image(state, 0)?.0.into_bytes();
         let last_seq = journal.store().next_seq() - 1;
         let (sender, receiver) = channel::unbounded::<Vec<u8>>();
-        let acked = Arc::new(AtomicU64::new(last_seq));
-        let id = repl.hub().register(sender, Arc::clone(&acked));
-        let frame = Message::Snapshot { last_seq, payload }.encode();
-        (frame, receiver, acked, id)
+        let id = repl.hub().register(sender, last_seq);
+        (Message::Snapshot { last_seq, payload }, receiver, id)
     };
-    let outcome = ship(
-        router,
-        &stream,
-        &mut reader,
-        &mut writer,
-        &receiver,
-        &acked,
-        snapshot_frame,
-    );
+    let outcome = ship(router, &stream, &mut writer, &receiver, id, image);
     repl.hub().deregister(id);
     outcome
 }
 
 /// The shipping loop body of one follower connection: writes the
-/// bootstrap frame, then drains the hub queue (heartbeating when idle)
-/// while a companion thread folds in the follower's acks.
-#[allow(clippy::too_many_arguments)]
+/// bootstrap image, then drains the hub queue (heartbeating when idle)
+/// while a companion thread folds in the follower's acks. An image too
+/// large to encode ends the connection before anything is sent.
 fn ship(
     router: &Router,
     stream: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
     receiver: &channel::Receiver<Vec<u8>>,
-    acked: &Arc<AtomicU64>,
-    snapshot_frame: Vec<u8>,
+    id: u64,
+    image: Message,
 ) -> Result<(), ReplError> {
     let state = router.state();
-    let repl = state.repl.as_deref().expect("checked by caller");
+    let repl = state.repl.as_ref().expect("checked by caller");
     let journal = state.journal.as_ref().expect("checked by caller");
     // The store's fault plan drives the network seam too: one seeded
     // spec, one holder.
     let plan = journal.store().fault_plan();
     let plan = plan.as_deref();
-    faulty_write(plan, writer, &snapshot_frame)?;
+    faulty_write(plan, writer, &image.encode()?)?;
+    drop(image); // shipped: not held for the life of the connection
 
     // Ack reader: folds the follower's cumulative acks into the hub's
     // bookkeeping so quorum waits can observe them.
     let ack_thread = {
-        let mut reader = BufReader::new(reader.get_ref().try_clone()?);
-        let acked = Arc::clone(acked);
-        let router = router.clone();
+        let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
+        let repl = Arc::clone(repl);
         let done = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&done);
-        let handle = std::thread::spawn(move || {
-            loop {
-                match read_message(&mut reader) {
-                    Ok(Message::Ack { seq }) => {
-                        acked.fetch_max(seq, Ordering::AcqRel);
-                        if let Some(repl) = router.state().repl.as_deref() {
-                            repl.hub().notify();
-                        }
-                    }
-                    Ok(_) => {} // followers only send acks; ignore noise
-                    Err(err) if is_timeout(&err) => {
-                        if flag.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                    Err(_) => break, // socket gone; writer will notice too
-                }
+        let handle = std::thread::spawn(move || loop {
+            match reader.poll() {
+                Ok(Some(Message::Ack { seq })) => repl.hub().ack(id, seq),
+                Ok(Some(_)) => {} // followers only send acks; ignore noise
+                Ok(None) if flag.load(Ordering::Acquire) => break,
+                Ok(None) => {}
+                Err(_) => break, // socket gone; writer will notice too
             }
         });
         (handle, done)
@@ -772,23 +782,18 @@ fn ship(
             // failed primary, and silence is what makes them promote.
             break Ok(());
         }
-        match receiver.recv_timeout(HEARTBEAT_INTERVAL) {
-            Ok(frame) => {
-                if let Err(err) = faulty_write(plan, writer, &frame) {
-                    break Err(ReplError::Io(err));
-                }
+        let frame = match receiver.recv_timeout(HEARTBEAT_INTERVAL) {
+            Ok(frame) => frame,
+            Err(channel::RecvTimeoutError::Timeout) => Message::Heartbeat {
+                epoch: journal.store().epoch(),
+                head_seq: journal.store().next_seq() - 1,
             }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                let heartbeat = Message::Heartbeat {
-                    epoch: journal.store().epoch(),
-                    head_seq: journal.store().next_seq() - 1,
-                }
-                .encode();
-                if let Err(err) = faulty_write(plan, writer, &heartbeat) {
-                    break Err(ReplError::Io(err));
-                }
-            }
+            .encode()
+            .expect("a heartbeat has a fixed size"),
             Err(channel::RecvTimeoutError::Disconnected) => break Ok(()),
+        };
+        if let Err(err) = faulty_write(plan, writer, &frame) {
+            break Err(ReplError::Io(err));
         }
     };
     ack_thread.1.store(true, Ordering::Release);
@@ -929,7 +934,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = BufWriter::new(stream);
 
     write_message(
@@ -951,16 +956,11 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
                     local,
                 });
             }
-            if epoch > local {
-                // Legitimate failover happened while we were away:
-                // adopt the new epoch durably. This is also how a
-                // deposed primary restarted with `--replica-of`
-                // demotes itself.
-                store.set_epoch(epoch)?;
-            }
-            if !advertise.is_empty() {
-                repl.set_leader_addr(advertise);
-            }
+            // A newer epoch means a legitimate failover happened while
+            // we were away: adopt it durably. This is also how a
+            // deposed primary restarted with `--replica-of` demotes
+            // itself.
+            repl.follow(journal, epoch, Some(advertise).filter(|a| !a.is_empty()))?;
             epoch
         }
         Some(Message::Reject { reason }) => return Err(ReplError::Rejected { reason }),
@@ -983,12 +983,8 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
     writer.flush()?;
     repl.set_leader_head(last_seq.max(repl.leader_head()));
     // The bootstrap replaced the whole local log with the leader's
-    // authoritative image: any quarantined segments are now repaired.
-    let repaired = repl.resync_complete();
-    if repaired > 0 {
-        state.metrics.repair_segments_total.add(repaired);
-        eprintln!("[mine-repl] repaired {repaired} quarantined segment(s) via re-bootstrap");
-    }
+    // authoritative image, and the install credited the repair.
+    repl.resync_complete();
 
     let mut cursor = StreamCursor::new(leader_epoch, last_seq + 1);
     loop {
@@ -1034,9 +1030,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
             }
             Message::Heartbeat { epoch, head_seq } => {
                 cursor.accept_epoch(epoch)?;
-                if epoch > store.epoch() {
-                    store.set_epoch(epoch)?;
-                }
+                repl.follow(journal, epoch, None)?;
                 repl.set_leader_head(head_seq);
             }
             other => {
@@ -1059,7 +1053,7 @@ fn follow_once(primary_addr: &str, router: &Router) -> Result<(), ReplError> {
 /// pending resync request breaks the stream with an error so the
 /// reconnect path re-bootstraps from the leader's snapshot.
 fn read_and_poll(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut FrameReader<BufReader<TcpStream>>,
     router: &Router,
     interruptible: bool,
 ) -> Result<Option<Message>, ReplError> {
@@ -1075,17 +1069,13 @@ fn read_and_poll(
                     .to_string(),
             });
         }
-        match read_message(reader) {
-            Ok(message) => {
-                repl.note_leader_contact();
-                return Ok(Some(message));
-            }
-            Err(err) if is_timeout(&err) => {
-                maybe_auto_promote(router);
-                continue;
-            }
-            Err(err) => return Err(err),
+        // A timeout mid-frame keeps the bytes read so far: the next
+        // poll continues the same frame.
+        if let Some(message) = reader.poll()? {
+            repl.note_leader_contact();
+            return Ok(Some(message));
         }
+        maybe_auto_promote(router);
     }
 }
 
@@ -1129,30 +1119,35 @@ fn maybe_auto_promote(router: &Router) {
         let Some(probe) = probe_peer(peer) else {
             continue; // unreachable peers cannot veto
         };
-        let (role, peer_seq) = (probe.role, probe.last_applied_seq);
-        if role == "primary" {
-            if probe.storage_degraded {
+        if probe.role == "primary" {
+            if probe.storage_degraded || probe.epoch < journal.store().epoch() {
                 // A degraded primary is a failed primary to the
                 // detector: it is shedding writes and not shipping, so
                 // it neither counts as live leadership nor vetoes the
-                // succession — promote past it.
+                // succession — promote past it. One behind our epoch
+                // was deposed and is passed over the same way.
                 continue;
             }
             // A live primary exists (we were partitioned from it, or a
-            // sibling already won): adopt it and re-arm the detector.
-            repl.set_leader_addr(peer.clone());
-            repl.note_leader_contact();
+            // sibling already won): adopt it and its epoch, which
+            // re-arms the detector.
+            if let Err(err) = repl.follow(journal, probe.epoch, Some(peer.clone())) {
+                eprintln!(
+                    "[mine-repl] adopting {peer} at epoch {}: {err}",
+                    probe.epoch
+                );
+            }
             return;
         }
-        if (peer_seq, peer.as_str()) > (our_seq, our_id.as_str()) {
+        if (probe.last_applied_seq, peer.as_str()) > (our_seq, our_id.as_str()) {
             // A better-positioned candidate will get there; give the
             // detector another full timeout before re-surveying.
             repl.note_leader_contact();
             return;
         }
     }
-    match router.promote_follower() {
-        Ok(epoch) => {
+    match repl.promote(journal) {
+        Ok(Some(epoch)) => {
             state.metrics.repl_failovers_total.inc();
             eprintln!(
                 "[mine-repl] leader silent for {}ms: promoted to primary at epoch {epoch}",
@@ -1162,8 +1157,9 @@ fn maybe_auto_promote(router: &Router) {
                 demote_peer(peer, epoch, &our_id);
             }
         }
-        Err(reason) => {
-            eprintln!("[mine-repl] auto-failover promotion failed: {reason}");
+        Ok(None) => {}
+        Err(err) => {
+            eprintln!("[mine-repl] auto-failover promotion failed: epoch bump failed: {err}");
         }
     }
 }
@@ -1172,29 +1168,34 @@ fn maybe_auto_promote(router: &Router) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PeerProbe {
     role: String,
+    epoch: u64,
     last_applied_seq: u64,
     /// Whether the peer's WAL is refusing writes (serving degraded
     /// read-only). Absent in the body — old peers — reads as healthy.
     storage_degraded: bool,
 }
 
-/// Asks a peer's `/healthz` for its role, applied position, and storage
-/// health. `None` when the peer is unreachable or answers nonsense.
+/// Asks a peer's `/healthz` for its role, epoch, applied position, and
+/// storage health. `None` when the peer is unreachable or answers
+/// nonsense.
 fn probe_peer(addr: &str) -> Option<PeerProbe> {
     let mut client = HttpClient::with_timeout(addr, PROBE_TIMEOUT).ok()?;
     let response = client.get("/healthz").ok()?;
     let body: Value = response.json().ok()?;
     let role = body.get("role").and_then(Value::as_str)?.to_string();
-    let last_applied_seq = match body.get("last_applied_seq") {
-        Some(Value::Number(Number::PosInt(n))) => *n,
-        _ => return None,
+    let number = |field: &str| match body.get(field) {
+        Some(Value::Number(Number::PosInt(n))) => Some(*n),
+        _ => None,
     };
+    let epoch = number("epoch")?;
+    let last_applied_seq = number("last_applied_seq")?;
     let storage_degraded = body
         .get("storage")
         .and_then(Value::as_str)
         .is_some_and(|storage| storage == "degraded");
     Some(PeerProbe {
         role,
+        epoch,
         last_applied_seq,
         storage_degraded,
     })
@@ -1247,8 +1248,7 @@ mod tests {
         assert!(!hub.wait_for_ack(5, Duration::from_secs(5)));
 
         let (sender, receiver) = channel::unbounded();
-        let acked = Arc::new(AtomicU64::new(10));
-        let id = hub.register(sender, Arc::clone(&acked));
+        let id = hub.register(sender, 10);
         assert_eq!(hub.count(), 1);
         assert_eq!(hub.min_acked(), Some(10));
         assert!(hub.wait_for_ack(10, Duration::from_millis(10)));
@@ -1257,15 +1257,15 @@ mod tests {
         hub.publish(b"frame");
         assert_eq!(receiver.try_recv().unwrap(), b"frame".to_vec());
 
-        acked.store(11, Ordering::Release);
-        hub.notify();
+        hub.ack(id, 11);
+        hub.ack(id, 3); // acks are cumulative: a stale one moves nothing
         assert!(hub.wait_for_ack(11, Duration::from_millis(10)));
 
         hub.deregister(id);
         assert_eq!(hub.count(), 0);
         // A dropped receiver prunes its sender on the next publish.
         let (sender, receiver) = channel::unbounded();
-        hub.register(sender, Arc::new(AtomicU64::new(0)));
+        hub.register(sender, 0);
         drop(receiver);
         hub.publish(b"gone");
         assert_eq!(hub.count(), 0);
@@ -1278,8 +1278,7 @@ mod tests {
         const DONE: u64 = u64::MAX;
         let hub = Arc::new(Hub::default());
         let (sender, _receiver) = channel::unbounded();
-        let acked = Arc::new(AtomicU64::new(0));
-        hub.register(sender, Arc::clone(&acked));
+        let id = hub.register(sender, 0);
         // The acker spins on the round number and acks each round after
         // a delay that sweeps a few microseconds, so across the rounds
         // its ack lands before, inside and after the waiter's
@@ -1299,8 +1298,7 @@ mod tests {
                         for _ in 0..seq % 512 {
                             std::hint::spin_loop();
                         }
-                        acked.store(seq, Ordering::Release);
-                        hub.notify();
+                        hub.ack(id, seq);
                         last = seq;
                     }
                     std::hint::spin_loop();

@@ -827,64 +827,17 @@ impl Router {
         metrics.repl_heartbeat_age_us.set(age_us);
     }
 
-    /// The epoch-fenced promotion sequence shared by `POST
-    /// /admin/promote` (supervised) and the auto-failover detector
-    /// (unsupervised): stop following, bump the durable epoch past the
-    /// old leader's, start serving writes. Returns the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when replication/journaling is not configured,
-    /// this node is already the primary, or the epoch bump fails to
-    /// persist (the role is restored to follower in that last case, so
-    /// a node that cannot fence itself never serves writes).
-    pub fn promote_follower(&self) -> Result<u64, String> {
-        let Some(repl) = &self.state.repl else {
-            return Err("replication is not enabled".to_string());
-        };
-        let Some(journal) = &self.state.journal else {
-            return Err("replication requires a journal".to_string());
-        };
-        if repl.role() == Role::Primary {
-            return Err("already the primary".to_string());
-        }
-        // Candidate first: the write guard starts refusing writes as
-        // "not yet the leader" rather than racing the epoch bump.
-        repl.set_role(Role::Candidate);
-        repl.stop_puller();
-        // The puller applies records under the read gate; taking the
-        // write gate waits out any in-flight apply, so nothing from the
-        // old stream lands after the bump.
-        let _gate = journal.gate_write();
-        let epoch = journal.store().epoch() + 1;
-        if let Err(err) = journal.store().set_epoch(epoch) {
-            repl.set_role(Role::Follower);
-            return Err(format!("epoch bump failed: {err}"));
-        }
-        repl.set_role(Role::Primary);
-        Ok(epoch)
-    }
-
-    /// `POST /admin/promote`: supervised failover. Stops following,
-    /// bumps the durable epoch past the old leader's, and starts
-    /// serving writes. The epoch bump is what fences the deposed
-    /// primary — its records and its `Welcome` now carry a lower epoch
-    /// and are refused everywhere.
+    /// `POST /admin/promote`: supervised failover through
+    /// [`ReplState::promote`]. Stops following, bumps the durable epoch
+    /// past the old leader's, and starts serving writes. The epoch bump
+    /// is what fences the deposed primary — its records and its
+    /// `Welcome` now carry a lower epoch and are refused everywhere.
     fn promote(&self) -> ApiResult {
-        if self.state.repl.is_none() {
-            return Err(ApiError::conflict("replication is not enabled"));
-        }
-        if self.state.journal.is_none() {
-            return Err(ApiError::new(500, "replication requires a journal"));
-        }
-        let epoch = self.promote_follower().map_err(|reason| {
-            if reason == "already the primary" {
-                ApiError::conflict(reason)
-            } else {
-                ApiError::new(500, reason)
-            }
-        })?;
-        let journal = self.state.journal.as_ref().expect("checked above");
+        let (repl, journal) = self.repl_and_journal()?;
+        let epoch = repl
+            .promote(journal)
+            .map_err(|err| ApiError::new(500, format!("epoch bump failed: {err}")))?
+            .ok_or_else(|| ApiError::conflict("already the primary"))?;
         Ok(json_object(200, |body| {
             body.field("role", "primary");
             body.field("epoch", &epoch);
@@ -892,20 +845,16 @@ impl Router {
         }))
     }
 
-    /// `POST /admin/demote`: stand down behind a newer epoch. Sent by a
-    /// freshly auto-promoted primary to its peers (best-effort); also
-    /// usable by a supervisor. The body names the fencing epoch and the
-    /// new leader: `{"epoch": N, "leader": "host:port"}`. A demote
-    /// carrying an epoch at or below the local one is refused with
-    /// `409` — only genuinely newer leadership can depose a node, so a
-    /// delayed or replayed demote from an older failover is harmless.
+    /// `POST /admin/demote`: stand down behind a newer epoch through
+    /// [`ReplState::follow`]. Sent by a freshly auto-promoted primary to
+    /// its peers (best-effort); also usable by a supervisor. The body
+    /// names the fencing epoch and the new leader:
+    /// `{"epoch": N, "leader": "host:port"}`. A demote that does not
+    /// raise the local epoch is refused with `409` — only genuinely
+    /// newer leadership can depose a node, so a delayed or replayed
+    /// demote from an older failover is harmless.
     fn demote(&self, request: &Request) -> ApiResult {
-        let Some(repl) = &self.state.repl else {
-            return Err(ApiError::conflict("replication is not enabled"));
-        };
-        let Some(journal) = &self.state.journal else {
-            return Err(ApiError::new(500, "replication requires a journal"));
-        };
+        let (repl, journal) = self.repl_and_journal()?;
         let body = parse_body(request)?;
         let epoch = match body.get("epoch") {
             Some(Value::Number(Number::PosInt(n))) => *n,
@@ -914,31 +863,38 @@ impl Router {
         let leader = body
             .get("leader")
             .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string();
-        // Same fencing discipline as promotion: the write gate waits
-        // out in-flight appends, so no write straddles the epoch flip.
-        let _gate = journal.gate_write();
-        let local = journal.store().epoch();
-        if epoch <= local {
+            .filter(|leader| !leader.is_empty())
+            .map(str::to_string);
+        // Refused before `follow`, which re-points a follower at an
+        // equal epoch: a refused demote changes nothing. An adoption
+        // racing in between can only make the epoch equal by adopting
+        // this same epoch, whose leader the demote names too.
+        let moved = epoch > journal.store().epoch()
+            && repl
+                .follow(journal, epoch, leader)
+                .map_err(|err| ApiError::new(500, format!("epoch adopt failed: {err}")))?;
+        if !moved {
+            let local = journal.store().epoch();
             return Err(ApiError::conflict(format!(
                 "refusing demote: epoch {epoch} is not ahead of local {local}"
             )));
         }
-        journal
-            .store()
-            .set_epoch(epoch)
-            .map_err(|err| ApiError::new(500, format!("epoch adopt failed: {err}")))?;
-        repl.set_role(Role::Follower);
-        if !leader.is_empty() {
-            repl.set_leader_addr(leader);
-        }
-        // The new leader just spoke to us; re-arm the failure detector.
-        repl.note_leader_contact();
         Ok(json_object(200, |body| {
             body.field("role", "follower");
             body.field("epoch", &epoch);
         }))
+    }
+
+    /// The replication state and journal the admin transitions act on:
+    /// `409` without replication, `500` without a journal.
+    fn repl_and_journal(&self) -> Result<(&ReplState, &Journal), ApiError> {
+        let Some(repl) = &self.state.repl else {
+            return Err(ApiError::conflict("replication is not enabled"));
+        };
+        let Some(journal) = &self.state.journal else {
+            return Err(ApiError::new(500, "replication requires a journal"));
+        };
+        Ok((repl, journal))
     }
 
     /// `GET /admin/ranges`: the anti-entropy integrity table — the
@@ -1903,14 +1859,32 @@ mod tests {
         assert_eq!(value.get("sessions_started").unwrap().kind(), "number");
     }
 
+    /// A journaled router starting in `role`, in a fresh directory
+    /// named by `tag`.
+    fn replicated(tag: &str, role: Role) -> (Router, std::path::PathBuf) {
+        use crate::repl::AckMode;
+        let dir = std::env::temp_dir().join(format!("mine-router-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut state, _) = crate::journal::open_journaled_state(
+            repository(),
+            &dir,
+            mine_store::StoreOptions::default(),
+            64,
+        )
+        .unwrap();
+        state.repl = Some(Arc::new(ReplState::new(role, AckMode::Leader)));
+        (Router::with_state(state), dir)
+    }
+
     #[test]
     fn follower_redirects_writes_and_serves_reads() {
-        use crate::repl::AckMode;
-        let mut state = ServerState::new(repository());
-        let repl = Arc::new(ReplState::new(Role::Follower, AckMode::Leader));
-        repl.set_leader_addr("127.0.0.1:7400".to_string());
-        state.repl = Some(repl);
-        let router = Router::with_state(state);
+        let (router, dir) = replicated("redirect", Role::Follower);
+        let journal = router.state().journal.as_ref().unwrap();
+        let repl = router.state().repl.as_ref().unwrap();
+        let local = journal.store().epoch();
+        repl.follow(journal, local, Some("127.0.0.1:7400".to_string()))
+            .unwrap();
 
         // Every write answers 421 naming the leader.
         for path in [
@@ -1932,23 +1906,12 @@ mod tests {
         assert_eq!(health.get("role").unwrap().as_str(), Some("follower"));
         let snapshot = router.state().metrics.snapshot(0, 0);
         assert_eq!(snapshot.redirected_total, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn promote_bumps_epoch_and_starts_serving_writes() {
-        use crate::repl::AckMode;
-        let dir = std::env::temp_dir().join(format!("mine-router-promote-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut state, _) = crate::journal::open_journaled_state(
-            repository(),
-            &dir,
-            mine_store::StoreOptions::default(),
-            64,
-        )
-        .unwrap();
-        state.repl = Some(Arc::new(ReplState::new(Role::Follower, AckMode::Leader)));
-        let router = Router::with_state(state);
+        let (router, dir) = replicated("promote", Role::Follower);
 
         let refused = router.handle(&Request::new(
             "POST",
@@ -2044,19 +2007,7 @@ mod tests {
 
     #[test]
     fn demote_fences_behind_newer_epochs_only() {
-        use crate::repl::AckMode;
-        let dir = std::env::temp_dir().join(format!("mine-router-demote-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut state, _) = crate::journal::open_journaled_state(
-            repository(),
-            &dir,
-            mine_store::StoreOptions::default(),
-            64,
-        )
-        .unwrap();
-        state.repl = Some(Arc::new(ReplState::new(Role::Primary, AckMode::Leader)));
-        let router = Router::with_state(state);
+        let (router, dir) = replicated("demote", Role::Primary);
         let local = router.state().journal.as_ref().unwrap().store().epoch();
 
         // A stale (or equal) epoch cannot depose: replayed demotes from
@@ -2093,9 +2044,41 @@ mod tests {
         ));
         assert_eq!(refused.status, 421, "{}", refused.body);
 
+        // A replayed demote at the now-current epoch is refused on the
+        // follower too, and leaves its leader where it was.
+        let replayed = router.handle(&Request::new(
+            "POST",
+            "/admin/demote",
+            format!(r#"{{"epoch":{newer},"leader":"127.0.0.1:7600"}}"#),
+        ));
+        assert_eq!(replayed.status, 409, "{}", replayed.body);
+        assert_eq!(repl.leader_addr().as_deref(), Some("127.0.0.1:7500"));
+
         // Malformed bodies are a 400, not a silent no-op.
         let bad = router.handle(&Request::new("POST", "/admin/demote", r#"{"epoch":"x"}"#));
         assert_eq!(bad.status, 400, "{}", bad.body);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_late_older_follow_never_lowers_the_epoch() {
+        // Two adoptions race: the newer one lands first, the older one
+        // after it. Forced in that order, the older one changes nothing.
+        let (router, dir) = replicated("follow-race", Role::Primary);
+        let journal = router.state().journal.as_ref().unwrap();
+        let repl = router.state().repl.as_ref().unwrap();
+        let local = journal.store().epoch();
+        let newer = Some("127.0.0.1:7500".to_string());
+        assert!(repl.follow(journal, local + 3, newer).unwrap());
+        let older = Some("127.0.0.1:7400".to_string());
+        assert!(!repl.follow(journal, local + 1, older).unwrap());
+        assert_eq!(journal.store().epoch(), local + 3);
+        assert_eq!(repl.role(), Role::Follower);
+        assert_eq!(repl.leader_addr().as_deref(), Some("127.0.0.1:7500"));
+        drop(router);
+        let (store, _) =
+            mine_store::EventStore::open(&dir, mine_store::StoreOptions::default()).unwrap();
+        assert_eq!(store.epoch(), local + 3, "the file holds the newer epoch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

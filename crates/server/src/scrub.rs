@@ -218,38 +218,32 @@ pub fn scrub_pass(router: &Router) {
     }
 }
 
-/// Repairs `quarantined` segments: a follower asks its puller to break
-/// the live stream and re-bootstrap from the leader's snapshot (the
-/// install replaces every `wal-*.log`, leaving the quarantine files as
-/// evidence); a primary re-seals its history from its own live state —
-/// the state every acked write already reached — by writing a fresh
-/// compacting snapshot.
+/// Repairs `quarantined` segments with an image that covers their gap;
+/// the journal credits the repair when that image lands. A follower
+/// asks its puller to break the live stream and re-bootstrap from the
+/// leader's snapshot (the install replaces every `wal-*.log`, leaving
+/// the quarantine files as evidence); a primary re-seals its history
+/// from its own live state — the state every acked write already
+/// reached — by writing a fresh compacting snapshot.
 fn repair(router: &Router, journal: &Journal, quarantined: u64) {
     let state = router.state();
+    journal.await_repair(quarantined);
     if let Some(repl) = &state.repl {
         if repl.role() == Role::Follower {
-            repl.request_resync(quarantined);
+            repl.request_resync();
             eprintln!("[mine-scrub] requested re-bootstrap from the leader to repair");
             return;
         }
     }
     // Primary (or standalone): self-repair by compaction.
     let _gate = journal.gate_write();
-    match journal.write_base(state) {
-        Ok(()) => {
-            state.metrics.repair_segments_total.add(quarantined);
-            eprintln!(
-                "[mine-scrub] re-sealed history from live state ({quarantined} segment(s) repaired)"
-            );
-        }
-        Err(err) => {
-            // A reopen refuses the gap the quarantine leaves until an
-            // image covers it. The failed write left the journal due, so
-            // the next write or scrub pass compacts, which covers it.
-            eprintln!(
-                "[mine-scrub] self-repair snapshot failed (retried by the next compaction): {err}"
-            );
-        }
+    if let Err(err) = journal.write_base(state) {
+        // A reopen refuses the gap the quarantine leaves until an image
+        // covers it. The failed write left the journal due, so the next
+        // write or scrub pass compacts, which covers it.
+        eprintln!(
+            "[mine-scrub] self-repair snapshot failed (retried by the next compaction): {err}"
+        );
     }
 }
 
@@ -374,13 +368,16 @@ mod tests {
             let response = router.handle(&Request::new("POST", "/sessions", body));
             assert_eq!(response.status, 201, "{}", response.body);
         }
+        let repaired = || router.state().metrics.snapshot(0, 0).repair_segments_total;
         scrub_pass(&router);
         assert!(
             read_store(&dir).is_err(),
             "the quarantine leaves a gap the failed repair did not cover"
         );
+        assert_eq!(repaired(), 0, "nothing is repaired yet");
         scrub_pass(&router);
         read_store(&dir).expect("the next pass retried the repair");
+        assert_eq!(repaired(), 1, "the retried compaction credits the repair");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

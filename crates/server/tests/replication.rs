@@ -381,7 +381,7 @@ fn healthz_head_never_runs_ahead_of_a_bootstrap_restore() {
     let deadline = Instant::now() + Duration::from_secs(30);
     for round in 0..6 {
         if round > 0 {
-            follower_repl.request_resync(0);
+            follower_repl.request_resync();
         }
         while follower_repl.resync_requested()
             || follower.state().journal.as_ref().unwrap().applied_seq() < image_seq

@@ -179,7 +179,7 @@ pub struct EventStore {
     options: StoreOptions,
     inner: Mutex<Inner>,
     /// Durable replication epoch, mirrored from the `epoch` file for
-    /// lock-free reads. See [`EventStore::set_epoch`].
+    /// lock-free reads. See [`EventStore::raise_epoch`].
     epoch: AtomicU64,
 }
 
@@ -575,20 +575,25 @@ impl EventStore {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Durably records a new replication epoch (an atomic write). The
-    /// epoch survives crash and restart — a deposed primary that comes
+    /// Durably raises the replication epoch to `epoch` (an atomic
+    /// write) when it is newer than the current one; returns whether it
+    /// moved. The epoch only rises: the compare and the write happen
+    /// under the store mutex, so no interleaving of callers can lower
+    /// it. It survives crash and restart — a deposed primary that comes
     /// back finds the higher epoch on disk and must demote itself.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure; the previous
     /// epoch file survives a failed attempt.
-    pub fn set_epoch(&self, epoch: u64) -> Result<(), StoreError> {
-        // Serialize against other epoch writes and appends.
+    pub fn raise_epoch(&self, epoch: u64) -> Result<bool, StoreError> {
         let _inner = self.inner.lock().expect("store mutex");
+        if epoch <= self.epoch() {
+            return Ok(false);
+        }
         write_atomic(&self.dir, EPOCH_FILE, epoch.to_string().as_bytes(), None)?;
         self.epoch.store(epoch, Ordering::SeqCst);
-        Ok(())
+        Ok(true)
     }
 
     /// The sequence number the next append will get.
@@ -998,11 +1003,65 @@ mod tests {
         {
             let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
             assert_eq!(store.epoch(), INITIAL_EPOCH);
-            store.set_epoch(7).unwrap();
+            assert!(store.raise_epoch(7).unwrap());
             assert_eq!(store.epoch(), 7);
         }
         let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(store.epoch(), 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_epoch_only_rises() {
+        let dir = temp_dir("epoch-raise");
+        {
+            let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+            assert!(store.raise_epoch(7).unwrap());
+            assert!(!store.raise_epoch(5).unwrap(), "a lower epoch is refused");
+            assert!(!store.raise_epoch(7).unwrap(), "an equal epoch is no move");
+            assert_eq!(store.epoch(), 7);
+        }
+        let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.epoch(), 7, "the refused raise never reached disk");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_raises_settle_on_their_maximum() {
+        let dir = temp_dir("epoch-race");
+        let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        let store = std::sync::Arc::new(store);
+        // A seeded xorshift: each thread raises 25 epochs in 2..1000.
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            2 + state % 998
+        };
+        let epochs: Vec<Vec<u64>> = (0..4).map(|_| (0..25).map(|_| next()).collect()).collect();
+        let highest = epochs.iter().flatten().copied().max().unwrap();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(epochs.len()));
+        let threads: Vec<_> = epochs
+            .into_iter()
+            .map(|mine| {
+                let store = std::sync::Arc::clone(&store);
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for epoch in mine {
+                        store.raise_epoch(epoch).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(store.epoch(), highest);
+        drop(store);
+        let (store, _) = EventStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.epoch(), highest, "the file holds the maximum too");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

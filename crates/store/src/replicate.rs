@@ -199,8 +199,30 @@ const TAG_RECORD: u8 = 5;
 const TAG_HEARTBEAT: u8 = 6;
 const TAG_ACK: u8 = 7;
 
+/// Bytes of a frame before its body: length and CRC.
+const HEADER_BYTES: usize = 8;
+
+/// Capacity a [`FrameReader`] keeps between frames: records and acks
+/// fit, a bootstrap image's buffer is given back.
+const RETAINED_FRAME_BYTES: usize = 64 * 1024;
+
+/// Checks a body length against [`MAX_BODY_BYTES`], on either end of
+/// the wire: the encoder refuses to build such a frame, the reader to
+/// accept one. Below the bound every length fits the u32 fields.
+fn checked_body_len(len: usize) -> Result<u32, ReplError> {
+    match u32::try_from(len) {
+        Ok(wire) if len <= MAX_BODY_BYTES => Ok(wire),
+        _ => Err(ReplError::Frame {
+            reason: format!("message body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
+        }),
+    }
+}
+
+/// Appends a byte string. A length past the u32 field saturates: such a
+/// body exceeds [`MAX_BODY_BYTES`] and [`Message::encode`] refuses it.
 fn put_bytes(body: &mut Vec<u8>, bytes: &[u8]) {
-    body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+    body.extend_from_slice(&len.to_le_bytes());
     body.extend_from_slice(bytes);
 }
 
@@ -250,8 +272,12 @@ impl<'a> BodyReader<'a> {
 
 impl Message {
     /// Serializes the message into one wire frame (header + body).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplError::Frame`] when the body exceeds
+    /// [`MAX_BODY_BYTES`]: every reader would refuse the frame.
+    pub fn encode(&self) -> Result<Vec<u8>, ReplError> {
         let mut body = Vec::new();
         match self {
             Message::Hello {
@@ -291,11 +317,12 @@ impl Message {
                 body.extend_from_slice(&seq.to_le_bytes());
             }
         }
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        let len = checked_body_len(body.len())?;
+        let mut frame = Vec::with_capacity(HEADER_BYTES + body.len());
+        frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        frame
+        Ok(frame)
     }
 
     /// Decodes one message body (the bytes after the 8-byte header,
@@ -354,14 +381,16 @@ impl Message {
 ///
 /// # Errors
 ///
-/// Returns [`ReplError::Io`] on write failure.
+/// Returns [`ReplError::Io`] on write failure and [`ReplError::Frame`]
+/// when the message is too large to encode.
 pub fn write_message(writer: &mut impl Write, message: &Message) -> Result<(), ReplError> {
-    writer.write_all(&message.encode())?;
+    writer.write_all(&message.encode()?)?;
     Ok(())
 }
 
 /// Reads exactly one message from a stream, verifying length bounds and
-/// the body CRC before decoding.
+/// the body CRC before decoding. A read timeout is an error here; a
+/// reader that polls across timeouts uses a [`FrameReader`].
 ///
 /// # Errors
 ///
@@ -369,27 +398,90 @@ pub fn write_message(writer: &mut impl Write, message: &Message) -> Result<(), R
 /// surfaced as `UnexpectedEof`) and [`ReplError::Frame`] when the frame
 /// is oversized, fails its CRC, or decodes to no known message.
 pub fn read_message(reader: &mut impl Read) -> Result<Message, ReplError> {
-    let mut header = [0_u8; 8];
-    reader.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let stored_crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_BODY_BYTES {
-        return Err(ReplError::Frame {
-            reason: format!("message body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-        });
+    FrameReader::new(reader)
+        .poll()?
+        .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::TimedOut).into())
+}
+
+/// Reads messages off a stream with a read timeout, keeping a partly
+/// read frame across timeouts: the bytes that arrived before a timeout
+/// stay buffered, and the next [`FrameReader::poll`] continues the same
+/// frame instead of starting a new one mid-body.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    /// The frame read so far: header first, then body.
+    partial: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader with no partial frame.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            partial: Vec::new(),
+        }
     }
-    // Grown as bytes arrive: a huge claim costs nothing until it is sent.
-    let mut body = Vec::new();
-    reader.take(len as u64).read_to_end(&mut body)?;
-    if body.len() < len {
-        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+
+    /// Reads until one whole frame is in, then verifies and decodes it.
+    /// Returns `Ok(None)` when the stream timed out first (`WouldBlock`
+    /// or `TimedOut`); what arrived so far is kept for the next call.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_message`]; the stream cannot be trusted after one.
+    pub fn poll(&mut self) -> Result<Option<Message>, ReplError> {
+        if !self.fill(HEADER_BYTES)? {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(self.partial[0..4].try_into().expect("4 bytes"));
+        if !self.fill(HEADER_BYTES + checked_body_len(len as usize)? as usize)? {
+            return Ok(None);
+        }
+        let (header, body) = self.partial.split_at(HEADER_BYTES);
+        let stored_crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        let message = if crc32(body) == stored_crc {
+            Message::decode_body(body).map(Some)
+        } else {
+            Err(ReplError::Frame {
+                reason: "message body failed CRC verification".to_string(),
+            })
+        };
+        // The buffer is reused for the next frame; a bootstrap image's
+        // worth of capacity is not held for the life of the stream.
+        self.partial.clear();
+        self.partial.shrink_to(RETAINED_FRAME_BYTES);
+        message
     }
-    if crc32(&body) != stored_crc {
-        return Err(ReplError::Frame {
-            reason: "message body failed CRC verification".to_string(),
-        });
+
+    /// Reads until the partial frame holds `need` bytes; `false` when
+    /// the stream timed out first. Grown as bytes arrive, so a huge
+    /// length claim costs nothing until it is sent; on an error
+    /// `read_to_end` keeps what it read.
+    fn fill(&mut self, need: usize) -> Result<bool, ReplError> {
+        let have = self.partial.len();
+        if have >= need {
+            return Ok(true);
+        }
+        match (&mut self.inner)
+            .take((need - have) as u64)
+            .read_to_end(&mut self.partial)
+        {
+            Ok(_) if self.partial.len() < need => {
+                Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into())
+            }
+            Ok(_) => Ok(true),
+            Err(err)
+                if matches!(
+                    err.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(err) => Err(err.into()),
+        }
     }
-    Message::decode_body(&body)
 }
 
 /// A follower's view of where the replication stream must continue.
@@ -476,7 +568,7 @@ mod tests {
     use super::*;
 
     fn round_trip(message: Message) {
-        let frame = message.encode();
+        let frame = message.encode().unwrap();
         let mut cursor = &frame[..];
         let decoded = read_message(&mut cursor).unwrap();
         assert_eq!(decoded, message);
@@ -522,7 +614,8 @@ mod tests {
             seq: 7,
             payload: b"payload".to_vec(),
         }
-        .encode();
+        .encode()
+        .unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 0x01;
         let err = read_message(&mut &frame[..]).unwrap_err();
@@ -555,9 +648,64 @@ mod tests {
 
     #[test]
     fn truncated_stream_is_an_io_error() {
-        let frame = Message::Ack { seq: 1 }.encode();
+        let frame = Message::Ack { seq: 1 }.encode().unwrap();
         let err = read_message(&mut &frame[..frame.len() - 2]).unwrap_err();
         assert!(matches!(err, ReplError::Io(_)));
+    }
+
+    #[test]
+    fn the_encoder_refuses_bodies_over_the_bound() {
+        // `encode` checks the built body with `checked_body_len`, so
+        // the bound is tested on lengths alone, without a GiB body.
+        assert_eq!(
+            checked_body_len(MAX_BODY_BYTES).unwrap() as usize,
+            MAX_BODY_BYTES
+        );
+        for len in [MAX_BODY_BYTES + 1, u32::MAX as usize, (1 << 32) + 9] {
+            match checked_body_len(len) {
+                Err(ReplError::Frame { reason }) => assert!(reason.contains("exceeds"), "{reason}"),
+                other => panic!("{len} bytes: expected a refusal, got {other:?}"),
+            }
+        }
+    }
+
+    /// Serves scripted reads: each step is some bytes or a timeout.
+    struct Scripted(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::TimedOut.into()),
+                Some(Some(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_mid_frame_keeps_the_bytes_already_read() {
+        let message = Message::Record {
+            seq: 9,
+            payload: vec![0x5A; 300],
+        };
+        let frame = message.encode().unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        let mut reader = FrameReader::new(Scripted(
+            [Some(head.to_vec()), None, Some(tail.to_vec())].into(),
+        ));
+        assert_eq!(reader.poll().unwrap(), None, "the timeout is a poll");
+        assert_eq!(reader.poll().unwrap(), Some(message));
+        match reader.poll() {
+            Err(ReplError::Io(err)) => assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected end of stream, got {other:?}"),
+        }
     }
 
     #[test]

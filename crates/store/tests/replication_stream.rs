@@ -144,7 +144,7 @@ proptest! {
         flip_bit in 0_usize..128,
     ) {
         let message = Message::Record { seq, payload };
-        let frame = message.encode();
+        let frame = message.encode().unwrap();
         let decoded = read_message(&mut &frame[..]).unwrap();
         prop_assert_eq!(&decoded, &message);
 
